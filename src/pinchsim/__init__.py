@@ -12,7 +12,7 @@ from .harness import (ConfigError, ExperimentSpec, ResultRow, SweepSpec,
                       TraceRow, build_spec, convergence_trace,
                       parse_config_file, read_results, run_experiment,
                       write_results, write_trace)
-from .kernels import BACKEND, SetEvaluator, amplitude_matrix, implementations
+from .kernels import SetEvaluator, amplitude_matrix
 from .noma import (PowerAllocation, RateReport, jain_fairness, rate_report,
                    sic_order, sum_rate, user_rates)
 from .scenario import (Deployment, Point3, SystemConfig, build_positions,
@@ -22,7 +22,7 @@ from .scenario import (Deployment, Point3, SystemConfig, build_positions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet", "BACKEND", "BudgetExceededError", "ConfigError",
+    "ActiveSet", "BudgetExceededError", "ConfigError",
     "Deployment", "EffectiveChannel", "ExperimentSpec", "Matching", "Move",
     "Point3", "PowerAllocation", "RateReport", "ResultRow", "SetEvaluator",
     "SweepSpec", "SystemConfig", "TraceRow", "Trajectory",
@@ -30,7 +30,7 @@ __all__ = [
     "candidate_count", "check_stability", "conventional_baseline",
     "conventional_positions", "convergence_trace", "dbm_to_watts",
     "derived_rf", "distance_based_activation", "effective_channel",
-    "exhaustive_search", "feed_point", "free_space_coeff", "implementations",
+    "exhaustive_search", "feed_point", "free_space_coeff",
     "jain_fairness", "make_deployment", "matching_activation",
     "parse_config_file", "random_matching", "rate_report", "read_results",
     "run_experiment", "sample_users", "sic_order", "stream_rng", "sum_rate",

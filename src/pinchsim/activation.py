@@ -11,9 +11,10 @@ change the active set, hence never the utility, and are not searched.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +96,39 @@ def random_matching(config: SystemConfig, deployment: Deployment,
     return Matching(assignment=tuple(int(p) for p in positions))
 
 
+def _first_improvement(ev: SetEvaluator, assignment: Sequence[int | None],
+                       antenna: int, utility: float, start: int = 0
+                       ) -> tuple[int, Move | None, float]:
+    """Scan one antenna's candidate moves at positions >= start, in position
+    order, for the first with a utility above `utility`.
+
+    A free position is a relocation candidate (an activation when the antenna
+    is inactive); the antenna's own position is its deactivation candidate;
+    positions held by other antennas are skipped.  All relocations are scored
+    in one batch.  Returns the number of candidates up to and including the
+    first improving one, that move and its utility; or the number of
+    candidates, None and the given utility when none improves.
+    """
+    source = assignment[antenna]
+    others = [p for p in assignment if p is not None and p != source]
+    taken = set(assignment)
+    positions = [p for p in range(start, ev.n_positions) if p not in taken]
+    rows = np.empty((len(positions), len(others) + 1), dtype=np.intp)
+    rows[:, :-1] = others
+    rows[:, -1] = positions
+    gains = ev.utilities(rows)
+    if source is not None and source >= start:
+        at = bisect_left(positions, source)
+        positions.insert(at, source)
+        gains = np.concatenate((gains[:at], (ev.utility(others),), gains[at:]))
+    better = np.flatnonzero(gains > utility)
+    if better.size == 0:
+        return len(positions), None, utility
+    i = int(better[0])
+    pos = positions[i]
+    return i + 1, Move(antenna, source, None if pos == source else pos), float(gains[i])
+
+
 def matching_activation(config: SystemConfig, deployment: Deployment,
                         alloc: PowerAllocation, initial: Matching,
                         evaluator: SetEvaluator | None = None,
@@ -105,22 +139,15 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
     Antennas are scanned in ascending index, positions likewise.  A free
     position is a relocation candidate for the current antenna; the antenna's
     own position is its deactivation candidate.  Each candidate costs one
-    utility evaluation, so a cycle evaluates at most K*L candidates.
+    utility evaluation, so a cycle evaluates at most K*L candidates.  After an
+    accepted move the antenna's scan resumes at the next position, from the
+    new state.
     """
     if initial.k_antennas != config.k_antennas:
         raise ValueError("initial matching has the wrong number of antennas")
     ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
     assignment = list(initial.assignment)
-    n_positions = len(deployment.positions)
-    occupied: dict[int, int] = {}
-    for antenna, pos in enumerate(assignment):
-        if pos is not None:
-            occupied[pos] = antenna
-
-    def active() -> tuple[int, ...]:
-        return tuple(sorted(occupied))
-
-    utility = ev.utility(active())
+    utility = ev.utility(initial.active_positions())
     utilities = [utility]
     moves: list[Move] = []
     move_cycles: list[int] = []
@@ -134,39 +161,19 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
             raise RuntimeError(f"no convergence within {max_cycles} cycles")
         evals = 0
         for antenna in range(config.k_antennas):
-            for pos in range(n_positions):
-                holder = occupied.get(pos)
-                if holder is None:
-                    source = assignment[antenna]
-                    candidate = dict(occupied)
-                    if source is not None:
-                        del candidate[source]
-                    candidate[pos] = antenna
-                    evals += 1
-                    gain = ev.utility(tuple(sorted(candidate)))
-                    if gain > utility:
-                        if source is not None:
-                            del occupied[source]
-                        occupied[pos] = antenna
-                        assignment[antenna] = pos
-                        utility = gain
-                        utilities.append(gain)
-                        moves.append(Move(antenna, source, pos))
-                        move_cycles.append(cycles)
-                        improved = True
-                elif holder == antenna:
-                    candidate = dict(occupied)
-                    del candidate[pos]
-                    evals += 1
-                    gain = ev.utility(tuple(sorted(candidate)))
-                    if gain > utility:
-                        del occupied[pos]
-                        assignment[antenna] = None
-                        utility = gain
-                        utilities.append(gain)
-                        moves.append(Move(antenna, pos, None))
-                        move_cycles.append(cycles)
-                        improved = True
+            start = 0
+            while True:
+                scored, move, utility = _first_improvement(
+                    ev, assignment, antenna, utility, start)
+                evals += scored
+                if move is None:
+                    break
+                assignment[antenna] = move.target
+                utilities.append(utility)
+                moves.append(move)
+                move_cycles.append(cycles)
+                improved = True
+                start = (move.source if move.target is None else move.target) + 1
         evals_per_cycle.append(evals)
     trajectory = Trajectory(
         utilities=tuple(utilities),
@@ -183,31 +190,18 @@ def check_stability(matching: Matching, config: SystemConfig,
                     deployment: Deployment, alloc: PowerAllocation,
                     evaluator: SetEvaluator | None = None
                     ) -> tuple[bool, Move | None]:
-    """Brute-force the unilateral move set; return an improving certificate.
+    """Search the unilateral move set; return the first improving move in
+    (antenna, position) order as the certificate.
 
     Stable means no single antenna can relocate to a free position or
     deactivate with a strict utility gain.  Swaps are outside the move set.
     """
     ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
-    occupied = {pos: antenna for antenna, pos in enumerate(matching.assignment)
-                if pos is not None}
-    utility = ev.utility(tuple(sorted(occupied)))
+    utility = ev.utility(matching.active_positions())
     for antenna in range(matching.k_antennas):
-        source = matching.assignment[antenna]
-        for pos in range(len(deployment.positions)):
-            holder = occupied.get(pos)
-            if holder is None:
-                candidate = dict(occupied)
-                if source is not None:
-                    del candidate[source]
-                candidate[pos] = antenna
-                if ev.utility(tuple(sorted(candidate))) > utility:
-                    return False, Move(antenna, source, pos)
-            elif holder == antenna:
-                candidate = dict(occupied)
-                del candidate[pos]
-                if ev.utility(tuple(sorted(candidate))) > utility:
-                    return False, Move(antenna, pos, None)
+        _, move, _ = _first_improvement(ev, matching.assignment, antenna, utility)
+        if move is not None:
+            return False, move
     return True, None
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from .harness import (SCHEMES, SWEEP_PARAMS, ConfigError, ExperimentSpec,
                       build_spec, convergence_trace, parse_config_file,
                       read_results, run_experiment)
-from .kernels import BACKEND
 from .scenario import config_field_names
 
 # Named parameter bundles for the studies the package is built around.  Trial
@@ -125,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(args, sweep=False, default_name="results.csv")
     rows = run_experiment(spec)
     _print_rows(rows)
-    print(f"wrote {len(rows)} rows to {spec.output_path} [{BACKEND} kernel]")
+    print(f"wrote {len(rows)} rows to {spec.output_path}")
     return 0
 
 
@@ -136,7 +135,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                           "--sweep-step (or a preset/config that sets them)")
     rows = run_experiment(spec)
     _print_rows(rows)
-    print(f"wrote {len(rows)} rows to {spec.output_path} [{BACKEND} kernel]")
+    print(f"wrote {len(rows)} rows to {spec.output_path}")
     return 0
 
 
@@ -148,7 +147,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         last[r.trial] = r.ratio
     mean_final = sum(last.values()) / len(last)
     print(f"{spec.trials} trials, mean final utility / optimum = {mean_final:.4f}")
-    print(f"wrote {len(rows)} rows to {spec.output_path} [{BACKEND} kernel]")
+    print(f"wrote {len(rows)} rows to {spec.output_path}")
     return 0
 
 

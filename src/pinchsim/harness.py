@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import fmean
@@ -48,21 +49,21 @@ class SweepSpec:
         if self.param not in SWEEP_PARAMS:
             raise ConfigError(f"cannot sweep {self.param!r}; choose one of "
                               f"{', '.join(SWEEP_PARAMS)}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"sweep {name} must be finite")
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
         if self.stop < self.start:
             raise ConfigError("sweep stop must be >= start")
 
     def values(self) -> tuple[float, ...]:
-        out = []
-        i = 0
-        while True:
-            v = self.start + i * self.step
-            if v > self.stop * (1 + 1e-12) + 1e-12:
-                break
-            out.append(v)
-            i += 1
-        return tuple(out)
+        """start + i*step up to and including stop, whatever the signs; the
+        tolerance, scaled by |stop|, keeps an endpoint that rounding put a
+        hair beyond stop."""
+        tolerance = 1e-12 * max(abs(self.stop), 1.0)
+        count = math.floor((self.stop - self.start + tolerance) / self.step) + 1
+        return tuple(self.start + i * self.step for i in range(count))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,10 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("d1", "d2", "height", "carrier_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -71,8 +75,6 @@ class SystemConfig:
             raise ValueError("n_eff must be >= 1")
         if self.kappa_db_per_m < 0:
             raise ValueError("kappa_db_per_m must be >= 0")
-        if not math.isfinite(self.pt_dbm) or not math.isfinite(self.noise_dbm):
-            raise ValueError("powers must be finite")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if self.l_positions < 2:

@@ -9,6 +9,7 @@ import pytest
 
 import helpers
 import reference
+from reference_scan import reference_scan
 from pinchsim import (ActiveSet, BudgetExceededError, Matching, Move,
                       PowerAllocation, SetEvaluator, SystemConfig, Trajectory,
                       candidate_count, check_stability, conventional_baseline,
@@ -135,6 +136,30 @@ def test_single_user_moves_to_nearest_position():
                                           Matching(assignment=(start,)))
         assert final.assignment == (1,)
         assert traj.utilities[-1] > traj.utilities[0]
+
+
+def test_batched_scan_equals_reference_scan():
+    # same moves, utilities (bit for bit), cycles and evaluation counts as
+    # the candidate-by-candidate scan, from full and partial starts; the
+    # stability certificate is the first move that scan accepts
+    rng = np.random.default_rng(508)
+    shapes = [(2, 2, 20, 60), (3, 2, 12, 60), (4, 4, 30, 40), (8, 8, 60, 20)]
+    for n, k, l_positions, drops in shapes:
+        for drop in range(drops):
+            cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                               l_positions=l_positions)
+            dep = make_deployment(cfg, rng)
+            alloc = PowerAllocation.equal(n)
+            assignment = list(random_matching(cfg, dep, rng).assignment)
+            for antenna in range(drop % 3):  # 0, 1 or 2 antennas start inactive
+                assignment[antenna] = None
+            init = Matching(assignment=tuple(assignment))
+            got = matching_activation(cfg, dep, alloc, init)
+            want = reference_scan(cfg, dep, alloc, init)
+            assert got == want
+            moves = want[1].moves
+            assert check_stability(init, cfg, dep, alloc) == (
+                (False, moves[0]) if moves else (True, None))
 
 
 def test_stability_of_search_output():

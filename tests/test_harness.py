@@ -22,6 +22,20 @@ def test_sweep_values_inclusive():
     assert SweepSpec("d2", 4.0, 4.0, 1.0).values() == (4.0,)
 
 
+def test_sweep_values_keep_endpoints_whatever_the_sign():
+    assert SweepSpec("pt_dbm", -40.0, -20.0, 10.0).values() == (-40.0, -30.0, -20.0)
+    assert SweepSpec("pt_dbm", -40.0, -20.0, 5.0).values() == (
+        -40.0, -35.0, -30.0, -25.0, -20.0)
+    assert SweepSpec("pt_dbm", -10.0, 10.0, 5.0).values() == (
+        -10.0, -5.0, 0.0, 5.0, 10.0)
+    assert SweepSpec("pt_dbm", -20.0, 0.0, 10.0).values() == (-20.0, -10.0, 0.0)
+    assert SweepSpec("pt_dbm", -7.0, -7.0, 1.0).values() == (-7.0,)
+    back = SweepSpec("pt_dbm", -0.3, 0.0, 0.1).values()
+    assert len(back) == 4 and math.isclose(back[-1], 0.0, abs_tol=1e-12)
+    # the step does not divide the range: stop is not reached, not exceeded
+    assert SweepSpec("pt_dbm", -40.0, -21.0, 10.0).values() == (-40.0, -30.0)
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError):
         SweepSpec("noise_dbm", 0.0, 1.0, 1.0)  # not sweepable
@@ -29,6 +43,9 @@ def test_sweep_validation():
         SweepSpec("d1", 10.0, 5.0, 1.0)
     with pytest.raises(ConfigError):
         SweepSpec("d1", 5.0, 10.0, 0.0)
+    for bad in ((math.nan, 10.0, 1.0), (5.0, math.inf, 1.0), (5.0, 10.0, math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec("d1", *bad)
 
 
 def test_apply_sweep_value_coerces_counts():

@@ -1,4 +1,4 @@
-"""Kernel backends: equivalence, selection, and the set evaluator."""
+"""The amplitude matrix and the set evaluator, single and batched."""
 
 import math
 
@@ -7,10 +7,8 @@ import pytest
 
 import helpers
 from pinchsim import (ActiveSet, PowerAllocation, SetEvaluator, SystemConfig,
-                      amplitude_matrix, effective_channel, implementations,
-                      make_deployment, stream_rng, sum_rate)
-
-HAVE_COMPILED = "compiled" in implementations()
+                      amplitude_matrix, effective_channel, make_deployment,
+                      stream_rng, sum_rate)
 
 
 def test_amplitude_matrix_reproduces_channels():
@@ -37,26 +35,47 @@ def test_evaluator_matches_contract_path():
         assert math.isclose(ev.utility(sel), report.sum_rate, rel_tol=1e-9)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-def test_backends_agree():
-    impls = implementations()
+def test_batch_equals_single_evaluations_exactly():
     rng = np.random.default_rng(302)
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        l_positions = int(rng.integers(2, 16))
-        amp = (rng.normal(size=(n, l_positions))
-               + 1j * rng.normal(size=(n, l_positions))) * 1e-4
-        amp = np.ascontiguousarray(amp)
-        size = int(rng.integers(1, l_positions + 1))
-        sel = np.sort(rng.choice(l_positions, size=size, replace=False)
-                      ).astype(np.intp)
-        alpha = rng.uniform(0.1, 1.0, n)
-        alpha /= alpha.sum()
-        scale = float(rng.uniform(0.1, 10.0))
-        noise = float(rng.uniform(1e-13, 1e-9))
-        a = impls["python"](amp, sel, scale, noise, alpha)
-        b = impls["compiled"](amp, sel, scale, noise, alpha)
-        assert math.isclose(a, b, rel_tol=1e-12)
+    shapes = [(1, 1, 4), (2, 2, 20), (3, 2, 12), (4, 4, 30), (8, 8, 60)]
+    for n, k, l_positions in shapes:
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        for _ in range(20):
+            dep = make_deployment(cfg, rng)
+            ev = SetEvaluator(cfg, dep, PowerAllocation.equal(n))
+            size = int(rng.integers(1, k + 1))
+            batch = int(rng.integers(1, l_positions + 1))
+            # rows in any order within themselves: the batch sorts them
+            rows = np.array([rng.choice(l_positions, size=size, replace=False)
+                             for _ in range(batch)])
+            got = ev.utilities(rows)
+            assert got.shape == (batch,)
+            assert got.tolist() == [ev.utility(r) for r in rows]
+    # the sizes and shapes the scan hands over, each row alone and batched
+    cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60)
+    ev = SetEvaluator(cfg, make_deployment(cfg, rng), PowerAllocation.equal(8))
+    for size in range(1, 9):
+        rows = [sorted(rng.choice(60, size=size, replace=False))
+                for _ in range(60 - size)]
+        assert ev.utilities(rows).tolist() == [ev.utility(r) for r in rows]
+        assert [ev.utilities([r])[0] for r in rows] == [ev.utility(r) for r in rows]
+
+
+def test_batch_edge_cases_and_validation():
+    cfg = SystemConfig(l_positions=12)
+    dep = make_deployment(cfg, stream_rng(7, 0, 0))
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(cfg.n_users))
+    assert ev.utilities(np.empty((0, 2), dtype=int)).shape == (0,)
+    assert ev.utilities(np.empty((3, 0), dtype=int)).tolist() == [0.0] * 3
+    assert ev.calls == 0
+    ev.utilities([[0, 1], [2, 3], [5, 4]])
+    assert ev.calls == 3
+    for bad in ([[0, 12]], [[-1, 3]]):
+        with pytest.raises(ValueError):
+            ev.utilities(bad)
+    with pytest.raises(ValueError):
+        ev.utilities([0, 1])  # one activation is utility(), not a batch
 
 
 def test_evaluator_counts_calls():

@@ -103,6 +103,14 @@ def test_config_rejects_bad_parameters():
         SystemConfig(seed=-1)
 
 
+@pytest.mark.parametrize("name", ["d1", "d2", "height", "carrier_hz", "n_eff",
+                                  "kappa_db_per_m", "pt_dbm", "noise_dbm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SystemConfig(**{name: value})
+
+
 def test_config_rejects_subwavelength_spacing():
     # spacing d1/(L-1) must stay >= lambda/2 = 5.35e-3 m at 28 GHz
     with pytest.raises(ValueError):
