@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ActiveSet, free_space_coeff
+from .channel import ActiveSet, amplitudes, coherent_sum
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report
 from .scenario import (Deployment, Point3, SystemConfig, dbm_to_watts,
@@ -270,13 +270,8 @@ def conventional_baseline(config: SystemConfig, deployment: Deployment,
     dielectric loss; each of the K antennas radiates P_t/K.  Rates go through
     the same SIC stack as the pinching schemes.
     """
-    lam, _, eta = derived_rf(config)
-    points = conventional_positions(config)
-    weight = math.sqrt(dbm_to_watts(config.pt_dbm) / config.k_antennas)
-    gains = []
-    for user in deployment.users:
-        h = 0j
-        for p in points:
-            h += free_space_coeff(user, p, lam, eta) * weight
-        gains.append(abs(h) ** 2)
-    return rate_report(gains, alloc, dbm_to_watts(config.noise_dbm))
+    amp = amplitudes(config, deployment.users, conventional_positions(config),
+                     None)
+    h = coherent_sum(amp, dbm_to_watts(config.pt_dbm))
+    return rate_report((np.abs(h) ** 2).tolist(), alloc,
+                       dbm_to_watts(config.noise_dbm))

@@ -4,6 +4,8 @@ and the effective scalar channel of each user for a set of active antennas.
 The effective channel coherently sums, over the activated antennas, the
 spherical-wave coefficient times the in-waveguide phase rotation times the
 square root of the per-antenna transmit power.  Noise is never folded in here.
+Every scheme's channel comes from `amplitudes`; the scalar helpers state the
+same physics one term at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .scenario import Deployment, Point3, SystemConfig, dbm_to_watts, derived_rf
 
@@ -90,6 +94,48 @@ def antenna_power(pt_watts: float, set_size: int, kappa_db_per_m: float,
     return (pt_watts / set_size) * 10.0 ** (-kappa_db_per_m * dist_from_feed / 10.0)
 
 
+def amplitudes(config: SystemConfig, users, points, feed: Point3 | None
+               ) -> np.ndarray:
+    """(N, S) complex amplitude terms of N users and S antenna points.
+
+    Entry (n, s) is the spherical-wave coefficient of user n and point s,
+    rotated by the waveguide phase of s and scaled by the square root of the
+    dielectric attenuation over its feed distance; `feed=None` is a fixed
+    array, with neither.  Phases stay real until the exponential: numpy
+    divides a complex by a real through the reciprocal, an ulp off at
+    thousands of radians.
+    """
+    lam, lam_g, eta = derived_rf(config)
+    # The feed is one more row: its distances are the feed distances.
+    sources = [q.as_tuple() for q in users]
+    wavelengths = [lam] * len(sources)
+    if feed is not None:
+        sources.append(feed.as_tuple())
+        wavelengths.append(lam_g)
+    d = np.array(sources)[:, None, :] - np.array([q.as_tuple() for q in points])
+    d *= d
+    r = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+    rotation = np.exp(-1j * (2.0 * np.pi * r / np.array(wavelengths)[:, None]))
+    n = len(users)
+    if not r[:n].all():
+        raise ValueError("user and antenna coincide (singular channel)")
+    amp = rotation[:n] * (eta / r[:n])
+    if feed is not None:
+        col = rotation[n] * np.sqrt(10.0 ** (-config.kappa_db_per_m * r[n] / 10.0))
+        # The product by parts: numpy's complex multiply may fuse in its
+        # vector loop, so an entry would depend on how many points there are.
+        re = amp.real * col.real - amp.imag * col.imag
+        amp.imag = amp.real * col.imag + amp.imag * col.real
+        amp.real = re
+    return amp
+
+
+def coherent_sum(amp: np.ndarray, pt_watts: float) -> np.ndarray:
+    """Per-user channel of (N, S) amplitude terms, P_t split over the S
+    antennas; summed in the column-major layout of a gather `amp[:, sel]`."""
+    return np.asfortranarray(amp).sum(axis=1) * math.sqrt(pt_watts / amp.shape[1])
+
+
 def effective_channel(users: tuple[Point3, ...], active: ActiveSet,
                       deployment: Deployment, config: SystemConfig) -> EffectiveChannel:
     """Effective scalar channel h_n of every user for the given activation.
@@ -98,24 +144,9 @@ def effective_channel(users: tuple[Point3, ...], active: ActiveSet,
     fully deactivated system).
     """
     if active.size == 0:
-        zeros = (0j,) * len(users)
-        return EffectiveChannel(per_user=zeros, gains=(0.0,) * len(users))
-    lam, lam_g, eta = derived_rf(config)
-    pt_watts = dbm_to_watts(config.pt_dbm)
-    points = active.antenna_points(deployment)
-    terms = []
-    for p in points:
-        d_feed = deployment.feed.distance_to(p)
-        theta = waveguide_phase(deployment.feed, p, lam_g)
-        p_l = antenna_power(pt_watts, len(points), config.kappa_db_per_m, d_feed)
-        terms.append((p, cmath.exp(-1j * theta) * math.sqrt(p_l)))
-    per_user = []
-    for u in users:
-        h = 0j
-        for p, weight in terms:
-            h += free_space_coeff(u, p, lam, eta) * weight
-        per_user.append(h)
-    return EffectiveChannel(
-        per_user=tuple(per_user),
-        gains=tuple(abs(h) ** 2 for h in per_user),
-    )
+        return EffectiveChannel((0j,) * len(users), (0.0,) * len(users))
+    amp = amplitudes(config, users, active.antenna_points(deployment),
+                     deployment.feed)
+    h = coherent_sum(amp, dbm_to_watts(config.pt_dbm))
+    return EffectiveChannel(per_user=tuple(h.tolist()),
+                            gains=tuple((np.abs(h) ** 2).tolist()))

@@ -20,9 +20,10 @@ from .activation import (Matching, candidate_count, conventional_baseline,
                          distance_based_activation, exhaustive_search,
                          matching_activation, random_matching)
 from .kernels import SetEvaluator
-from .noma import PowerAllocation, sum_rate
+from .noma import PowerAllocation, RateReport, rate_report, sum_rate
 from .scenario import (MATCHING_STREAM, USER_STREAM, SystemConfig,
-                       config_field_names, make_deployment, stream_rng)
+                       config_field_names, dbm_to_watts, make_deployment,
+                       stream_rng)
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +51,12 @@ class SweepSpec:
             raise ConfigError(f"cannot sweep {self.param!r}; choose one of "
                               f"{', '.join(SWEEP_PARAMS)}")
         for name in ("start", "stop", "step"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ConfigError(f"sweep {name} must be finite")
+            if self.param in COUNT_PARAMS and value != int(value):
+                raise ConfigError(f"sweep {name} of {self.param} must be an "
+                                  f"integer, got {value!r}")
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
         if self.stop < self.start:
@@ -153,6 +158,14 @@ def _drop_hash(deployment) -> str:
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
+def _report(active, deployment, cfg, alloc, evaluator) -> RateReport:
+    """Rates of a grid activation; from the search's amplitude matrix if any."""
+    if evaluator is None:
+        return sum_rate(active, deployment, cfg, alloc)
+    return rate_report(evaluator.gains(active.indices).tolist(), alloc,
+                       dbm_to_watts(cfg.noise_dbm))
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every scheme over shared user drops; aggregate means per cell.
 
@@ -161,14 +174,17 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """
     rows: list[ResultRow] = []
     sweep_values = spec.sweep.values() if spec.sweep else (None,)
+    searched = "matching" in spec.schemes or "exhaustive" in spec.schemes
     for value, cfg in zip(sweep_values, spec.configs()):
         metrics = {s: [] for s in spec.schemes}
+        alloc = PowerAllocation.equal(cfg.n_users)
         for trial in range(spec.trials):
             deployment = make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
-            log.debug("sweep=%s trial=%d drop=%s", value, trial,
-                      _drop_hash(deployment))
-            alloc = PowerAllocation.equal(cfg.n_users)
-            evaluator = SetEvaluator(cfg, deployment, alloc)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("sweep=%s trial=%d drop=%s", value, trial,
+                          _drop_hash(deployment))
+            # Only the searches query the amplitude matrix.
+            evaluator = SetEvaluator(cfg, deployment, alloc) if searched else None
             initial: Matching | None = None
             if "matching" in spec.schemes or "random" in spec.schemes:
                 initial = random_matching(
@@ -178,18 +194,20 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 exh_set, _ = exhaustive_search(cfg, deployment, alloc,
                                                evaluator=evaluator,
                                                budget=spec.exhaustive_budget)
-                exh_report = sum_rate(exh_set, deployment, cfg, alloc)
+                exh_report = _report(exh_set, deployment, cfg, alloc, evaluator)
                 exhaustive_rate = exh_report.sum_rate
             for scheme in spec.schemes:
                 cycles = None
                 if scheme == "matching":
                     final, trajectory = matching_activation(
                         cfg, deployment, alloc, initial, evaluator=evaluator)
-                    report = sum_rate(final.active_set(), deployment, cfg, alloc)
+                    report = _report(final.active_set(), deployment, cfg, alloc,
+                                     evaluator)
                     active_count = len(final.active_positions())
                     cycles = trajectory.cycles
                 elif scheme == "random":
-                    report = sum_rate(initial.active_set(), deployment, cfg, alloc)
+                    report = _report(initial.active_set(), deployment, cfg,
+                                     alloc, evaluator)
                     active_count = len(initial.active_positions())
                 elif scheme == "distance":
                     active = distance_based_activation(cfg, deployment)
@@ -290,24 +308,14 @@ def write_results(path: Path | str, rows: list[ResultRow]) -> None:
 def read_results(path: Path | str) -> list[ResultRow]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_FIELDS:
+        if tuple(next(reader)) != RESULT_FIELDS:
             raise ConfigError(f"unexpected header in {path}")
-        rows = []
-        for rec in reader:
-            vals = dict(zip(RESULT_FIELDS, rec))
-            rows.append(ResultRow(
-                sweep_value=float(vals["sweep_value"]) if vals["sweep_value"] else None,
-                scheme=vals["scheme"],
-                mean_sum_rate=float(vals["mean_sum_rate"]),
-                mean_fairness=float(vals["mean_fairness"]),
-                mean_active_count=float(vals["mean_active_count"]),
-                mean_cycles=float(vals["mean_cycles"]) if vals["mean_cycles"] else None,
-                mean_ratio_to_exhaustive=(float(vals["mean_ratio_to_exhaustive"])
-                                          if vals["mean_ratio_to_exhaustive"] else None),
-                trials=int(vals["trials"]),
-            ))
-    return rows
+        parse = {"scheme": str, "trials": int}
+        blank = ("sweep_value", "mean_cycles", "mean_ratio_to_exhaustive")
+        return [ResultRow(**{name: None if name in blank and not text
+                             else parse.get(name, float)(text)
+                             for name, text in zip(RESULT_FIELDS, rec)})
+                for rec in reader]
 
 
 def write_trace(path: Path | str, rows: list[TraceRow]) -> None:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import amplitudes, coherent_sum
 from .noma import PowerAllocation
-from .scenario import Deployment, SystemConfig, dbm_to_watts, derived_rf
+from .scenario import Deployment, SystemConfig, dbm_to_watts
 
 
 def set_sum_rate(amp, sel, scale, noise, alpha, tails):
@@ -38,33 +39,9 @@ def set_sum_rate(amp, sel, scale, noise, alpha, tails):
 
 
 def amplitude_matrix(config: SystemConfig, deployment: Deployment) -> np.ndarray:
-    """(N, L) complex amplitude terms, independent of the active-set size.
-
-    Entry (n, l) is the free-space coefficient between user n and position l,
-    rotated by the waveguide phase of l and scaled by the square root of the
-    dielectric attenuation at l.  Multiplying by sqrt(P_t/|S|) and summing the
-    active columns reproduces the effective channel.
-    """
-    lam, lam_g, eta = derived_rf(config)
-    ux = np.array([u.x for u in deployment.users])
-    uy = np.array([u.y for u in deployment.users])
-    uz = np.array([u.z for u in deployment.users])
-    px = np.array([p.x for p in deployment.positions])
-    py = np.array([p.y for p in deployment.positions])
-    pz = np.array([p.z for p in deployment.positions])
-    f = deployment.feed
-    r = np.sqrt(
-        (ux[:, None] - px[None, :]) ** 2
-        + (uy[:, None] - py[None, :]) ** 2
-        + (uz[:, None] - pz[None, :]) ** 2
-    )
-    d_feed = np.sqrt((px - f.x) ** 2 + (py - f.y) ** 2 + (pz - f.z) ** 2)
-    theta = 2.0 * np.pi * d_feed / lam_g
-    attenuation = 10.0 ** (-config.kappa_db_per_m * d_feed / 10.0)
-    column = np.exp(-1j * theta) * np.sqrt(attenuation)
-    return np.ascontiguousarray(
-        eta * np.exp(-2j * np.pi * r / lam) / r * column[None, :]
-    )
+    """(N, L) `channel.amplitudes` of the users at the grid positions."""
+    return amplitudes(config, deployment.users, deployment.positions,
+                      deployment.feed)
 
 
 class SetEvaluator:
@@ -78,9 +55,6 @@ class SetEvaluator:
                  alloc: PowerAllocation):
         if len(alloc.alpha) != len(deployment.users):
             raise ValueError("allocation length must match number of users")
-        self.config = config
-        self.deployment = deployment
-        self.alloc = alloc
         self._amp = amplitude_matrix(config, deployment)
         self._alpha = np.array(alloc.alpha)
         rev = np.cumsum(self._alpha[::-1])
@@ -121,9 +95,8 @@ class SetEvaluator:
                             self._noise_watts, self._alpha, self._tails)
 
     def gains(self, indices) -> np.ndarray:
-        """Per-user |h|^2 for the given activation, user order preserved."""
+        """Per-user |h|^2 of an activation, equal to `effective_channel`'s."""
         sel = np.asarray(sorted(indices), dtype=np.intp)
         if sel.size == 0:
             return np.zeros(self._amp.shape[0])
-        z = self._amp[:, sel].sum(axis=1)
-        return (self._pt_watts / sel.size) * (z.real ** 2 + z.imag ** 2)
+        return np.abs(coherent_sum(self._amp[:, sel], self._pt_watts)) ** 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .channel import ActiveSet, effective_channel
 from .scenario import Deployment, SystemConfig, dbm_to_watts
@@ -67,22 +68,14 @@ def user_rates(sorted_gains, alloc: PowerAllocation, noise_watts: float) -> tupl
     interference term vanishes for the top rank.
     """
     gains = list(sorted_gains)
-    n = len(gains)
-    if len(alloc.alpha) != n:
+    if len(alloc.alpha) != len(gains):
         raise ValueError("allocation length must match number of users")
     if noise_watts <= 0:
         raise ValueError("noise power must be positive")
-    rates = []
-    tail = 0.0  # sum of alpha above the current rank, built from the top down
-    tails = [0.0] * n
-    for m in range(n - 1, -1, -1):
-        tails[m] = tail
-        tail += alloc.alpha[m]
-    for m in range(n):
-        g = gains[m]
-        sinr = alloc.alpha[m] * g / (g * tails[m] + noise_watts)
-        rates.append(math.log2(1.0 + sinr))
-    return tuple(rates)
+    # sum of alpha above each rank, accumulated from the top rank down
+    tails = list(accumulate(reversed(alloc.alpha[1:]), initial=0.0))[::-1]
+    return tuple(math.log2(1.0 + a * g / (g * tail + noise_watts))
+                 for a, g, tail in zip(alloc.alpha, gains, tails))
 
 
 def jain_fairness(rates) -> float:

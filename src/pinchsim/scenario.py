@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,18 +138,16 @@ def derived_rf(config: SystemConfig) -> tuple[float, float, float]:
     return lam, lam / config.n_eff, lam / (4.0 * math.pi)
 
 
+@lru_cache(maxsize=16)
 def build_positions(config: SystemConfig) -> tuple[Point3, ...]:
-    """Uniformly spaced candidate positions along the waveguide.
+    """Uniformly spaced candidate positions along the waveguide, cached per
+    configuration so that its drops share one grid.
 
     Position i sits at x = i*d1/(L-1), y=0, z=height, for i = 0..L-1.
     """
-    if config.l_positions < 2:
-        raise ValueError("need at least two positions")
     step_den = config.l_positions - 1
-    return tuple(
-        Point3(config.d1 * i / step_den, 0.0, config.height)
-        for i in range(config.l_positions)
-    )
+    return tuple(Point3(config.d1 * i / step_den, 0.0, config.height)
+                 for i in range(config.l_positions))
 
 
 def feed_point(config: SystemConfig) -> Point3:

@@ -46,6 +46,15 @@ def test_sweep_validation():
     for bad in ((math.nan, 10.0, 1.0), (5.0, math.inf, 1.0), (5.0, 10.0, math.inf)):
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec("d1", *bad)
+    # count parameters take integer grids only; step 2.5 used to run K=2, 4, 7
+    # under the labels 2, 4.5, 7
+    for param in ("n_users", "k_antennas", "l_positions"):
+        for name, bad in (("start", (1.4, 4.0, 1.0)), ("stop", (2.0, 8.5, 2.0)),
+                          ("step", (2.0, 8.0, 2.5))):
+            with pytest.raises(ConfigError, match=f"{name} of {param}"):
+                SweepSpec(param, *bad)
+    assert SweepSpec("k_antennas", 2.0, 8.0, 2.0).values() == (2.0, 4.0, 6.0, 8.0)
+    assert SweepSpec("d1", 10.0, 15.0, 2.5).values() == (10.0, 12.5, 15.0)
 
 
 def test_apply_sweep_value_coerces_counts():
@@ -98,6 +107,22 @@ def test_row_matches_direct_recomputation():
     assert math.isclose(row.mean_sum_rate, report.sum_rate, rel_tol=1e-8)
     assert math.isclose(row.mean_fairness, report.fairness, rel_tol=1e-8)
     assert row.mean_active_count == 2.0
+
+
+def test_baselines_build_no_evaluator(monkeypatch):
+    # random, distance and conventional query no amplitude matrix, so the
+    # runner must not pay for one
+    def refuse(*args, **kwargs):
+        raise AssertionError("SetEvaluator built without a search scheme")
+
+    spec = ExperimentSpec(base=FAST, schemes=("random", "distance", "conventional"),
+                          trials=3, sweep=SweepSpec("pt_dbm", 20.0, 30.0, 10.0))
+    monkeypatch.setattr("pinchsim.harness.SetEvaluator", refuse)
+    rows = run_experiment(spec)
+    assert [r.scheme for r in rows] == ["random", "distance", "conventional"] * 2
+    # the patch does reach the runner: a search scheme trips it
+    with pytest.raises(AssertionError, match="without a search"):
+        run_experiment(ExperimentSpec(base=FAST, schemes=("matching",), trials=1))
 
 
 def test_ratio_column_present_only_with_exhaustive():
