@@ -264,14 +264,24 @@ def conventional_positions(config: SystemConfig) -> tuple[Point3, ...]:
     )
 
 
+def conventional_amplitudes(config: SystemConfig,
+                            deployment: Deployment) -> np.ndarray:
+    """(N, K) `amplitudes` of the users at the fixed array: no feed, so no
+    guide phase and no loss.  They do not depend on the transmit power."""
+    return amplitudes(config, deployment.users, conventional_positions(config),
+                      None)
+
+
 def conventional_baseline(config: SystemConfig, deployment: Deployment,
-                          alloc: PowerAllocation) -> RateReport:
+                          alloc: PowerAllocation,
+                          amp: np.ndarray | None = None) -> RateReport:
     """Fixed-antenna benchmark: no waveguide, so no phase shift and no
     dielectric loss; each of the K antennas radiates P_t/K.  Rates go through
-    the same SIC stack as the pinching schemes.
+    the same SIC stack as the pinching schemes.  `amp` is the drop's
+    `conventional_amplitudes`, if the caller already has them.
     """
-    amp = amplitudes(config, deployment.users, conventional_positions(config),
-                     None)
+    if amp is None:
+        amp = conventional_amplitudes(config, deployment)
     h = coherent_sum(amp, dbm_to_watts(config.pt_dbm))
     return rate_report((np.abs(h) ** 2).tolist(), alloc,
                        dbm_to_watts(config.noise_dbm))

@@ -136,17 +136,29 @@ def coherent_sum(amp: np.ndarray, pt_watts: float) -> np.ndarray:
     return np.asfortranarray(amp).sum(axis=1) * math.sqrt(pt_watts / amp.shape[1])
 
 
+def antenna_amplitudes(active: ActiveSet, deployment: Deployment,
+                       config: SystemConfig) -> np.ndarray:
+    """(N, S) `amplitudes` of the deployment's users at the antennas of
+    `active`.  They do not depend on the transmit power."""
+    return amplitudes(config, deployment.users, active.antenna_points(deployment),
+                      deployment.feed)
+
+
 def effective_channel(users: tuple[Point3, ...], active: ActiveSet,
-                      deployment: Deployment, config: SystemConfig) -> EffectiveChannel:
+                      deployment: Deployment, config: SystemConfig,
+                      amp: np.ndarray | None = None) -> EffectiveChannel:
     """Effective scalar channel h_n of every user for the given activation.
 
-    Empty active set yields all-zero channels (the caller convention for a
-    fully deactivated system).
+    `amp`, the users' `amplitudes` at the active antennas, spares their
+    rebuild when the caller keeps them across transmit powers.  Empty active
+    set yields all-zero channels (the caller convention for a fully
+    deactivated system).
     """
     if active.size == 0:
         return EffectiveChannel((0j,) * len(users), (0.0,) * len(users))
-    amp = amplitudes(config, users, active.antenna_points(deployment),
-                     deployment.feed)
+    if amp is None:
+        amp = amplitudes(config, users, active.antenna_points(deployment),
+                         deployment.feed)
     h = coherent_sum(amp, dbm_to_watts(config.pt_dbm))
     return EffectiveChannel(per_user=tuple(h.tolist()),
                             gains=tuple((np.abs(h) ** 2).tolist()))

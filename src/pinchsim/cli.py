@@ -2,14 +2,18 @@
 
 Subcommands: run, sweep, convergence, compare.  Flags mirror the config-file
 keys; precedence is built-in defaults < preset < config file < flags.
+`--log-level`, given before the subcommand, logs to stderr.
 Relative output paths resolve under PINCHSIM_OUTPUT_DIR when that is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (SCHEMES, SWEEP_PARAMS, ConfigError, ExperimentSpec,
@@ -53,6 +57,7 @@ PRESETS = {
 }
 
 _SWEEP_FLAGS = ("sweep_param", "sweep_from", "sweep_to", "sweep_step")
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
@@ -68,6 +73,9 @@ def _add_spec_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
                         help=f"comma list from: {', '.join(SCHEMES)}")
     parser.add_argument("--output", type=Path, metavar="CSV",
                         help="result file (a .spec.json sidecar is written too)")
+    parser.add_argument("--exhaustive-budget", dest="exhaustive_budget",
+                        metavar="N", help="most candidate sets the exhaustive "
+                        "search may evaluate per drop")
     if sweep:
         parser.add_argument("--sweep-param", dest="sweep_param",
                             choices=SWEEP_PARAMS)
@@ -82,7 +90,7 @@ def _collect_entries(args: argparse.Namespace, sweep: bool) -> dict[str, str]:
         entries.update(PRESETS[args.preset])
     if args.config:
         entries.update(parse_config_file(args.config))
-    flag_keys = config_field_names() + ("trials", "schemes")
+    flag_keys = config_field_names() + ("trials", "schemes", "exhaustive_budget")
     if sweep:
         flag_keys += _SWEEP_FLAGS
     for key in flag_keys:
@@ -114,10 +122,7 @@ def _build_spec(args: argparse.Namespace, sweep: bool, default_name: str
     elif "output_path" in entries:
         del entries["output_path"]
     spec = build_spec(entries, output_default=None)
-    output = _resolve_output(args.output, default_name)
-    return ExperimentSpec(base=spec.base, schemes=spec.schemes,
-                          trials=spec.trials, sweep=spec.sweep,
-                          output_path=output)
+    return replace(spec, output_path=_resolve_output(args.output, default_name))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -197,6 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pinchsim",
         description="Simulate and optimize pinching-antenna activation for "
                     "a NOMA downlink.")
+    parser.add_argument("--log-level", type=str.upper, choices=_LOG_LEVELS,
+                        help="log to stderr from this level on; DEBUG adds "
+                             "a user-drop hash per sweep value and trial")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one configuration, no sweep")
@@ -218,13 +226,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _log_to_stderr(level: str | None):
+    """Send the package's log records from `level` on to stderr while the
+    block runs; no change at all when `level` is None."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("pinchsim")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.func(args)
+        except (ConfigError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

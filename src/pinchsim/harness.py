@@ -1,13 +1,21 @@
 """Experiment harness: specs, Monte-Carlo execution, sweeps, CSV/JSON output.
 
 Every trial index maps to one user drop shared by all schemes of that row
-(paired comparison), and drops depend only on (seed, trial, geometry), so
-sweeping power or attenuation re-uses identical drops across sweep values.
+(paired comparison), and drops depend only on (seed, trial, geometry).  A
+sweep runs each trial across all its values and builds the trial's objects
+once for every run of values that leaves their config fields (`DEPENDS`)
+unchanged: the drop, the random initial matching and the distance-based
+placement, and the amplitude terms (the search's grid matrix and the random,
+distance and conventional schemes' terms).  A power sweep shares them all,
+an attenuation sweep shares the drop and placements, and a geometry or count
+sweep draws a fresh drop per value.  Channel sums, SIC rates and the
+searches run per value.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 import hashlib
 import json
 import logging
@@ -16,9 +24,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import fmean
 
-from .activation import (Matching, candidate_count, conventional_baseline,
-                         distance_based_activation, exhaustive_search,
-                         matching_activation, random_matching)
+from . import kernels
+from .activation import (Matching, candidate_count, conventional_amplitudes,
+                         conventional_baseline, distance_based_activation,
+                         exhaustive_search, matching_activation,
+                         random_matching)
+from .channel import antenna_amplitudes
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report, sum_rate
 from .scenario import (MATCHING_STREAM, USER_STREAM, SystemConfig,
@@ -31,6 +42,21 @@ SCHEMES = ("matching", "random", "distance", "exhaustive", "conventional")
 SWEEP_PARAMS = ("pt_dbm", "d1", "d2", "kappa_db_per_m", "n_users",
                 "k_antennas", "l_positions")
 COUNT_PARAMS = ("n_users", "k_antennas", "l_positions")
+
+# The config fields each power-independent object of a trial depends on.  An
+# object is rebuilt at a sweep value only when one of its fields changed.
+_DROP = ("d1", "d2", "height", "n_users", "l_positions", "seed")
+_PLACED = _DROP + ("k_antennas",)
+_RF = ("carrier_hz", "n_eff", "kappa_db_per_m")
+DEPENDS = {
+    "drop": _DROP,                        # users, grid and feed
+    "initial": _PLACED,                   # random matching
+    "distance": _PLACED,                  # distance-based placement
+    "grid": _DROP + _RF,                  # the evaluator's (N, L) matrix
+    "random_terms": _PLACED + _RF,        # (N, S) amplitude terms
+    "distance_terms": _PLACED + _RF,
+    "conventional_terms": _PLACED + ("carrier_hz",),  # no guide, no loss
+}
 
 
 class ConfigError(ValueError):
@@ -88,6 +114,9 @@ class ExperimentSpec:
             object.__setattr__(self, "output_path", Path(self.output_path))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.exhaustive_budget < 1:
+            raise ConfigError(f"exhaustive_budget must be >= 1, got "
+                              f"{self.exhaustive_budget!r}")
         if not self.schemes:
             raise ConfigError("need at least one scheme")
         for s in self.schemes:
@@ -158,84 +187,138 @@ def _drop_hash(deployment) -> str:
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
-def _report(active, deployment, cfg, alloc, evaluator) -> RateReport:
-    """Rates of a grid activation; from the search's amplitude matrix if any."""
-    if evaluator is None:
-        return sum_rate(active, deployment, cfg, alloc)
+def _report(active, cfg, alloc, evaluator) -> RateReport:
+    """Rates of a grid activation, from the search's amplitude matrix."""
     return rate_report(evaluator.gains(active.indices).tolist(), alloc,
                        dbm_to_watts(cfg.noise_dbm))
+
+
+class _TrialObjects:
+    """The power-independent objects of one trial, each built on first use
+    and kept for later sweep values until a config field it depends on
+    (`DEPENDS`) changes."""
+
+    def __init__(self, configs):
+        self._keys = [{name: tuple(getattr(cfg, f) for f in depends)
+                       for name, depends in DEPENDS.items()} for cfg in configs]
+        self._built: dict[str, tuple] = {}
+
+    def new_trial(self) -> None:
+        """Drop the last trial's objects."""
+        self._built.clear()
+
+    def get(self, name: str, point: int, build):
+        """The object `name` at sweep point `point`, from `build()` if the
+        fields it depends on differ from those it was last built for."""
+        key = self._keys[point][name]
+        held = self._built.get(name)
+        if held is None or held[0] != key:
+            held = self._built[name] = (key, build())
+        return held[1]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every scheme over shared user drops; aggregate means per cell.
 
-    Deterministic for a fixed spec: identical specs produce identical rows
-    (and therefore byte-identical CSV files).
+    Trials are the outer loop and sweep values the inner one, so each
+    trial's drop, placements and amplitude terms are built once and shared
+    by the sweep values that leave their config fields unchanged; only the
+    power-dependent work (channel sums, SIC rates, searches) runs per value.
+    Cells collect their trials in order, so the rows do not depend on the
+    loop order.  Deterministic for a fixed spec: identical specs produce
+    identical rows (and therefore byte-identical CSV files).
     """
-    rows: list[ResultRow] = []
+    schemes = spec.schemes
     sweep_values = spec.sweep.values() if spec.sweep else (None,)
-    searched = "matching" in spec.schemes or "exhaustive" in spec.schemes
-    for value, cfg in zip(sweep_values, spec.configs()):
-        metrics = {s: [] for s in spec.schemes}
-        alloc = PowerAllocation.equal(cfg.n_users)
-        for trial in range(spec.trials):
-            deployment = make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
+    configs = spec.configs()
+    allocs = [PowerAllocation.equal(cfg.n_users) for cfg in configs]
+    searched = "matching" in schemes or "exhaustive" in schemes
+    random_start = "matching" in schemes or "random" in schemes
+    # Per (sweep value, scheme): sum rate, fairness, active count, cycles and
+    # ratio of each trial, as float columns since all values are held at once.
+    metrics = [{s: tuple(array("d") for _ in range(5)) for s in schemes}
+               for _ in configs]
+    shared = _TrialObjects(configs)
+    for trial in range(spec.trials):
+        shared.new_trial()
+        for point, (value, cfg, alloc) in enumerate(
+                zip(sweep_values, configs, allocs)):
+            deployment = shared.get("drop", point, lambda: make_deployment(
+                cfg, stream_rng(cfg.seed, USER_STREAM, trial)))
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("sweep=%s trial=%d drop=%s", value, trial,
                           _drop_hash(deployment))
-            # Only the searches query the amplitude matrix.
-            evaluator = SetEvaluator(cfg, deployment, alloc) if searched else None
+            # Only the searches query the amplitude matrix.  Looked up on the
+            # module, as SetEvaluator does, so the traced benchmark
+            # (perfbench) credits its build to kernels.
+            evaluator = None
+            if searched:
+                grid = shared.get("grid", point, lambda: kernels.amplitude_matrix(
+                    cfg, deployment))
+                evaluator = SetEvaluator(cfg, deployment, alloc, amp=grid)
             initial: Matching | None = None
-            if "matching" in spec.schemes or "random" in spec.schemes:
-                initial = random_matching(
-                    cfg, deployment, stream_rng(cfg.seed, MATCHING_STREAM, trial))
+            if random_start:
+                initial = shared.get("initial", point, lambda: random_matching(
+                    cfg, deployment, stream_rng(cfg.seed, MATCHING_STREAM, trial)))
             exhaustive_rate: float | None = None
-            if "exhaustive" in spec.schemes:
+            if "exhaustive" in schemes:
                 exh_set, _ = exhaustive_search(cfg, deployment, alloc,
                                                evaluator=evaluator,
                                                budget=spec.exhaustive_budget)
-                exh_report = _report(exh_set, deployment, cfg, alloc, evaluator)
+                exh_report = _report(exh_set, cfg, alloc, evaluator)
                 exhaustive_rate = exh_report.sum_rate
-            for scheme in spec.schemes:
+            for scheme in schemes:
                 cycles = None
                 if scheme == "matching":
                     final, trajectory = matching_activation(
                         cfg, deployment, alloc, initial, evaluator=evaluator)
-                    report = _report(final.active_set(), deployment, cfg, alloc,
-                                     evaluator)
+                    report = _report(final.active_set(), cfg, alloc, evaluator)
                     active_count = len(final.active_positions())
                     cycles = trajectory.cycles
                 elif scheme == "random":
-                    report = _report(initial.active_set(), deployment, cfg,
-                                     alloc, evaluator)
-                    active_count = len(initial.active_positions())
+                    active = initial.active_set()
+                    if evaluator is not None:
+                        report = _report(active, cfg, alloc, evaluator)
+                    else:
+                        amp = shared.get("random_terms", point, lambda: (
+                            antenna_amplitudes(active, deployment, cfg)))
+                        report = sum_rate(active, deployment, cfg, alloc, amp)
+                    active_count = active.size
                 elif scheme == "distance":
-                    active = distance_based_activation(cfg, deployment)
-                    report = sum_rate(active, deployment, cfg, alloc)
+                    active = shared.get("distance", point, lambda: (
+                        distance_based_activation(cfg, deployment)))
+                    amp = shared.get("distance_terms", point, lambda: (
+                        antenna_amplitudes(active, deployment, cfg)))
+                    report = sum_rate(active, deployment, cfg, alloc, amp)
                     active_count = active.size
                 elif scheme == "exhaustive":
                     report = exh_report
                     active_count = exh_set.size
                 else:
-                    report = conventional_baseline(cfg, deployment, alloc)
+                    amp = shared.get("conventional_terms", point, lambda: (
+                        conventional_amplitudes(cfg, deployment)))
+                    report = conventional_baseline(cfg, deployment, alloc, amp)
                     active_count = cfg.k_antennas
                 ratio = (report.sum_rate / exhaustive_rate
                          if exhaustive_rate is not None else None)
-                metrics[scheme].append(
-                    (report.sum_rate, report.fairness, active_count, cycles, ratio))
-        for scheme in spec.schemes:
-            data = metrics[scheme]
-            cycle_vals = [m[3] for m in data if m[3] is not None]
-            ratio_vals = [m[4] for m in data if m[4] is not None]
+                for column, x in zip(metrics[point][scheme], (
+                        report.sum_rate, report.fairness, active_count, cycles,
+                        ratio)):
+                    if x is not None:
+                        column.append(x)
+    rows: list[ResultRow] = []
+    for value, cells in zip(sweep_values, metrics):
+        for scheme in schemes:
+            rates, fairness, active, cycles, ratios = cells[scheme]
             rows.append(ResultRow(
                 sweep_value=value if value is None else _round9(value),
                 scheme=scheme,
-                mean_sum_rate=_round9(fmean(m[0] for m in data)),
-                mean_fairness=_round9(fmean(m[1] for m in data)),
-                mean_active_count=_round9(fmean(m[2] for m in data)),
-                mean_cycles=_round9(fmean(cycle_vals)) if cycle_vals else None,
-                mean_ratio_to_exhaustive=(_round9(fmean(ratio_vals))
-                                          if ratio_vals else None),
+                mean_sum_rate=_round9(fmean(rates)),
+                mean_fairness=_round9(fmean(fairness)),
+                mean_active_count=_round9(fmean(active)),
+                mean_cycles=_round9(fmean(cycles)) if cycles else None,
+                mean_ratio_to_exhaustive=(_round9(fmean(ratios))
+                                          if ratios else None),
                 trials=spec.trials,
             ))
     if spec.output_path is not None:
@@ -355,7 +438,7 @@ def write_spec_sidecar(output_path: Path | str, spec: ExperimentSpec) -> Path:
 # flat key-value config files
 
 SPEC_KEYS = config_field_names() + (
-    "trials", "schemes", "output_path",
+    "trials", "schemes", "output_path", "exhaustive_budget",
     "sweep_param", "sweep_from", "sweep_to", "sweep_step",
 )
 _FLOAT_CONFIG_KEYS = tuple(k for k in config_field_names()
@@ -421,10 +504,18 @@ def build_spec(entries: dict[str, str], output_default: Path | None = None
         trials = int(entries.get("trials", "100"))
     except ValueError as exc:
         raise ConfigError(f"bad trials value: {entries['trials']!r}") from exc
+    optional = {}
+    if "exhaustive_budget" in entries:
+        try:
+            optional["exhaustive_budget"] = int(entries["exhaustive_budget"])
+        except ValueError as exc:
+            raise ConfigError(f"exhaustive_budget must be an integer, got "
+                              f"{entries['exhaustive_budget']!r}") from exc
     return ExperimentSpec(
         base=base,
         schemes=schemes,
         trials=trials,
         sweep=sweep,
         output_path=output_path,
+        **optional,
     )

@@ -52,10 +52,17 @@ class SetEvaluator:
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
-                 alloc: PowerAllocation):
+                 alloc: PowerAllocation, amp: np.ndarray | None = None):
+        """`amp` is the drop's `amplitude_matrix`, if the caller already has
+        it: it does not depend on the transmit power, so one matrix serves
+        evaluators at every power of a sweep."""
         if len(alloc.alpha) != len(deployment.users):
             raise ValueError("allocation length must match number of users")
-        self._amp = amplitude_matrix(config, deployment)
+        if amp is None:
+            amp = amplitude_matrix(config, deployment)
+        elif amp.shape != (len(deployment.users), len(deployment.positions)):
+            raise ValueError("amplitude matrix must be (users, positions)")
+        self._amp = amp
         self._alpha = np.array(alloc.alpha)
         rev = np.cumsum(self._alpha[::-1])
         self._tails = np.concatenate(((0.0,), rev[:-1]))[::-1].copy()

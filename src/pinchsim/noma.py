@@ -107,10 +107,11 @@ def rate_report(gains, alloc: PowerAllocation, noise_watts: float) -> RateReport
 
 
 def sum_rate(active: ActiveSet, deployment: Deployment, config: SystemConfig,
-             alloc: PowerAllocation) -> RateReport:
+             alloc: PowerAllocation, amp=None) -> RateReport:
     """Rates for one activation: effective channel -> SIC order -> rates.
 
-    An empty active set reports zero rates for everyone.
+    `amp` is the activation's `channel.antenna_amplitudes`, if the caller
+    already has them.  An empty active set reports zero rates for everyone.
     """
-    eff = effective_channel(deployment.users, active, deployment, config)
+    eff = effective_channel(deployment.users, active, deployment, config, amp)
     return rate_report(eff.gains, alloc, dbm_to_watts(config.noise_dbm))

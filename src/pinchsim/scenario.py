@@ -93,6 +93,30 @@ class SystemConfig:
                 f"wavelength ({half_wave:.6g} m)")
 
 
+# Position tuples that passed `_check_grid`, newest first.  Drops of one
+# configuration share the cached `build_positions` tuple, so its check runs
+# once, not once per drop.
+_CHECKED_GRIDS: list[tuple[Point3, ...]] = []
+
+
+def _check_grid(positions: tuple[Point3, ...]) -> None:
+    """Raise ValueError unless the positions are uniformly spaced in
+    ascending x; a tuple that passed before is not checked again."""
+    global _CHECKED_GRIDS
+    if any(positions is grid for grid in _CHECKED_GRIDS):
+        return
+    xs = [p.x for p in positions]
+    span = xs[-1] - xs[0]
+    step = span / (len(xs) - 1)
+    for i in range(1, len(xs)):
+        if not math.isclose(xs[i] - xs[i - 1], step, rel_tol=1e-12,
+                            abs_tol=1e-12 * max(1.0, span)):
+            raise ValueError("candidate positions must be uniformly spaced")
+        if xs[i] <= xs[i - 1]:
+            raise ValueError("candidate positions must have ascending x")
+    _CHECKED_GRIDS = [positions, *_CHECKED_GRIDS[:15]]
+
+
 @dataclass(frozen=True)
 class Deployment:
     """One realization: user drop, candidate antenna positions, feed point."""
@@ -108,16 +132,9 @@ class Deployment:
         object.__setattr__(self, "positions", tuple(self.positions))
         if len(self.positions) < 2:
             raise ValueError("need at least two candidate positions")
-        xs = [p.x for p in self.positions]
-        span = xs[-1] - xs[0]
-        step = span / (len(xs) - 1)
-        for i in range(1, len(xs)):
-            if not math.isclose(xs[i] - xs[i - 1], step, rel_tol=1e-12,
-                                abs_tol=1e-12 * max(1.0, span)):
-                raise ValueError("candidate positions must be uniformly spaced")
-            if xs[i] <= xs[i - 1]:
-                raise ValueError("candidate positions must have ascending x")
-        d1 = self.d1 if self.d1 is not None else span
+        _check_grid(self.positions)
+        d1 = (self.d1 if self.d1 is not None
+              else self.positions[-1].x - self.positions[0].x)
         d2 = self.d2
         for u in self.users:
             if u.z != 0.0:

@@ -118,3 +118,42 @@ def test_preset_flag_overrides(tmp_path):
     assert code == 0
     values = {r.sweep_value for r in read_results(out)}
     assert values == {30.0}
+
+
+def test_log_level_flag_logs_drop_hashes_and_leaves_the_csv(tmp_path, capsys,
+                                                            monkeypatch):
+    sweep = ["sweep", *FAST_ARGS, "--schemes", "random", "--sweep-param",
+             "pt_dbm", "--sweep-from", "25", "--sweep-to", "30",
+             "--sweep-step", "5"]
+    plain, logged = tmp_path / "plain.csv", tmp_path / "logged.csv"
+
+    def refuse(deployment):
+        raise AssertionError("drop hash computed without debug logging")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("pinchsim.harness._drop_hash", refuse)
+        assert main([*sweep, "--output", str(plain)]) == 0
+    assert "drop=" not in capsys.readouterr().err
+    assert main(["--log-level", "debug", *sweep, "--output", str(logged)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if "drop=" in line]
+    assert len(lines) == 4  # 2 sweep values x 2 trials
+    assert lines[0].startswith("DEBUG pinchsim.harness: sweep=25.0 trial=0 drop=")
+    assert logged.read_bytes() == plain.read_bytes()
+    # the handler is gone again: a later run without the flag logs nothing
+    assert main([*sweep, "--output", str(plain)]) == 0
+    assert "drop=" not in capsys.readouterr().err
+
+
+def test_exhaustive_budget_flag_and_key_reach_the_sidecar(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["run", *FAST_ARGS, "--schemes", "exhaustive",
+                 "--exhaustive-budget", "5000", "--output", str(out)]) == 0
+    assert json.loads((tmp_path / "b.spec.json").read_text())[
+        "exhaustive_budget"] == 5000
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("exhaustive_budget = 10\n")
+    code = main(["run", "--config", str(cfg), *FAST_ARGS, "--schemes",
+                 "exhaustive", "--output", str(out)])
+    assert code == 2  # 78 candidates at L=12, K=2
+    assert "78 candidates" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,8 @@ from pinchsim import (ConfigError, ExperimentSpec, PowerAllocation, SweepSpec,
                       SystemConfig, build_spec, convergence_trace,
                       make_deployment, parse_config_file, random_matching,
                       read_results, run_experiment, stream_rng, sum_rate)
-from pinchsim.harness import apply_sweep_value, spec_to_dict
+from pinchsim import harness, kernels
+from pinchsim.harness import SWEEP_PARAMS, apply_sweep_value, spec_to_dict
 
 FAST = SystemConfig(n_users=2, k_antennas=2, l_positions=12, seed=3)
 
@@ -159,6 +161,59 @@ def test_drops_are_paired_across_sweep_values(caplog):
         assert len(per_trial) == 1  # same drop at both sweep values
 
 
+REUSE_SWEEPS = {
+    "pt_dbm": (20.0, 30.0, 10.0),
+    "d1": (8.0, 10.0, 2.0),
+    "d2": (4.0, 6.0, 2.0),
+    "kappa_db_per_m": (0.0, 0.2, 0.2),
+    "n_users": (2.0, 3.0, 1.0),
+    "k_antennas": (1.0, 2.0, 1.0),
+    "l_positions": (6.0, 8.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+def test_sweep_rows_equal_separate_runs(param):
+    # objects shared across sweep values must change no row: each value's
+    # rows equal those of a run at that configuration alone
+    base = SystemConfig(d1=10.0, n_users=2, k_antennas=2, l_positions=8, seed=5)
+    schemes = ("matching", "random", "distance", "exhaustive", "conventional")
+    sweep = SweepSpec(param, *REUSE_SWEEPS[param])
+    swept = run_experiment(ExperimentSpec(base=base, schemes=schemes,
+                                          trials=3, sweep=sweep))
+    separate = []
+    for value in sweep.values():
+        cfg = apply_sweep_value(base, param, value)
+        separate += [replace(row, sweep_value=value) for row in run_experiment(
+            ExperimentSpec(base=cfg, schemes=schemes, trials=3))]
+    assert swept == separate
+
+
+def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
+    built = {"drops": 0, "grids": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("pinchsim.harness.make_deployment",
+                        counted("drops", harness.make_deployment))
+    monkeypatch.setattr("pinchsim.kernels.amplitude_matrix",
+                        counted("grids", kernels.amplitude_matrix))
+    for param, start, stop, step, drops, grids in (
+            ("pt_dbm", 20.0, 40.0, 10.0, 4, 4),         # nothing rebuilt
+            ("kappa_db_per_m", 0.0, 0.2, 0.1, 4, 12),   # amplitudes rebuilt
+            ("k_antennas", 1.0, 2.0, 1.0, 4, 4),        # grid kept
+            ("d1", 8.0, 12.0, 2.0, 12, 12)):            # fresh drop per value
+        built.update(drops=0, grids=0)
+        run_experiment(ExperimentSpec(
+            base=FAST, schemes=("matching", "distance"), trials=4,
+            sweep=SweepSpec(param, start, stop, step)))
+        assert (built["drops"], built["grids"]) == (drops, grids), param
+
+
 def test_csv_round_trip_and_determinism(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -243,6 +298,25 @@ def test_config_file_rejects_garbage(tmp_path):
     bad.write_text("not_a_key = 3\n")
     with pytest.raises(ConfigError):
         parse_config_file(bad)
+
+
+def test_exhaustive_budget_key_round_trips_into_the_sidecar(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("l_positions = 12\nschemes = exhaustive\n"
+                        "exhaustive_budget = 2500\ntrials = 1\n")
+    out = tmp_path / "r.csv"
+    spec = build_spec(parse_config_file(cfg_file), output_default=out)
+    assert spec.exhaustive_budget == 2500
+    run_experiment(spec)
+    sidecar = json.loads((tmp_path / "r.spec.json").read_text())
+    assert sidecar["exhaustive_budget"] == 2500
+    assert build_spec({}).exhaustive_budget == 10 ** 6
+    for bad in ("many", "2.5", "1e6"):
+        with pytest.raises(ConfigError, match="exhaustive_budget"):
+            build_spec({"exhaustive_budget": bad})
+    for bad in ("0", "-3"):
+        with pytest.raises(ConfigError, match="exhaustive_budget"):
+            build_spec({"exhaustive_budget": bad})
 
 
 def test_build_spec_errors():

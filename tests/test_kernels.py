@@ -1,6 +1,7 @@
 """The amplitude matrix and the set evaluator, single and batched."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_evaluator_rejects_bad_indices():
         ev.utility((-1,))
     with pytest.raises(ValueError):
         SetEvaluator(cfg, dep, PowerAllocation.equal(3))
+    with pytest.raises(ValueError, match="amplitude matrix"):
+        SetEvaluator(cfg, dep, PowerAllocation.equal(cfg.n_users),
+                     amp=amplitude_matrix(cfg, dep)[:, :-1])
+
+
+def test_shared_amplitude_matrix_serves_every_power():
+    # the grid matrix does not depend on P_t: an evaluator handed one built
+    # at another power scores exactly like one that builds its own
+    rng = np.random.default_rng(304)
+    for _ in range(30):
+        cfg, dep, alloc = helpers.random_instance(rng)
+        amp = amplitude_matrix(replace(cfg, pt_dbm=cfg.pt_dbm - 17.0), dep)
+        shared = SetEvaluator(cfg, dep, alloc, amp=amp)
+        own = SetEvaluator(cfg, dep, alloc)
+        sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
+        assert shared.utility(sel) == own.utility(sel)
+        assert shared.gains(sel).tolist() == own.gains(sel).tolist()
 
 
 def test_evaluator_gains_match_channel():

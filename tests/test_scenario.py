@@ -134,6 +134,65 @@ def test_deployment_validation():
         Deployment(users=(), positions=bad, feed=dep.feed)  # uneven grid
 
 
+def _scalar_grid_error(xs):
+    """The per-gap `math.isclose` check the grid validation replaces."""
+    span = xs[-1] - xs[0]
+    step = span / (len(xs) - 1)
+    for i in range(1, len(xs)):
+        if not math.isclose(xs[i] - xs[i - 1], step, rel_tol=1e-12,
+                            abs_tol=1e-12 * max(1.0, span)):
+            return "uniformly spaced"
+        if xs[i] <= xs[i - 1]:
+            return "ascending x"
+    return None
+
+
+def _grid(xs):
+    return tuple(Point3(x, 0.0, 3.0) for x in xs)
+
+
+def test_deployment_rejects_uneven_or_descending_grids():
+    feed = Point3(0.0, 0.0, 3.0)
+    cases = {
+        (0.0, 1.0, 2.5, 3.0): "uniformly spaced",   # one gap off, inside
+        (0.0, 1.0, 2.0, 3.0, 4.0, 5.5): "uniformly spaced",  # last gap off
+        (4.0, 3.0, 2.0, 1.0, 0.0): "ascending x",   # even, but descending
+        (2.0, 2.0, 2.0): "ascending x",             # zero span
+        (0.0, -2.0, -3.0, -6.0): "ascending x",     # first bad gap is even
+        (0.0, -1.0, -2.0, -6.0): "uniformly spaced",
+    }
+    for xs, message in cases.items():
+        assert _scalar_grid_error(xs) == message
+        with pytest.raises(ValueError, match=message):
+            Deployment(users=(), positions=_grid(xs), feed=feed)
+    Deployment(users=(), positions=_grid((0.0, 1.0, 2.0, 3.0)), feed=feed)
+
+
+def test_grid_is_checked_once_per_position_tuple(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return math_isclose(*args, **kwargs)
+
+    math_isclose = math.isclose
+    monkeypatch.setattr(math, "isclose", counted)
+    feed = Point3(0.0, 0.0, 3.0)
+    even = _grid((0.0, 1.5, 3.0, 4.5))
+    Deployment(users=(), positions=even, feed=feed)
+    assert len(calls) == 3
+    Deployment(users=(Point3(1.0, 0.0, 0.0),), positions=even, feed=feed)
+    assert len(calls) == 3  # the same tuple passed before
+    Deployment(users=(), positions=tuple(even[:3]) + even[3:], feed=feed)
+    assert len(calls) == 6  # equal grid, another tuple: checked
+    uneven = _grid((0.0, 1.0, 3.0))
+    for _ in range(2):  # a failure is never remembered as a pass
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            Deployment(users=(), positions=uneven, feed=feed)
+    with pytest.raises(ValueError):  # users are checked on every drop
+        Deployment(users=(Point3(9.0, 0.0, 0.0),), positions=even, feed=feed)
+
+
 def test_point_rejects_non_finite():
     with pytest.raises(ValueError):
         Point3(math.nan, 0.0, 0.0)
