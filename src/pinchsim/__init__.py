@@ -6,34 +6,32 @@ from .activation import (BudgetExceededError, Matching, Move, Trajectory,
                          conventional_baseline, conventional_positions,
                          distance_based_activation, exhaustive_search,
                          matching_activation, random_matching)
-from .channel import (ActiveSet, EffectiveChannel, antenna_power,
-                      effective_channel, free_space_coeff, waveguide_phase)
+from .channel import ActiveSet, amplitudes, effective_channel, power_gains
 from .harness import (ConfigError, ExperimentSpec, ResultRow, SweepSpec,
                       TraceRow, build_spec, convergence_trace,
                       parse_config_file, read_results, run_experiment,
                       write_results, write_trace)
 from .kernels import SetEvaluator, amplitude_matrix
 from .noma import (PowerAllocation, RateReport, jain_fairness, rate_report,
-                   sic_order, sum_rate, user_rates)
+                   sic_rates, sum_rate)
 from .scenario import (Deployment, Point3, SystemConfig, build_positions,
                        dbm_to_watts, derived_rf, feed_point, make_deployment,
-                       sample_users, stream_rng, watts_to_dbm)
+                       sample_users, stream_rng)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActiveSet", "BudgetExceededError", "ConfigError",
-    "Deployment", "EffectiveChannel", "ExperimentSpec", "Matching", "Move",
+    "Deployment", "ExperimentSpec", "Matching", "Move",
     "Point3", "PowerAllocation", "RateReport", "ResultRow", "SetEvaluator",
     "SweepSpec", "SystemConfig", "TraceRow", "Trajectory",
-    "amplitude_matrix", "antenna_power", "build_positions", "build_spec",
+    "amplitude_matrix", "amplitudes", "build_positions", "build_spec",
     "candidate_count", "check_stability", "conventional_baseline",
     "conventional_positions", "convergence_trace", "dbm_to_watts",
     "derived_rf", "distance_based_activation", "effective_channel",
-    "exhaustive_search", "feed_point", "free_space_coeff",
-    "jain_fairness", "make_deployment", "matching_activation",
-    "parse_config_file", "random_matching", "rate_report", "read_results",
-    "run_experiment", "sample_users", "sic_order", "stream_rng", "sum_rate",
-    "user_rates", "waveguide_phase", "watts_to_dbm", "write_results",
+    "exhaustive_search", "feed_point", "jain_fairness", "make_deployment",
+    "matching_activation", "parse_config_file", "power_gains",
+    "random_matching", "rate_report", "read_results", "run_experiment",
+    "sample_users", "sic_rates", "stream_rng", "sum_rate", "write_results",
     "write_trace",
 ]

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ActiveSet, amplitudes, coherent_sum
+from .channel import ActiveSet, amplitudes, power_gains
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report
 from .scenario import (Deployment, Point3, SystemConfig, dbm_to_watts,
@@ -238,8 +238,9 @@ def exhaustive_search(config: SystemConfig, deployment: Deployment,
 
 
 def distance_based_activation(config: SystemConfig,
-                              deployment: Deployment) -> ActiveSet:
-    """Place antenna k on the waveguide right above user k's x-coordinate.
+                              deployment: Deployment) -> tuple[Point3, ...]:
+    """Antenna points on the waveguide right above the users' x-coordinates,
+    off the candidate grid.
 
     Pairs antenna k with user k for k up to min(K, N); the surplus side stays
     idle.  Coinciding placements collapse to a single antenna.
@@ -249,8 +250,7 @@ def distance_based_activation(config: SystemConfig,
     for user in deployment.users[:n_pairs]:
         if user.x not in xs:
             xs.append(user.x)
-    points = tuple(Point3(x, 0.0, config.height) for x in xs)
-    return ActiveSet(indices=(), overrides=points)
+    return tuple(Point3(x, 0.0, config.height) for x in xs)
 
 
 def conventional_positions(config: SystemConfig) -> tuple[Point3, ...]:
@@ -282,6 +282,5 @@ def conventional_baseline(config: SystemConfig, deployment: Deployment,
     """
     if amp is None:
         amp = conventional_amplitudes(config, deployment)
-    h = coherent_sum(amp, dbm_to_watts(config.pt_dbm))
-    return rate_report((np.abs(h) ** 2).tolist(), alloc,
+    return rate_report(power_gains(amp, dbm_to_watts(config.pt_dbm)), alloc,
                        dbm_to_watts(config.noise_dbm))

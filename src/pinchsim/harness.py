@@ -25,11 +25,11 @@ from pathlib import Path
 from statistics import fmean
 
 from . import kernels
-from .activation import (Matching, candidate_count, conventional_amplitudes,
+from .activation import (candidate_count, conventional_amplitudes,
                          conventional_baseline, distance_based_activation,
                          exhaustive_search, matching_activation,
                          random_matching)
-from .channel import antenna_amplitudes
+from .channel import amplitudes, antenna_amplitudes, power_gains
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report, sum_rate
 from .scenario import (MATCHING_STREAM, USER_STREAM, SystemConfig,
@@ -187,10 +187,9 @@ def _drop_hash(deployment) -> str:
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
-def _report(active, cfg, alloc, evaluator) -> RateReport:
-    """Rates of a grid activation, from the search's amplitude matrix."""
-    return rate_report(evaluator.gains(active.indices).tolist(), alloc,
-                       dbm_to_watts(cfg.noise_dbm))
+def _report(gains, cfg, alloc) -> RateReport:
+    """Rates of one activation from its per-user power gains."""
+    return rate_report(gains, alloc, dbm_to_watts(cfg.noise_dbm))
 
 
 class _TrialObjects:
@@ -202,10 +201,12 @@ class _TrialObjects:
         self._keys = [{name: tuple(getattr(cfg, f) for f in depends)
                        for name, depends in DEPENDS.items()} for cfg in configs]
         self._built: dict[str, tuple] = {}
+        self.trial = 0
 
-    def new_trial(self) -> None:
+    def new_trial(self, trial: int) -> None:
         """Drop the last trial's objects."""
         self._built.clear()
+        self.trial = trial
 
     def get(self, name: str, point: int, build):
         """The object `name` at sweep point `point`, from `build()` if the
@@ -215,6 +216,26 @@ class _TrialObjects:
         if held is None or held[0] != key:
             held = self._built[name] = (key, build())
         return held[1]
+
+    def start(self, point: int, cfg: SystemConfig, alloc: PowerAllocation,
+              searched: bool, random_start: bool):
+        """The drop at sweep point `point`, with the searches' evaluator and
+        the random initial matching (each None when not asked for)."""
+        trial = self.trial
+        deployment = self.get("drop", point, lambda: make_deployment(
+            cfg, stream_rng(cfg.seed, USER_STREAM, trial)))
+        evaluator = None
+        if searched:
+            # Looked up on the module, as SetEvaluator does, so the traced
+            # benchmark (perfbench) credits the matrix build to kernels.
+            grid = self.get("grid", point, lambda: kernels.amplitude_matrix(
+                cfg, deployment))
+            evaluator = SetEvaluator(cfg, deployment, alloc, amp=grid)
+        initial = None
+        if random_start:
+            initial = self.get("initial", point, lambda: random_matching(
+                cfg, deployment, stream_rng(cfg.seed, MATCHING_STREAM, trial)))
+        return deployment, evaluator, initial
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -240,57 +261,45 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                for _ in configs]
     shared = _TrialObjects(configs)
     for trial in range(spec.trials):
-        shared.new_trial()
+        shared.new_trial(trial)
         for point, (value, cfg, alloc) in enumerate(
                 zip(sweep_values, configs, allocs)):
-            deployment = shared.get("drop", point, lambda: make_deployment(
-                cfg, stream_rng(cfg.seed, USER_STREAM, trial)))
+            deployment, evaluator, initial = shared.start(
+                point, cfg, alloc, searched, random_start)
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("sweep=%s trial=%d drop=%s", value, trial,
                           _drop_hash(deployment))
-            # Only the searches query the amplitude matrix.  Looked up on the
-            # module, as SetEvaluator does, so the traced benchmark
-            # (perfbench) credits its build to kernels.
-            evaluator = None
-            if searched:
-                grid = shared.get("grid", point, lambda: kernels.amplitude_matrix(
-                    cfg, deployment))
-                evaluator = SetEvaluator(cfg, deployment, alloc, amp=grid)
-            initial: Matching | None = None
-            if random_start:
-                initial = shared.get("initial", point, lambda: random_matching(
-                    cfg, deployment, stream_rng(cfg.seed, MATCHING_STREAM, trial)))
             exhaustive_rate: float | None = None
             if "exhaustive" in schemes:
                 exh_set, _ = exhaustive_search(cfg, deployment, alloc,
                                                evaluator=evaluator,
                                                budget=spec.exhaustive_budget)
-                exh_report = _report(exh_set, cfg, alloc, evaluator)
+                exh_report = _report(evaluator.gains(exh_set.indices), cfg, alloc)
                 exhaustive_rate = exh_report.sum_rate
             for scheme in schemes:
                 cycles = None
                 if scheme == "matching":
                     final, trajectory = matching_activation(
                         cfg, deployment, alloc, initial, evaluator=evaluator)
-                    report = _report(final.active_set(), cfg, alloc, evaluator)
-                    active_count = len(final.active_positions())
+                    positions = final.active_positions()
+                    report = _report(evaluator.gains(positions), cfg, alloc)
+                    active_count = len(positions)
                     cycles = trajectory.cycles
                 elif scheme == "random":
                     active = initial.active_set()
-                    if evaluator is not None:
-                        report = _report(active, cfg, alloc, evaluator)
-                    else:
-                        amp = shared.get("random_terms", point, lambda: (
-                            antenna_amplitudes(active, deployment, cfg)))
-                        report = sum_rate(active, deployment, cfg, alloc, amp)
-                    active_count = active.size
-                elif scheme == "distance":
-                    active = shared.get("distance", point, lambda: (
-                        distance_based_activation(cfg, deployment)))
-                    amp = shared.get("distance_terms", point, lambda: (
+                    amp = shared.get("random_terms", point, lambda: (
                         antenna_amplitudes(active, deployment, cfg)))
                     report = sum_rate(active, deployment, cfg, alloc, amp)
                     active_count = active.size
+                elif scheme == "distance":
+                    points = shared.get("distance", point, lambda: (
+                        distance_based_activation(cfg, deployment)))
+                    amp = shared.get("distance_terms", point, lambda: (
+                        amplitudes(cfg, deployment.users, points,
+                                   deployment.feed)))
+                    report = _report(power_gains(amp, dbm_to_watts(cfg.pt_dbm)),
+                                     cfg, alloc)
+                    active_count = len(points)
                 elif scheme == "exhaustive":
                     report = exh_report
                     active_count = exh_set.size
@@ -335,13 +344,12 @@ def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
     count = candidate_count(cfg.l_positions, cfg.k_antennas)
     if count > spec.exhaustive_budget:
         raise ConfigError(f"exhaustive baseline needs {count} candidates")
+    alloc = PowerAllocation.equal(cfg.n_users)
+    shared = _TrialObjects((cfg,))
     rows: list[TraceRow] = []
     for trial in range(spec.trials):
-        deployment = make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
-        alloc = PowerAllocation.equal(cfg.n_users)
-        evaluator = SetEvaluator(cfg, deployment, alloc)
-        initial = random_matching(
-            cfg, deployment, stream_rng(cfg.seed, MATCHING_STREAM, trial))
+        shared.new_trial(trial)
+        deployment, evaluator, initial = shared.start(0, cfg, alloc, True, True)
         _, optimum = exhaustive_search(cfg, deployment, alloc,
                                        evaluator=evaluator,
                                        budget=spec.exhaustive_budget)

@@ -9,33 +9,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import amplitudes, coherent_sum
-from .noma import PowerAllocation
+from .channel import amplitudes, power_gains
+from .noma import PowerAllocation, sic_rates
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
 
-def set_sum_rate(amp, sel, scale, noise, alpha, tails):
+def set_sum_rate(amp, sel, pt_watts, noise, alloc):
     """Sum rate of one activation, or of every row of a batch of them.
 
-    amp:   (N, L) complex matrix of per-(user, position) amplitude terms,
-           power split and sqrt(P_t) excluded.
-    sel:   sorted position indices of one activation, shape (S,), or a batch
-           of B activations of one size, shape (B, S), each row sorted; S >= 1.
-    scale: per-antenna power P_t / S in watts.
-    noise: noise power in watts.
-    alpha: power fractions indexed by SIC rank.
-    tails: per SIC rank, the power fractions of the ranks above it.
+    amp:      (N, L) `amplitude_matrix` of per-(user, position) terms.
+    sel:      sorted position indices of one activation, shape (S,), or a
+              batch of B activations of one size, shape (B, S), each row
+              sorted; S >= 1.
+    pt_watts: total transmit power, split over the S antennas.
+    noise:    noise power in watts.
+    alloc:    power fractions indexed by SIC rank.
 
     Returns a 0-d float for one activation and (B,) floats for a batch.  A
-    row's result is bit-identical either way (the tests check it): columns
-    and log2 terms are summed along a contiguous last axis, so every
-    addition happens in the same order.
+    row's result is bit-identical either way (the tests check it), and to
+    the sum rate of `noma.rate_report` on its `power_gains`: each user's
+    columns add in antenna order and the log2 terms along a contiguous last
+    axis, so every addition happens in the same order.
     """
-    z = amp[:, sel].sum(axis=-1)
-    gains = np.ascontiguousarray((scale * (z.real * z.real + z.imag * z.imag)).T)
+    gains = np.ascontiguousarray(power_gains(amp[:, sel], pt_watts).T)
     gains.sort(axis=-1)
-    sinr = alpha * gains / (gains * tails + noise)
-    return np.log2(1.0 + sinr).sum(axis=-1)
+    return sic_rates(gains, alloc, noise).sum(axis=-1)
 
 
 def amplitude_matrix(config: SystemConfig, deployment: Deployment) -> np.ndarray:
@@ -63,9 +61,7 @@ class SetEvaluator:
         elif amp.shape != (len(deployment.users), len(deployment.positions)):
             raise ValueError("amplitude matrix must be (users, positions)")
         self._amp = amp
-        self._alpha = np.array(alloc.alpha)
-        rev = np.cumsum(self._alpha[::-1])
-        self._tails = np.concatenate(((0.0,), rev[:-1]))[::-1].copy()
+        self._alloc = alloc
         self._pt_watts = dbm_to_watts(config.pt_dbm)
         self._noise_watts = dbm_to_watts(config.noise_dbm)
         self.calls = 0
@@ -82,8 +78,8 @@ class SetEvaluator:
         self.calls += 1
         if sel[0] < 0 or sel[-1] >= self.n_positions:
             raise ValueError("position index out of range")
-        return float(set_sum_rate(self._amp, sel, self._pt_watts / sel.size,
-                                  self._noise_watts, self._alpha, self._tails))
+        return float(set_sum_rate(self._amp, sel, self._pt_watts,
+                                  self._noise_watts, self._alloc))
 
     def utilities(self, rows) -> np.ndarray:
         """Sum rates of a batch of activations of one size, one per row of
@@ -98,12 +94,13 @@ class SetEvaluator:
         self.calls += rows.shape[0]
         if rows[:, 0].min() < 0 or rows[:, -1].max() >= self.n_positions:
             raise ValueError("position index out of range")
-        return set_sum_rate(self._amp, rows, self._pt_watts / rows.shape[1],
-                            self._noise_watts, self._alpha, self._tails)
+        return set_sum_rate(self._amp, rows, self._pt_watts,
+                            self._noise_watts, self._alloc)
 
     def gains(self, indices) -> np.ndarray:
-        """Per-user |h|^2 of an activation, equal to `effective_channel`'s."""
+        """Per-user |h|^2 of an activation, equal to `effective_channel`'s
+        and to the gains `utility` ranks."""
         sel = np.asarray(sorted(indices), dtype=np.intp)
         if sel.size == 0:
             return np.zeros(self._amp.shape[0])
-        return np.abs(coherent_sum(self._amp[:, sel], self._pt_watts)) ** 2
+        return power_gains(self._amp[:, sel], self._pt_watts)

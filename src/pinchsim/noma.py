@@ -1,16 +1,19 @@
-"""SIC decoding order, per-user achievable rates, sum rate, and fairness.
+"""SIC decoding order, per-rank achievable rates, sum rate, and fairness.
 
 Users are ordered by ascending effective channel gain.  The user of SIC rank m
 decodes ranks below m first, so its own signal sees only the power of ranks
 above m as interference; the top-ranked user decodes interference free.
-Rates are spectral efficiencies in bits/s/Hz.
+Rates are spectral efficiencies in bits/s/Hz.  `sic_rates` is the one rate
+formula: the search kernel sums it and every report reads it per user.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+
+import numpy as np
 
 from .channel import ActiveSet, effective_channel
 from .scenario import Deployment, SystemConfig, dbm_to_watts
@@ -36,6 +39,14 @@ class PowerAllocation:
             raise ValueError("need at least one user")
         return cls(alpha=(1.0 / n_users,) * n_users)
 
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per SIC rank, its power fraction and the sum of the fractions of
+        the ranks above it, as arrays."""
+        alpha = np.array(self.alpha)
+        above = np.cumsum(alpha[::-1])
+        return alpha, np.concatenate(((0.0,), above[:-1]))[::-1].copy()
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -48,70 +59,66 @@ class RateReport:
     gains: tuple[float, ...]      # |h|^2 sorted ascending (rank order)
 
 
-def sic_order(gains) -> tuple[int, ...]:
-    """User indices sorted by ascending gain; ties keep ascending user index.
-
-    Gains are continuous in practice so ties have probability zero, but the
-    tie rule makes runs reproducible bit for bit.
-    """
-    gains = list(gains)
-    for g in gains:
-        if not math.isfinite(g) or g < 0:
-            raise ValueError("gains must be finite and >= 0")
-    return tuple(sorted(range(len(gains)), key=lambda i: (gains[i], i)))
-
-
-def user_rates(sorted_gains, alloc: PowerAllocation, noise_watts: float) -> tuple[float, ...]:
-    """Achievable rate of each SIC rank, given gains sorted ascending.
+def sic_rates(gains: np.ndarray, alloc: PowerAllocation,
+              noise_watts: float) -> np.ndarray:
+    """Achievable rate of each SIC rank, from gains sorted ascending along
+    the last axis, (N,) or a (B, N) batch.
 
     Rank m gets log2(1 + a_m g_m / (g_m * sum_{i>m} a_i + sigma^2)); the
     interference term vanishes for the top rank.
     """
-    gains = list(sorted_gains)
-    if len(alloc.alpha) != len(gains):
+    alpha, tails = alloc.ranks
+    if gains.shape[-1] != alpha.size:
         raise ValueError("allocation length must match number of users")
-    if noise_watts <= 0:
+    if not noise_watts > 0:
         raise ValueError("noise power must be positive")
-    # sum of alpha above each rank, accumulated from the top rank down
-    tails = list(accumulate(reversed(alloc.alpha[1:]), initial=0.0))[::-1]
-    return tuple(math.log2(1.0 + a * g / (g * tail + noise_watts))
-                 for a, g, tail in zip(alloc.alpha, gains, tails))
+    return np.log2(1.0 + alpha * gains / (gains * tails + noise_watts))
 
 
 def jain_fairness(rates) -> float:
-    """Jain's index (sum r)^2 / (N sum r^2); all-zero rates count as equal."""
-    rates = list(rates)
-    if any(r < 0 for r in rates):
+    """Jain's index (sum r)^2 / (N sum r^2) of a rate array; all-zero rates
+    count as equal."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.min() < 0:
         raise ValueError("rates must be >= 0")
-    total = sum(rates)
+    total = rates.sum()
     if total == 0.0:
         return 1.0
-    return total * total / (len(rates) * sum(r * r for r in rates))
+    return float(total * total / (rates.size * (rates @ rates)))
 
 
 def rate_report(gains, alloc: PowerAllocation, noise_watts: float) -> RateReport:
-    """Assemble a RateReport from per-user gains."""
-    order = sic_order(gains)
-    sorted_gains = tuple(gains[i] for i in order)
-    ranked = user_rates(sorted_gains, alloc, noise_watts)
-    rates = [0.0] * len(order)
-    for rank, user in enumerate(order):
-        rates[user] = ranked[rank]
+    """Assemble a RateReport from per-user gains.
+
+    Users take SIC ranks by a stable sort, so equal gains keep ascending
+    user index.  Gains are continuous in practice so ties have probability
+    zero, but the tie rule makes runs reproducible bit for bit.
+    """
+    gains = np.asarray(gains, dtype=float)
+    order = gains.argsort(kind="stable")
+    ranked_gains = gains[order]
+    sorted_gains = ranked_gains.tolist()
+    # NaN sorts last, so the two ends bound every gain.
+    if not 0.0 <= sorted_gains[0] <= sorted_gains[-1] < math.inf:
+        raise ValueError("gains must be finite and >= 0")
+    ranked = sic_rates(ranked_gains, alloc, noise_watts)
+    rates = np.empty_like(ranked)
+    rates[order] = ranked
     return RateReport(
-        order=order,
-        rates=tuple(rates),
-        sum_rate=sum(ranked),
-        fairness=jain_fairness(rates),
-        gains=sorted_gains,
+        order=tuple(order.tolist()),
+        rates=tuple(rates.tolist()),
+        sum_rate=float(ranked.sum()),
+        fairness=jain_fairness(ranked),
+        gains=tuple(sorted_gains),
     )
 
 
 def sum_rate(active: ActiveSet, deployment: Deployment, config: SystemConfig,
              alloc: PowerAllocation, amp=None) -> RateReport:
-    """Rates for one activation: effective channel -> SIC order -> rates.
+    """Rates for one activation: power gains -> SIC order -> rates.
 
     `amp` is the activation's `channel.antenna_amplitudes`, if the caller
     already has them.  An empty active set reports zero rates for everyone.
     """
-    eff = effective_channel(deployment.users, active, deployment, config, amp)
-    return rate_report(eff.gains, alloc, dbm_to_watts(config.noise_dbm))
+    gains = effective_channel(deployment.users, active, deployment, config, amp)
+    return rate_report(gains, alloc, dbm_to_watts(config.noise_dbm))

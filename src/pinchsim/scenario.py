@@ -32,13 +32,6 @@ class Point3:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"coordinates must be finite, got {self!r}")
 
-    def distance_to(self, other: "Point3") -> float:
-        return math.sqrt(
-            (self.x - other.x) ** 2
-            + (self.y - other.y) ** 2
-            + (self.z - other.z) ** 2
-        )
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
@@ -202,12 +195,6 @@ def stream_rng(seed: int, stream: int, trial: int = 0) -> np.random.Generator:
 def dbm_to_watts(value: float) -> float:
     """10^((dBm - 30)/10); 30 dBm is 1 W."""
     return 10.0 ** ((value - 30.0) / 10.0)
-
-
-def watts_to_dbm(value: float) -> float:
-    if value <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(value) + 30.0
 
 
 def config_field_names() -> tuple[str, ...]:

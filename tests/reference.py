@@ -16,6 +16,20 @@ def euclid(a, b):
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
+def reference_coeff(user, antenna, carrier_hz):
+    """Spherical-wave coefficient eta * exp(-j 2 pi r / lambda) / r."""
+    lam = C_LIGHT / carrier_hz
+    eta = C_LIGHT / (4.0 * math.pi * carrier_hz)
+    r = euclid(user, antenna)
+    return eta * cmath.exp(-1j * 2.0 * math.pi * r / lam) / r
+
+
+def reference_antenna_power(pt_watts, size, kappa_db_per_m, d_feed):
+    """Transmit power of one of `size` active antennas, d_feed meters down
+    the guide: P_t split equally, then kappa dB per meter of loss."""
+    return (pt_watts / size) * 10.0 ** (-kappa_db_per_m * d_feed / 10.0)
+
+
 def reference_user_channels(users, antennas, feed, pt_watts, kappa_db_per_m,
                             carrier_hz, n_eff):
     """Complex effective channel per user for the activated antenna points.
@@ -25,19 +39,16 @@ def reference_user_channels(users, antennas, feed, pt_watts, kappa_db_per_m,
     """
     if not antennas:
         return [0j for _ in users]
-    lam = C_LIGHT / carrier_hz
-    lam_g = lam / n_eff
-    eta = C_LIGHT / (4.0 * math.pi * carrier_hz)
+    lam_g = C_LIGHT / carrier_hz / n_eff
     size = len(antennas)
     channels = []
     for u in users:
         total = 0j
         for a in antennas:
-            r = euclid(u, a)
             d_feed = euclid(feed, a)
             theta = 2.0 * math.pi * d_feed / lam_g
-            p = (pt_watts / size) * 10.0 ** (-kappa_db_per_m * d_feed / 10.0)
-            coeff = eta * cmath.exp(-1j * 2.0 * math.pi * r / lam) / r
+            p = reference_antenna_power(pt_watts, size, kappa_db_per_m, d_feed)
+            coeff = reference_coeff(u, a, carrier_hz)
             total += coeff * cmath.exp(-1j * theta) * math.sqrt(p)
         channels.append(total)
     return channels

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import helpers
+import reference
 from pinchsim import (ActiveSet, ExperimentSpec, Matching, PowerAllocation,
-                      SetEvaluator, SweepSpec, SystemConfig, antenna_power,
-                      check_stability, dbm_to_watts, derived_rf,
-                      effective_channel, exhaustive_search, free_space_coeff,
+                      SetEvaluator, SweepSpec, SystemConfig, check_stability,
+                      dbm_to_watts, effective_channel, exhaustive_search,
                       jain_fairness, make_deployment, matching_activation,
-                      random_matching, run_experiment, stream_rng, sum_rate,
-                      user_rates)
+                      random_matching, run_experiment, sic_rates, stream_rng,
+                      sum_rate)
 
 SEED = 2026
 PT_GRID = (20.0, 25.0, 30.0, 35.0, 40.0)
@@ -190,21 +190,24 @@ def test_criterion_09_attenuation_sensitivity(scheme_sweeps):
 def test_criterion_10_invariant_suite():
     rng = np.random.default_rng(SEED + 10)
 
-    # triangle inequality: |h_n| never exceeds the sum of term magnitudes
+    # triangle inequality: |h_n| never exceeds the sum of term magnitudes,
+    # each term taken from the independent reference
     for _ in range(10000):
         cfg, dep, _ = helpers.random_instance(rng, n_max=3, k_max=3, l_max=8)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        eff = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
-        lam, _, eta = derived_rf(cfg)
+        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
         pt = dbm_to_watts(cfg.pt_dbm)
-        for user, h in zip(dep.users, eff.per_user):
+        for user, gain in zip(dep.users, gains):
             bound = 0.0
             for i in sel:
                 p = dep.positions[i]
-                power = antenna_power(pt, len(sel), cfg.kappa_db_per_m,
-                                      dep.feed.distance_to(p))
-                bound += abs(free_space_coeff(user, p, lam, eta)) * math.sqrt(power)
-            assert abs(h) <= bound * (1 + 1e-9)
+                d_feed = reference.euclid(dep.feed.as_tuple(), p.as_tuple())
+                power = reference.reference_antenna_power(
+                    pt, len(sel), cfg.kappa_db_per_m, d_feed)
+                coeff = reference.reference_coeff(user.as_tuple(), p.as_tuple(),
+                                                  cfg.carrier_hz)
+                bound += abs(coeff) * math.sqrt(power)
+            assert math.sqrt(gain) <= bound * (1 + 1e-9)
 
     # sum rate never exceeds the single-user bound of the best channel
     for _ in range(10000):
@@ -213,7 +216,7 @@ def test_criterion_10_invariant_suite():
         alpha = rng.uniform(0.05, 1.0, n)
         alloc = PowerAllocation(alpha=tuple(float(a) for a in alpha / alpha.sum()))
         noise = float(rng.uniform(1e-3, 1.0))
-        total = sum(user_rates(tuple(float(g) for g in gains), alloc, noise))
+        total = sic_rates(gains, alloc, noise).sum()
         cap = math.log2(1.0 + gains[-1] / noise)
         assert total <= cap * (1 + 1e-12) + 1e-12
 
@@ -223,7 +226,7 @@ def test_criterion_10_invariant_suite():
         rates = rng.uniform(0.0, 10.0, n)
         if rng.uniform() < 0.2:
             rates[rng.integers(0, n)] = 0.0
-        f = jain_fairness([float(r) for r in rates])
+        f = jain_fairness(rates)
         assert 1.0 / n - 1e-12 <= f <= 1.0 + 1e-12
 
     # replaying every accepted move keeps the matching injective
@@ -244,7 +247,8 @@ def test_criterion_10_invariant_suite():
         size = int(rng.integers(1, 9))
         kappa = float(rng.uniform(0.0, 0.5))
         dists = rng.uniform(0.0, 30.0, size)
-        total = sum(antenna_power(pt, size, kappa, float(d)) for d in dists)
+        total = sum(reference.reference_antenna_power(pt, size, kappa, float(d))
+                    for d in dists)
         assert total <= pt * (1 + 1e-12)
 
     print("\ncriterion 10 PASS: 5 invariants x 10000 randomized cases, "

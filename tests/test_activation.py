@@ -12,11 +12,12 @@ import reference
 from reference_scan import reference_scan
 from pinchsim import (ActiveSet, BudgetExceededError, Matching, Move,
                       PowerAllocation, SetEvaluator, SystemConfig, Trajectory,
-                      candidate_count, check_stability, conventional_baseline,
-                      conventional_positions, dbm_to_watts, derived_rf,
-                      distance_based_activation, exhaustive_search,
-                      make_deployment, matching_activation, random_matching,
-                      stream_rng, sum_rate)
+                      amplitudes, candidate_count, check_stability,
+                      conventional_baseline, conventional_positions,
+                      dbm_to_watts, derived_rf, distance_based_activation,
+                      exhaustive_search, make_deployment, matching_activation,
+                      power_gains, random_matching, rate_report, stream_rng,
+                      sum_rate)
 from pinchsim.scenario import Deployment, Point3
 
 
@@ -307,8 +308,8 @@ def test_distance_based_overhead_placement():
                      positions=tuple(Point3(x, 0.0, 3.0)
                                      for x in np.linspace(0, 10, 20)),
                      feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
-    active = distance_based_activation(cfg, dep)
-    assert active.overrides == (Point3(2.0, 0.0, 3.0), Point3(8.0, 0.0, 3.0))
+    points = distance_based_activation(cfg, dep)
+    assert points == (Point3(2.0, 0.0, 3.0), Point3(8.0, 0.0, 3.0))
 
 
 def test_distance_based_surplus_and_merge():
@@ -316,12 +317,12 @@ def test_distance_based_surplus_and_merge():
                      positions=tuple(Point3(x, 0.0, 3.0)
                                      for x in np.linspace(0, 10, 20)),
                      feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
-    active = distance_based_activation(SystemConfig(n_users=1, k_antennas=4), dep)
-    assert active.size == 1  # surplus antennas stay idle
+    points = distance_based_activation(SystemConfig(n_users=1, k_antennas=4), dep)
+    assert len(points) == 1  # surplus antennas stay idle
     two = Deployment(users=(Point3(4.0, 1.0, 0.0), Point3(4.0, -1.0, 0.0)),
                      positions=dep.positions, feed=dep.feed, d1=10.0, d2=6.0)
     merged = distance_based_activation(SystemConfig(n_users=2, k_antennas=2), two)
-    assert merged.size == 1  # coinciding placements collapse
+    assert len(merged) == 1  # coinciding placements collapse
 
 
 def test_distance_based_on_grid_equals_grid_activation():
@@ -331,7 +332,10 @@ def test_distance_based_on_grid_equals_grid_activation():
                                      for x in (0, 2, 4, 6, 8, 10)),
                      feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
     alloc = PowerAllocation.equal(1)
-    off_grid = sum_rate(distance_based_activation(cfg, dep), dep, cfg, alloc)
+    terms = amplitudes(cfg, dep.users, distance_based_activation(cfg, dep),
+                       dep.feed)
+    off_grid = rate_report(power_gains(terms, dbm_to_watts(cfg.pt_dbm)), alloc,
+                           dbm_to_watts(cfg.noise_dbm))
     on_grid = sum_rate(ActiveSet(indices=(2,)), dep, cfg, alloc)
     assert off_grid.sum_rate == on_grid.sum_rate
 
@@ -360,7 +364,7 @@ def test_conventional_baseline_against_direct_computation():
     for u in dep.users:
         h = 0j
         for p in conventional_positions(cfg):
-            r = u.distance_to(p)
+            r = math.dist(u.as_tuple(), p.as_tuple())
             h += eta * np.exp(-2j * np.pi * r / lam) / r * weight
         gains.append(abs(h) ** 2)
     want = reference.reference_rates(gains, list(alloc.alpha),
@@ -371,7 +375,8 @@ def test_conventional_baseline_against_direct_computation():
 
 
 def test_conventional_power_is_conserved():
-    from pinchsim import antenna_power
+    # K antennas, each heard by one user at unit amplitude: the gains are the
+    # per-antenna powers, and they add back up to P_t
     for k in (1, 2, 4):
-        assert antenna_power(1.0, k, 0.0, 3.0) * k == 1.0
-    assert math.isclose(antenna_power(1.0, 3, 0.0, 3.0) * 3, 1.0, rel_tol=1e-15)
+        assert power_gains(np.eye(k), 1.0).sum() == 1.0
+    assert math.isclose(power_gains(np.eye(3), 1.0).sum(), 1.0, rel_tol=1e-15)

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, precedence, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -157,3 +158,25 @@ def test_exhaustive_budget_flag_and_key_reach_the_sidecar(tmp_path, capsys):
                  "exhaustive", "--output", str(out)])
     assert code == 2  # 78 candidates at L=12, K=2
     assert "78 candidates" in capsys.readouterr().err
+
+
+# sha256 of each preset's CSV at --trials 5, recorded before the report path
+# and the search kernel shared one gain formula and one SIC-rate function.
+PRESET_DIGESTS = {
+    "power": "ab1da0cda80628558da18e69940377947aa4d9e803984ac710301c53d0a98245",
+    "area-length":
+        "b63ab96cffacede8b75dd8e40074325081bd4f60af1c10a80502d88b000682ef",
+    "antenna-count":
+        "457728387826e7d479d6f47905517beedf1d2a83112cc07787f4ec1ec245bc5f",
+    "convergence":
+        "6e66a97aa23030c990bfcca01737abb9a5ae4a0106b00ed3383c01176fac85e4",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+def test_preset_results_are_pinned(preset, tmp_path):
+    command = "convergence" if preset == "convergence" else "sweep"
+    out = tmp_path / f"{preset}.csv"
+    assert main([command, "--preset", preset, "--trials", "5",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS[preset]

@@ -260,6 +260,29 @@ def test_convergence_trace_shape():
                             rel_tol=1e-6)
 
 
+def test_convergence_trace_shares_the_trial_setup(monkeypatch):
+    # each trial's trace starts from the drop and random matching that
+    # run_experiment scores, and builds each of them, and its grid, once
+    built = {"drops": 0, "grids": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("pinchsim.harness.make_deployment",
+                        counted("drops", harness.make_deployment))
+    monkeypatch.setattr("pinchsim.kernels.amplitude_matrix",
+                        counted("grids", kernels.amplitude_matrix))
+    rows = convergence_trace(ExperimentSpec(base=FAST, trials=4))
+    assert (built["drops"], built["grids"]) == (4, 4)
+    starts = [r.utility for r in rows if r.step == 0]
+    random_row = run_experiment(ExperimentSpec(base=FAST, schemes=("random",),
+                                               trials=4))[0]
+    assert math.isclose(sum(starts) / 4, random_row.mean_sum_rate, rel_tol=1e-8)
+
+
 def test_convergence_rejects_sweeps():
     spec = ExperimentSpec(base=FAST, trials=2,
                           sweep=SweepSpec("pt_dbm", 20.0, 25.0, 5.0))

@@ -8,22 +8,24 @@ import pytest
 
 import helpers
 from pinchsim import (ActiveSet, PowerAllocation, SetEvaluator, SystemConfig,
-                      amplitude_matrix, effective_channel, make_deployment,
-                      stream_rng, sum_rate)
+                      amplitude_matrix, amplitudes, effective_channel,
+                      make_deployment, power_gains, stream_rng, sum_rate)
 
 
 def test_amplitude_matrix_reproduces_channels():
     rng = np.random.default_rng(300)
     for _ in range(100):
-        cfg, dep, _ = helpers.random_instance(rng)
+        cfg, dep, _ = helpers.random_instance(rng, n_max=8, k_max=8, l_max=30)
         amp = amplitude_matrix(cfg, dep)
         assert amp.shape == (cfg.n_users, cfg.l_positions)
         # ascending selections: both sides sum the same columns in one order
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        eff = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
+        terms = amplitudes(cfg, dep.users, [dep.positions[i] for i in sel],
+                           dep.feed)
+        assert amp[:, list(sel)].tolist() == terms.tolist()
+        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
         pt = 10.0 ** ((cfg.pt_dbm - 30.0) / 10.0)
-        h = amp[:, list(sel)].sum(axis=1) * math.sqrt(pt / len(sel))
-        assert h.tolist() == list(eff.per_user)
+        assert power_gains(amp[:, list(sel)], pt).tolist() == gains.tolist()
 
 
 def test_evaluator_matches_contract_path():
@@ -126,8 +128,8 @@ def test_evaluator_gains_match_channel():
         cfg, dep, alloc = helpers.random_instance(rng)
         ev = SetEvaluator(cfg, dep, alloc)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        eff = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
-        assert ev.gains(sel).tolist() == list(eff.gains)
+        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
+        assert ev.gains(sel).tolist() == gains.tolist()
 
 
 def test_utility_is_deterministic():

@@ -7,9 +7,14 @@ import pytest
 
 import helpers
 import reference
-from pinchsim import (ActiveSet, PowerAllocation, SystemConfig, dbm_to_watts,
-                      jain_fairness, make_deployment, rate_report, sic_order,
-                      stream_rng, sum_rate, user_rates)
+from pinchsim import (ActiveSet, PowerAllocation, SetEvaluator, SystemConfig,
+                      dbm_to_watts, jain_fairness, make_deployment,
+                      rate_report, sic_rates, stream_rng, sum_rate)
+
+
+def order(gains):
+    """SIC order of the users with these gains, weakest first."""
+    return rate_report(gains, PowerAllocation.equal(len(gains)), 1.0).order
 
 
 def test_equal_allocation():
@@ -28,43 +33,48 @@ def test_allocation_validation():
 
 
 def test_sic_order_sorts_ascending():
-    assert sic_order((3.0, 1.0, 2.0)) == (1, 2, 0)
+    assert order((3.0, 1.0, 2.0)) == (1, 2, 0)
 
 
 def test_sic_order_breaks_ties_by_index():
-    assert sic_order((2.0, 2.0)) == (0, 1)
+    assert order((2.0, 2.0)) == (0, 1)
+    assert order((2.0, 1.0, 2.0, 1.0)) == (1, 3, 0, 2)
 
 
 def test_sic_order_single_user():
-    assert sic_order((5.0,)) == (0,)
-    with pytest.raises(ValueError):
-        sic_order((-1.0,))
+    assert order((5.0,)) == (0,)
+    for bad in ((-1.0,), (1.0, math.nan), (math.inf, 1.0), (-math.inf,)):
+        with pytest.raises(ValueError):
+            order(bad)
 
 
 def test_single_user_rate():
     # g equal to the noise power: log2(1 + 1) = 1 bit/s/Hz
-    rates = user_rates((1e-12,), PowerAllocation.equal(1), 1e-12)
-    assert rates == (1.0,)
+    rates = sic_rates(np.array([1e-12]), PowerAllocation.equal(1), 1e-12)
+    assert rates.tolist() == [1.0]
 
 
 def test_two_user_rates():
     alloc = PowerAllocation.equal(2)
-    rates = user_rates((1.0, 3.0), alloc, 1.0)
+    rates = sic_rates(np.array([1.0, 3.0]), alloc, 1.0)
     assert math.isclose(rates[0], 0.41503749927884376, rel_tol=1e-15)  # log2(4/3)
     assert math.isclose(rates[1], 1.3219280948873624, rel_tol=1e-15)   # log2(2.5)
 
 
 def test_zero_fraction_means_zero_rate():
-    rates = user_rates((1.0, 3.0), PowerAllocation(alpha=(0.0, 1.0)), 1.0)
+    alloc = PowerAllocation(alpha=(0.0, 1.0))
+    rates = sic_rates(np.array([1.0, 3.0]), alloc, 1.0)
     assert rates[0] == 0.0
     assert rates[1] > 0.0
 
 
 def test_user_rates_validation():
     with pytest.raises(ValueError):
-        user_rates((1.0,), PowerAllocation.equal(2), 1.0)
+        sic_rates(np.array([1.0]), PowerAllocation.equal(2), 1.0)
     with pytest.raises(ValueError):
-        user_rates((1.0,), PowerAllocation.equal(1), 0.0)
+        sic_rates(np.array([1.0]), PowerAllocation.equal(1), 0.0)
+    with pytest.raises(ValueError):
+        rate_report((1.0,), PowerAllocation.equal(2), 1.0)
 
 
 def test_rates_match_reference_on_random_gains():
@@ -96,6 +106,7 @@ def test_jain_extremes():
     assert math.isclose(jain_fairness((5.0, 0.0, 0.0, 0.0)), 0.25, rel_tol=1e-12)
     assert jain_fairness((1.0, 3.0)) == 0.8
     assert jain_fairness((0.0, 0.0)) == 1.0
+    assert jain_fairness(np.array([1.0, 3.0])) == 0.8
     with pytest.raises(ValueError):
         jain_fairness((-1.0, 1.0))
 
@@ -105,7 +116,7 @@ def test_jain_range_random():
     for _ in range(1000):
         n = int(rng.integers(1, 8))
         rates = rng.uniform(0.0, 10.0, n)
-        f = jain_fairness([float(r) for r in rates])
+        f = jain_fairness(rates)
         assert 1.0 / n <= f <= 1.0 + 1e-12
 
 
@@ -125,8 +136,8 @@ def test_more_noise_strictly_lowers_sum_rate():
         gains = [float(g) for g in rng.uniform(0.1, 5.0, n)]
         alloc = PowerAllocation.equal(n)
         noise = float(rng.uniform(0.01, 1.0))
-        low = sum(user_rates(sorted(gains), alloc, noise))
-        high = sum(user_rates(sorted(gains), alloc, 2.0 * noise))
+        low = sic_rates(np.sort(gains), alloc, noise).sum()
+        high = sic_rates(np.sort(gains), alloc, 2.0 * noise).sum()
         assert high < low
 
 
@@ -139,3 +150,18 @@ def test_sum_rate_matches_reference_pipeline():
         want = helpers.oracle_sum_rate(
             cfg, dep, [dep.positions[i] for i in sel], alloc)
         assert math.isclose(report.sum_rate, want, rel_tol=1e-12)
+
+
+def test_report_sum_rate_is_the_searched_utility():
+    # the sum rate a scheme reports for a grid activation is, bit for bit,
+    # the utility the searches maximised, whichever way its gains are built
+    rng = np.random.default_rng(112)
+    for _ in range(1000):
+        cfg, dep, alloc = helpers.random_instance(rng, n_max=8, k_max=8,
+                                                  l_max=30)
+        ev = SetEvaluator(cfg, dep, alloc)
+        sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
+        utility = ev.utility(sel)
+        noise = dbm_to_watts(cfg.noise_dbm)
+        assert rate_report(ev.gains(sel), alloc, noise).sum_rate == utility
+        assert sum_rate(ActiveSet(indices=sel), dep, cfg, alloc).sum_rate == utility

@@ -7,7 +7,7 @@ import pytest
 
 from pinchsim import (Deployment, Point3, SystemConfig, build_positions,
                       dbm_to_watts, derived_rf, feed_point, make_deployment,
-                      sample_users, stream_rng, watts_to_dbm)
+                      sample_users, stream_rng)
 
 
 def test_derived_rf_at_28ghz():
@@ -70,11 +70,6 @@ def test_dbm_conversion():
     assert dbm_to_watts(30.0) == 1.0
     assert math.isclose(dbm_to_watts(-90.0), 1e-12, rel_tol=1e-12)
     assert math.isclose(dbm_to_watts(0.0), 1e-3, rel_tol=1e-12)
-    for v in (-90.0, 0.0, 17.3, 30.0, 44.0):
-        assert math.isclose(watts_to_dbm(dbm_to_watts(v)), v,
-                            rel_tol=0.0, abs_tol=1e-9)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
 
 
 def test_stream_rng_streams_are_distinct():
@@ -198,7 +193,3 @@ def test_point_rejects_non_finite():
         Point3(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError):
         Point3(0.0, math.inf, 0.0)
-
-
-def test_point_distance():
-    assert Point3(0.0, 0.0, 0.0).distance_to(Point3(3.0, 4.0, 0.0)) == 5.0
