@@ -264,12 +264,11 @@ def conventional_positions(config: SystemConfig) -> tuple[Point3, ...]:
     )
 
 
-def conventional_amplitudes(config: SystemConfig,
-                            deployment: Deployment) -> np.ndarray:
-    """(N, K) `amplitudes` of the users at the fixed array: no feed, so no
-    guide phase and no loss.  They do not depend on the transmit power."""
-    return amplitudes(config, deployment.users, conventional_positions(config),
-                      None)
+def conventional_amplitudes(config: SystemConfig, users) -> np.ndarray:
+    """(..., N, K) `amplitudes` of the users, a Point3 sequence or a
+    (..., N, 3) coordinate array, at the fixed array: no feed, so no guide
+    phase and no loss.  They do not depend on the transmit power."""
+    return amplitudes(config, users, conventional_positions(config), None)
 
 
 def conventional_baseline(config: SystemConfig, deployment: Deployment,
@@ -281,6 +280,6 @@ def conventional_baseline(config: SystemConfig, deployment: Deployment,
     `conventional_amplitudes`, if the caller already has them.
     """
     if amp is None:
-        amp = conventional_amplitudes(config, deployment)
+        amp = conventional_amplitudes(config, deployment.users)
     return rate_report(power_gains(amp, dbm_to_watts(config.pt_dbm)), alloc,
                        dbm_to_watts(config.noise_dbm))

@@ -41,41 +41,53 @@ class ActiveSet:
         return tuple(deployment.positions[i] for i in self.indices)
 
 
+def _coords(points) -> np.ndarray:
+    """(..., M, 3) coordinates: a coordinate array as it is, or a Point3
+    sequence as an (M, 3) array."""
+    if isinstance(points, np.ndarray):
+        return points
+    return np.array([q.as_tuple() for q in points], dtype=float).reshape(-1, 3)
+
+
+def _distances(points: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """(..., S, N) distances between (..., S, 3) points and (..., N, 3)
+    users."""
+    d = points[..., :, None, :] - users[..., None, :, :]
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
 def amplitudes(config: SystemConfig, users, points, feed: Point3 | None
                ) -> np.ndarray:
-    """(N, S) complex amplitude terms of N users and S antenna points.
+    """(..., N, S) complex amplitude terms of N users and S antenna points.
 
-    Entry (n, s) is the spherical-wave coefficient of user n and point s,
-    rotated by the waveguide phase of s and scaled by the square root of the
-    dielectric attenuation over its feed distance; `feed=None` is a fixed
-    array, with neither.  Phases stay real until the exponential: numpy
-    divides a complex by a real through the reciprocal, an ulp off at
-    thousands of radians.
+    `users` and `points` are Point3 sequences or (..., N, 3) and (..., S, 3)
+    coordinate arrays whose leading axes broadcast, so one call builds the
+    terms of a whole block of drops.  Entry (n, s) is the spherical-wave
+    coefficient of user n and point s, rotated by the waveguide phase of s
+    and scaled by the square root of the dielectric attenuation over its
+    feed distance; `feed=None` is a fixed array, with neither.  Phases stay
+    real until the exponential: numpy divides a complex by a real through
+    the reciprocal, an ulp off at thousands of radians.
     """
     lam, lam_g, eta = derived_rf(config)
-    # The feed is one more row: its distances are the feed distances.
-    sources = [q.as_tuple() for q in users]
-    wavelengths = [lam] * len(sources)
-    if feed is not None:
-        sources.append(feed.as_tuple())
-        wavelengths.append(lam_g)
-    d = np.array(sources)[:, None, :] - np.array([q.as_tuple() for q in points])
-    d *= d
-    r = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
-    rotation = np.exp(-1j * (2.0 * np.pi * r / np.array(wavelengths)[:, None]))
-    n = len(users)
-    if not r[:n].all():
+    points = _coords(points)
+    r = _distances(points, _coords(users))
+    if not r.all():
         raise ValueError("user and antenna coincide (singular channel)")
-    amp = rotation[:n] * (eta / r[:n])
+    amp = np.exp(-1j * (2.0 * np.pi * r / lam)) * (eta / r)
     if feed is not None:
-        col = rotation[n] * np.sqrt(10.0 ** (-config.kappa_db_per_m * r[n] / 10.0))
+        r = _distances(points, _coords((feed,)))
+        col = np.exp(-1j * (2.0 * np.pi * r / lam_g)) * np.sqrt(
+            10.0 ** (-config.kappa_db_per_m * r / 10.0))
         # The product by parts: numpy's complex multiply may fuse in its
         # vector loop, so an entry would depend on how many points there are.
         re = amp.real * col.real - amp.imag * col.imag
         amp.imag = amp.real * col.imag + amp.imag * col.real
         amp.real = re
-    # Users fastest in memory, as in a gather amp[:, sel]: see `power_gains`.
-    return np.asfortranarray(amp)
+    # Built point-major, so that in each drop's (N, S) slice users vary
+    # fastest in memory, as in a gather amp[:, sel]: see `power_gains`.
+    return np.swapaxes(amp, -1, -2)
 
 
 def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
@@ -89,14 +101,6 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     """
     z = terms.sum(axis=-1)
     return (pt_watts / terms.shape[-1]) * (z.real * z.real + z.imag * z.imag)
-
-
-def antenna_amplitudes(active: ActiveSet, deployment: Deployment,
-                       config: SystemConfig) -> np.ndarray:
-    """(N, S) `amplitudes` of the deployment's users at the antennas of
-    `active`.  They do not depend on the transmit power."""
-    return amplitudes(config, deployment.users, active.antenna_points(deployment),
-                      deployment.feed)
 
 
 def effective_channel(users: tuple[Point3, ...], active: ActiveSet,

@@ -2,14 +2,17 @@
 
 Every trial index maps to one user drop shared by all schemes of that row
 (paired comparison), and drops depend only on (seed, trial, geometry).  A
-sweep runs each trial across all its values and builds the trial's objects
-once for every run of values that leaves their config fields (`DEPENDS`)
-unchanged: the drop, the random initial matching and the distance-based
-placement, and the amplitude terms (the search's grid matrix and the random,
-distance and conventional schemes' terms).  A power sweep shares them all,
-an attenuation sweep shares the drop and placements, and a geometry or count
-sweep draws a fresh drop per value.  Channel sums, SIC rates and the
-searches run per value.
+run loops over blocks of `BLOCK` consecutive trials, then over the sweep
+values, then over the trials of the block.  At each sweep value the block's
+power-independent objects are rebuilt only when one of their config fields
+(`DEPENDS`) changed.  Per trial, with its own random stream: the drop, the
+random initial matching and the distance-based placement.  Per block, with
+one numpy call each: the users' coordinates, the search's grid matrices and
+the random, distance and conventional schemes' amplitude terms.  A power
+sweep shares them all, an attenuation sweep shares the drops and placements,
+and a geometry or count sweep draws fresh drops per value.  Channel sums,
+SIC rates, the searches and the reports run per (sweep value, trial), and
+at most one block of drops is held at a time.
 """
 
 from __future__ import annotations
@@ -23,18 +26,21 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import fmean
+from typing import NamedTuple
+
+import numpy as np
 
 from . import kernels
-from .activation import (candidate_count, conventional_amplitudes,
+from .activation import (Matching, candidate_count, conventional_amplitudes,
                          conventional_baseline, distance_based_activation,
                          exhaustive_search, matching_activation,
                          random_matching)
-from .channel import amplitudes, antenna_amplitudes, power_gains
+from .channel import amplitudes, power_gains
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report, sum_rate
-from .scenario import (MATCHING_STREAM, USER_STREAM, SystemConfig,
-                       config_field_names, dbm_to_watts, make_deployment,
-                       stream_rng)
+from .scenario import (MATCHING_STREAM, USER_STREAM, Deployment, Point3,
+                       SystemConfig, config_field_names, dbm_to_watts,
+                       make_deployment, stream_rng)
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +49,10 @@ SWEEP_PARAMS = ("pt_dbm", "d1", "d2", "kappa_db_per_m", "n_users",
                 "k_antennas", "l_positions")
 COUNT_PARAMS = ("n_users", "k_antennas", "l_positions")
 
-# The config fields each power-independent object of a trial depends on.  An
+# Consecutive trials whose power-independent objects are built together.
+BLOCK = 64
+
+# The config fields each power-independent object of a block depends on.  An
 # object is rebuilt at a sweep value only when one of its fields changed.
 _DROP = ("d1", "d2", "height", "n_users", "l_positions", "seed")
 _PLACED = _DROP + ("k_antennas",)
@@ -52,8 +61,8 @@ DEPENDS = {
     "drop": _DROP,                        # users, grid and feed
     "initial": _PLACED,                   # random matching
     "distance": _PLACED,                  # distance-based placement
-    "grid": _DROP + _RF,                  # the evaluator's (N, L) matrix
-    "random_terms": _PLACED + _RF,        # (N, S) amplitude terms
+    "grid": _DROP + _RF,                  # the evaluators' (T, N, L) matrices
+    "random_terms": _PLACED + _RF,        # (T, N, K) amplitude terms
     "distance_terms": _PLACED + _RF,
     "conventional_terms": _PLACED + ("carrier_hz",),  # no guide, no loss
 }
@@ -192,129 +201,200 @@ def _report(gains, cfg, alloc) -> RateReport:
     return rate_report(gains, alloc, dbm_to_watts(cfg.noise_dbm))
 
 
+class _Trial(NamedTuple):
+    """One trial's power-independent objects at one sweep value; None where
+    no scheme of the run asks for them."""
+
+    index: int
+    deployment: Deployment
+    grid: np.ndarray | None                   # (N, L) amplitude matrix
+    initial: Matching | None
+    random_terms: np.ndarray | None           # (N, K)
+    placement: tuple[Point3, ...] | None      # distance-based points
+    distance_terms: np.ndarray | None         # (N, S)
+    conventional_terms: np.ndarray | None     # (N, K)
+
+
+def _drops(cfg: SystemConfig, trials: range):
+    """The trials' drops and their users' coordinates as one (T, N, 3)
+    array."""
+    drops = [make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
+             for trial in trials]
+    return drops, np.array([[u.as_tuple() for u in d.users] for d in drops])
+
+
+def _random_terms(cfg: SystemConfig, drop: Deployment, users: np.ndarray,
+                  initial: list[Matching]) -> np.ndarray:
+    """(T, N, K) amplitude terms of each trial's users at the grid points of
+    its random matching, in ascending position order."""
+    grid = np.array([p.as_tuple() for p in drop.positions])
+    sel = np.array([m.active_positions() for m in initial], dtype=np.intp)
+    return amplitudes(cfg, users, grid[sel], drop.feed)
+
+
+def _distance_terms(cfg: SystemConfig, feed: Point3, users: np.ndarray,
+                    placements: list[tuple[Point3, ...]]) -> list[np.ndarray]:
+    """Each trial's (N, S) amplitude terms at its distance-based placement.
+    Trials are batched by S, since coinciding users collapse placements."""
+    terms: list = [None] * len(placements)
+    by_size: dict[int, list[int]] = {}
+    for i, points in enumerate(placements):
+        by_size.setdefault(len(points), []).append(i)
+    for idx in by_size.values():
+        points = np.array([[p.as_tuple() for p in placements[i]] for i in idx])
+        for i, amp in zip(idx, amplitudes(cfg, users[idx], points, feed)):
+            terms[i] = amp
+    return terms
+
+
 class _TrialObjects:
-    """The power-independent objects of one trial, each built on first use
-    and kept for later sweep values until a config field it depends on
-    (`DEPENDS`) changes."""
+    """The power-independent objects of one block of trials, each built for
+    the whole block on first use and kept for later sweep values until a
+    config field it depends on (`DEPENDS`) changes."""
 
     def __init__(self, configs):
         self._keys = [{name: tuple(getattr(cfg, f) for f in depends)
                        for name, depends in DEPENDS.items()} for cfg in configs]
         self._built: dict[str, tuple] = {}
-        self.trial = 0
+        self.trials = range(0)
 
-    def new_trial(self, trial: int) -> None:
-        """Drop the last trial's objects."""
-        self._built.clear()
-        self.trial = trial
+    def blocks(self, trials: int):
+        """Walk the ranges of at most BLOCK consecutive trial indices that
+        cover `trials`, dropping one block's objects before the next."""
+        for first in range(0, trials, BLOCK):
+            self._built.clear()
+            self.trials = range(first, min(first + BLOCK, trials))
+            yield self.trials
 
     def get(self, name: str, point: int, build):
         """The object `name` at sweep point `point`, from `build()` if the
         fields it depends on differ from those it was last built for."""
         key = self._keys[point][name]
-        held = self._built.get(name)
-        if held is None or held[0] != key:
-            held = self._built[name] = (key, build())
-        return held[1]
+        if self._built.get(name, (None,))[0] != key:
+            # Release the stale object before building its successor, so
+            # that at most one block of it is alive.
+            self._built.pop(name, None)
+            self._built[name] = (key, build())
+        return self._built[name][1]
 
-    def start(self, point: int, cfg: SystemConfig, alloc: PowerAllocation,
-              searched: bool, random_start: bool):
-        """The drop at sweep point `point`, with the searches' evaluator and
-        the random initial matching (each None when not asked for)."""
-        trial = self.trial
-        deployment = self.get("drop", point, lambda: make_deployment(
-            cfg, stream_rng(cfg.seed, USER_STREAM, trial)))
-        evaluator = None
-        if searched:
-            # Looked up on the module, as SetEvaluator does, so the traced
-            # benchmark (perfbench) credits the matrix build to kernels.
+    def block(self, point: int, cfg: SystemConfig, schemes) -> list[_Trial]:
+        """Each trial's objects at sweep point `point`: its drop, and what
+        `schemes` need of the grid matrix, the random initial matching, the
+        distance-based placement and the amplitude terms."""
+        trials = self.trials
+        drops, users = self.get("drop", point, lambda: _drops(cfg, trials))
+        none = [None] * len(trials)
+        grid = initial = random_terms = none
+        placements = distance_terms = conventional_terms = none
+        if "matching" in schemes or "exhaustive" in schemes:
+            # Looked up on the module, so the traced benchmark (perfbench)
+            # credits the matrix build to kernels.
             grid = self.get("grid", point, lambda: kernels.amplitude_matrix(
-                cfg, deployment))
-            evaluator = SetEvaluator(cfg, deployment, alloc, amp=grid)
-        initial = None
-        if random_start:
-            initial = self.get("initial", point, lambda: random_matching(
-                cfg, deployment, stream_rng(cfg.seed, MATCHING_STREAM, trial)))
-        return deployment, evaluator, initial
+                cfg, drops[0], users))
+        if "matching" in schemes or "random" in schemes:
+            initial = self.get("initial", point, lambda: [
+                random_matching(cfg, d, stream_rng(cfg.seed, MATCHING_STREAM, t))
+                for t, d in zip(trials, drops)])
+        if "random" in schemes:
+            random_terms = self.get("random_terms", point, lambda: (
+                _random_terms(cfg, drops[0], users, initial)))
+        if "distance" in schemes:
+            placements = self.get("distance", point, lambda: [
+                distance_based_activation(cfg, d) for d in drops])
+            distance_terms = self.get("distance_terms", point, lambda: (
+                _distance_terms(cfg, drops[0].feed, users, placements)))
+        if "conventional" in schemes:
+            conventional_terms = self.get("conventional_terms", point, lambda: (
+                conventional_amplitudes(cfg, users)))
+        return [_Trial(*objects) for objects in zip(
+            trials, drops, grid, initial, random_terms, placements,
+            distance_terms, conventional_terms)]
+
+
+def _score_block(block: list[_Trial], value, cfg: SystemConfig,
+                 alloc: PowerAllocation, spec: ExperimentSpec, cells) -> None:
+    """Score every scheme on each trial of `block` at one sweep value and
+    append its metrics to the value's cells."""
+    schemes = spec.schemes
+    pt_watts = dbm_to_watts(cfg.pt_dbm)
+    for trial in block:
+        deployment = trial.deployment
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("sweep=%s trial=%d drop=%s", value, trial.index,
+                      _drop_hash(deployment))
+        evaluator = None
+        if trial.grid is not None:
+            evaluator = SetEvaluator(cfg, deployment, alloc, amp=trial.grid)
+        exhaustive_rate: float | None = None
+        if "exhaustive" in schemes:
+            exh_set, _ = exhaustive_search(cfg, deployment, alloc,
+                                           evaluator=evaluator,
+                                           budget=spec.exhaustive_budget)
+            exh_report = _report(evaluator.gains(exh_set.indices), cfg, alloc)
+            exhaustive_rate = exh_report.sum_rate
+        for scheme in schemes:
+            cycles = None
+            if scheme == "matching":
+                final, trajectory = matching_activation(
+                    cfg, deployment, alloc, trial.initial, evaluator=evaluator)
+                positions = final.active_positions()
+                report = _report(evaluator.gains(positions), cfg, alloc)
+                active_count = len(positions)
+                cycles = trajectory.cycles
+            elif scheme == "random":
+                active = trial.initial.active_set()
+                report = sum_rate(active, deployment, cfg, alloc,
+                                  trial.random_terms)
+                active_count = active.size
+            elif scheme == "distance":
+                report = _report(power_gains(trial.distance_terms, pt_watts),
+                                 cfg, alloc)
+                active_count = len(trial.placement)
+            elif scheme == "exhaustive":
+                report = exh_report
+                active_count = exh_set.size
+            else:
+                report = conventional_baseline(cfg, deployment, alloc,
+                                               trial.conventional_terms)
+                active_count = cfg.k_antennas
+            ratio = (report.sum_rate / exhaustive_rate
+                     if exhaustive_rate is not None else None)
+            for column, x in zip(cells[scheme], (
+                    report.sum_rate, report.fairness, active_count, cycles,
+                    ratio)):
+                if x is not None:
+                    column.append(x)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every scheme over shared user drops; aggregate means per cell.
 
-    Trials are the outer loop and sweep values the inner one, so each
-    trial's drop, placements and amplitude terms are built once and shared
-    by the sweep values that leave their config fields unchanged; only the
-    power-dependent work (channel sums, SIC rates, searches) runs per value.
-    Cells collect their trials in order, so the rows do not depend on the
-    loop order.  Deterministic for a fixed spec: identical specs produce
-    identical rows (and therefore byte-identical CSV files).
+    Blocks of `BLOCK` trials are the outer loop, sweep values the middle
+    one and the trials of the block the inner one.  Per block, each
+    power-independent object (drops, placements, amplitude terms) is built
+    once and shared by the sweep values that leave its config fields
+    unchanged; the amplitude terms of the whole block come from one numpy
+    call per kind, the drops and placements from one call per trial.  Only
+    the power-dependent work (channel sums, SIC rates, searches, reports)
+    runs per (sweep value, trial).  Cells collect their trials in order, so
+    the rows do not depend on the loop order.  Deterministic for a fixed
+    spec: identical specs produce identical rows (and therefore
+    byte-identical CSV files).
     """
     schemes = spec.schemes
     sweep_values = spec.sweep.values() if spec.sweep else (None,)
     configs = spec.configs()
     allocs = [PowerAllocation.equal(cfg.n_users) for cfg in configs]
-    searched = "matching" in schemes or "exhaustive" in schemes
-    random_start = "matching" in schemes or "random" in schemes
     # Per (sweep value, scheme): sum rate, fairness, active count, cycles and
     # ratio of each trial, as float columns since all values are held at once.
     metrics = [{s: tuple(array("d") for _ in range(5)) for s in schemes}
                for _ in configs]
     shared = _TrialObjects(configs)
-    for trial in range(spec.trials):
-        shared.new_trial(trial)
+    for _ in shared.blocks(spec.trials):
         for point, (value, cfg, alloc) in enumerate(
                 zip(sweep_values, configs, allocs)):
-            deployment, evaluator, initial = shared.start(
-                point, cfg, alloc, searched, random_start)
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug("sweep=%s trial=%d drop=%s", value, trial,
-                          _drop_hash(deployment))
-            exhaustive_rate: float | None = None
-            if "exhaustive" in schemes:
-                exh_set, _ = exhaustive_search(cfg, deployment, alloc,
-                                               evaluator=evaluator,
-                                               budget=spec.exhaustive_budget)
-                exh_report = _report(evaluator.gains(exh_set.indices), cfg, alloc)
-                exhaustive_rate = exh_report.sum_rate
-            for scheme in schemes:
-                cycles = None
-                if scheme == "matching":
-                    final, trajectory = matching_activation(
-                        cfg, deployment, alloc, initial, evaluator=evaluator)
-                    positions = final.active_positions()
-                    report = _report(evaluator.gains(positions), cfg, alloc)
-                    active_count = len(positions)
-                    cycles = trajectory.cycles
-                elif scheme == "random":
-                    active = initial.active_set()
-                    amp = shared.get("random_terms", point, lambda: (
-                        antenna_amplitudes(active, deployment, cfg)))
-                    report = sum_rate(active, deployment, cfg, alloc, amp)
-                    active_count = active.size
-                elif scheme == "distance":
-                    points = shared.get("distance", point, lambda: (
-                        distance_based_activation(cfg, deployment)))
-                    amp = shared.get("distance_terms", point, lambda: (
-                        amplitudes(cfg, deployment.users, points,
-                                   deployment.feed)))
-                    report = _report(power_gains(amp, dbm_to_watts(cfg.pt_dbm)),
-                                     cfg, alloc)
-                    active_count = len(points)
-                elif scheme == "exhaustive":
-                    report = exh_report
-                    active_count = exh_set.size
-                else:
-                    amp = shared.get("conventional_terms", point, lambda: (
-                        conventional_amplitudes(cfg, deployment)))
-                    report = conventional_baseline(cfg, deployment, alloc, amp)
-                    active_count = cfg.k_antennas
-                ratio = (report.sum_rate / exhaustive_rate
-                         if exhaustive_rate is not None else None)
-                for column, x in zip(metrics[point][scheme], (
-                        report.sum_rate, report.fairness, active_count, cycles,
-                        ratio)):
-                    if x is not None:
-                        column.append(x)
+            _score_block(shared.block(point, cfg, schemes), value, cfg, alloc,
+                         spec, metrics[point])
     rows: list[ResultRow] = []
     for value, cells in zip(sweep_values, metrics):
         for scheme in schemes:
@@ -336,8 +416,34 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     return rows
 
 
+def _trace_block(block: list[_Trial], cfg: SystemConfig,
+                 alloc: PowerAllocation, budget: int) -> list[TraceRow]:
+    """The convergence trace rows of each trial of `block`."""
+    rows: list[TraceRow] = []
+    for trial in block:
+        evaluator = SetEvaluator(cfg, trial.deployment, alloc, amp=trial.grid)
+        _, optimum = exhaustive_search(cfg, trial.deployment, alloc,
+                                       evaluator=evaluator, budget=budget)
+        _, trajectory = matching_activation(cfg, trial.deployment, alloc,
+                                            trial.initial, evaluator=evaluator)
+        for step, utility in enumerate(trajectory.utilities):
+            cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]
+            rows.append(TraceRow(
+                trial=trial.index,
+                step=step,
+                cycle=cycle,
+                utility=_round9(utility),
+                optimum=_round9(optimum),
+                ratio=_round9(utility / optimum),
+            ))
+    return rows
+
+
 def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
-    """Per-trial utility trajectory normalized by the exhaustive optimum."""
+    """Per-trial utility trajectory normalized by the exhaustive optimum.
+
+    Runs block by block like `run_experiment`, from the same drops, grid
+    matrices and random initial matchings."""
     if spec.sweep is not None:
         raise ConfigError("convergence traces take a single configuration")
     cfg = spec.base
@@ -347,24 +453,9 @@ def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
     alloc = PowerAllocation.equal(cfg.n_users)
     shared = _TrialObjects((cfg,))
     rows: list[TraceRow] = []
-    for trial in range(spec.trials):
-        shared.new_trial(trial)
-        deployment, evaluator, initial = shared.start(0, cfg, alloc, True, True)
-        _, optimum = exhaustive_search(cfg, deployment, alloc,
-                                       evaluator=evaluator,
-                                       budget=spec.exhaustive_budget)
-        _, trajectory = matching_activation(cfg, deployment, alloc, initial,
-                                            evaluator=evaluator)
-        for step, utility in enumerate(trajectory.utilities):
-            cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]
-            rows.append(TraceRow(
-                trial=trial,
-                step=step,
-                cycle=cycle,
-                utility=_round9(utility),
-                optimum=_round9(optimum),
-                ratio=_round9(utility / optimum),
-            ))
+    for _ in shared.blocks(spec.trials):
+        rows += _trace_block(shared.block(0, cfg, ("matching", "exhaustive")),
+                             cfg, alloc, spec.exhaustive_budget)
     if spec.output_path is not None:
         write_trace(spec.output_path, rows)
         write_spec_sidecar(spec.output_path, spec)

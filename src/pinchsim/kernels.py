@@ -36,10 +36,13 @@ def set_sum_rate(amp, sel, pt_watts, noise, alloc):
     return sic_rates(gains, alloc, noise).sum(axis=-1)
 
 
-def amplitude_matrix(config: SystemConfig, deployment: Deployment) -> np.ndarray:
-    """(N, L) `channel.amplitudes` of the users at the grid positions."""
-    return amplitudes(config, deployment.users, deployment.positions,
-                      deployment.feed)
+def amplitude_matrix(config: SystemConfig, deployment: Deployment,
+                     users: np.ndarray | None = None) -> np.ndarray:
+    """(N, L) `channel.amplitudes` of the users at the grid positions; or
+    (T, N, L) of the (T, N, 3) coordinates `users`, a block of drops that
+    share the deployment's grid and feed."""
+    return amplitudes(config, deployment.users if users is None else users,
+                      deployment.positions, deployment.feed)
 
 
 class SetEvaluator:
@@ -70,14 +73,29 @@ class SetEvaluator:
     def n_positions(self) -> int:
         return self._amp.shape[1]
 
+    def _selection(self, indices) -> np.ndarray:
+        """The sorted position indices of one activation as an index array;
+        ValueError unless they are distinct integers in range.  Checked on
+        the sorted list, which is cheaper than on an array at a few
+        indices: the exhaustive search scores one set per call."""
+        sel = sorted(indices)
+        if not sel:
+            return np.empty(0, dtype=np.intp)
+        if len(set(sel)) < len(sel):
+            raise ValueError("position indices must be distinct")
+        if sel[0] < 0 or sel[-1] >= self.n_positions:
+            raise ValueError("position index out of range")
+        arr = np.asarray(sel)
+        if arr.dtype.kind not in "iu":
+            raise ValueError("position indices must be integers")
+        return arr
+
     def utility(self, indices) -> float:
         """Sum rate in bits/s/Hz for the given position indices; 0 if empty."""
-        sel = np.asarray(sorted(indices), dtype=np.intp)
+        sel = self._selection(indices)
         if sel.size == 0:
             return 0.0
         self.calls += 1
-        if sel[0] < 0 or sel[-1] >= self.n_positions:
-            raise ValueError("position index out of range")
         return float(set_sum_rate(self._amp, sel, self._pt_watts,
                                   self._noise_watts, self._alloc))
 
@@ -85,22 +103,27 @@ class SetEvaluator:
         """Sum rates of a batch of activations of one size, one per row of
         the (B, S) index array `rows`; equal, bit for bit, to `utility` of
         each row.  Rows of size 0 score 0."""
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D index array")
-        rows = np.sort(rows, axis=1)
         if rows.size == 0:
             return np.zeros(rows.shape[0])
-        self.calls += rows.shape[0]
+        if rows.dtype.kind not in "iu":
+            raise ValueError("position indices must be integers")
+        rows = np.sort(rows, axis=1)
         if rows[:, 0].min() < 0 or rows[:, -1].max() >= self.n_positions:
             raise ValueError("position index out of range")
+        # count_nonzero: a third of the cost of .any() on a few rows.
+        if np.count_nonzero(rows[:, 1:] == rows[:, :-1]):
+            raise ValueError("position indices must be distinct")
+        self.calls += rows.shape[0]
         return set_sum_rate(self._amp, rows, self._pt_watts,
                             self._noise_watts, self._alloc)
 
     def gains(self, indices) -> np.ndarray:
         """Per-user |h|^2 of an activation, equal to `effective_channel`'s
         and to the gains `utility` ranks."""
-        sel = np.asarray(sorted(indices), dtype=np.intp)
+        sel = self._selection(indices)
         if sel.size == 0:
             return np.zeros(self._amp.shape[0])
         return power_gains(self._amp[:, sel], self._pt_watts)

@@ -117,8 +117,8 @@ def sum_rate(active: ActiveSet, deployment: Deployment, config: SystemConfig,
              alloc: PowerAllocation, amp=None) -> RateReport:
     """Rates for one activation: power gains -> SIC order -> rates.
 
-    `amp` is the activation's `channel.antenna_amplitudes`, if the caller
-    already has them.  An empty active set reports zero rates for everyone.
+    `amp` is the activation's (N, S) `channel.amplitudes` at its antenna
+    points, if the caller already has them.  An empty active set reports zero rates for everyone.
     """
     gains = effective_channel(deployment.users, active, deployment, config, amp)
     return rate_report(gains, alloc, dbm_to_watts(config.noise_dbm))

@@ -172,3 +172,42 @@ def test_gains_are_squared_magnitudes():
     per_user = terms.sum(axis=1) * math.sqrt(dbm_to_watts(cfg.pt_dbm) / 2)
     for h, g in zip(per_user, gains):
         assert math.isclose(g, abs(h) ** 2, rel_tol=1e-15)
+
+
+def _coords(points):
+    return np.array([p.as_tuple() for p in points])
+
+
+def test_batched_amplitudes_equal_per_drop_calls_exactly():
+    # a block of drops in one call: each drop's (N, S) slice equals, bit for
+    # bit, its own call on Point3 sequences, with users fastest in memory
+    rng = np.random.default_rng(510)
+    for n, s, with_feed in ((1, 1, True), (3, 2, True), (8, 8, True),
+                            (8, 60, True), (4, 5, False)):
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=min(s, 8),
+                           l_positions=max(s, 2),
+                           kappa_db_per_m=float(rng.choice([0.0, 0.1])))
+        drops = [make_deployment(cfg, rng) for _ in range(5)]
+        feed = drops[0].feed if with_feed else None
+        points = [tuple(Point3(float(x), 0.0, cfg.height)
+                        for x in rng.uniform(0.0, cfg.d1, s)) for _ in drops]
+        users = np.stack([_coords(d.users) for d in drops])
+        block = amplitudes(cfg, users, np.stack([_coords(p) for p in points]),
+                           feed)
+        shared = amplitudes(cfg, users, points[0], feed)  # points broadcast
+        assert block.shape == shared.shape == (5, n, s)
+        for i, d in enumerate(drops):
+            assert block[i].flags.f_contiguous
+            assert (block[i].tolist()
+                    == amplitudes(cfg, d.users, points[i], feed).tolist())
+            assert (shared[i].tolist()
+                    == amplitudes(cfg, d.users, points[0], feed).tolist())
+            pt = dbm_to_watts(cfg.pt_dbm)
+            assert (power_gains(block[i], pt).tolist() == power_gains(
+                amplitudes(cfg, d.users, points[i], feed), pt).tolist())
+
+
+def test_batched_amplitudes_keep_the_singular_check():
+    users = np.array([[[1.0, 0.0, 0.0]], [[2.0, 0.0, 3.0]]])
+    with pytest.raises(ValueError, match="coincide"):
+        amplitudes(CFG, users, (Point3(2.0, 0.0, 3.0),), FEED)

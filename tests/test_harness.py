@@ -1,16 +1,21 @@
 """Experiment harness: specs, sweeps, pairing, CSV round trips."""
 
+import hashlib
 import json
 import logging
 import math
+import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from pinchsim import (ConfigError, ExperimentSpec, PowerAllocation, SweepSpec,
-                      SystemConfig, build_spec, convergence_trace,
+from pinchsim import (ConfigError, Deployment, ExperimentSpec, Point3,
+                      PowerAllocation, SweepSpec, SystemConfig, amplitudes,
+                      build_spec, convergence_trace, distance_based_activation,
                       make_deployment, parse_config_file, random_matching,
                       read_results, run_experiment, stream_rng, sum_rate)
+from pinchsim.activation import conventional_amplitudes, conventional_positions
 from pinchsim import harness, kernels
 from pinchsim.harness import SWEEP_PARAMS, apply_sweep_value, spec_to_dict
 
@@ -190,6 +195,9 @@ def test_sweep_rows_equal_separate_runs(param):
 
 
 def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
+    # drops are built once per trial, grid matrices once per block of trials,
+    # each only when a field it depends on changes; 70 trials are two blocks
+    assert harness.BLOCK == 64
     built = {"drops": 0, "grids": 0}
 
     def counted(name, fn):
@@ -203,16 +211,107 @@ def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
     monkeypatch.setattr("pinchsim.kernels.amplitude_matrix",
                         counted("grids", kernels.amplitude_matrix))
     for param, start, stop, step, drops, grids in (
-            ("pt_dbm", 20.0, 40.0, 10.0, 4, 4),         # nothing rebuilt
-            ("kappa_db_per_m", 0.0, 0.2, 0.1, 4, 12),   # amplitudes rebuilt
-            ("k_antennas", 1.0, 2.0, 1.0, 4, 4),        # grid kept
-            ("d1", 8.0, 12.0, 2.0, 12, 12)):            # fresh drop per value
+            ("pt_dbm", 20.0, 40.0, 10.0, 70, 2),        # nothing rebuilt
+            ("kappa_db_per_m", 0.0, 0.2, 0.1, 70, 6),   # amplitudes rebuilt
+            ("k_antennas", 1.0, 2.0, 1.0, 70, 2),       # grid kept
+            ("d1", 8.0, 12.0, 2.0, 210, 6)):            # fresh drop per value
         built.update(drops=0, grids=0)
         run_experiment(ExperimentSpec(
-            base=FAST, schemes=("matching", "distance"), trials=4,
+            base=FAST, schemes=("matching", "distance"), trials=70,
             sweep=SweepSpec(param, start, stop, step)))
         assert (built["drops"], built["grids"]) == (drops, grids), param
 
+
+
+ALL_SCHEMES = ("matching", "random", "distance", "exhaustive", "conventional")
+BLOCK_BASE = SystemConfig(n_users=2, k_antennas=2, l_positions=8, seed=11)
+# sha256 of each result CSV, recorded before trials ran in blocks of 64:
+# block boundaries and the sweep order change no byte
+BLOCK_DIGESTS = {
+    ("trials", 1): "0a893f04915ab1f0330f359c448caf1f39a09ca15dcf3873942e2f10c2850f90",
+    ("trials", 63): "c84840ab6f52c44f674d7f8e65406086ac0080e96b86c67f94bfd69c8669557e",
+    ("trials", 64): "00496f1826ff93c82f3870faff53847b650d30790d7014960c6206c7364d069d",
+    ("trials", 65): "a662d9c59c63c8737c3899018c5bb438dc19760e9584bf0f678bfa0ec547d53e",
+    ("trials", 129): "5f05d2afebd5dccb1f201019d94de29b547f5960af1de6a0fab0efffaf977d1c",
+    ("pt_dbm", 70): "817d53f4f9504b72a82d5062c26d033839fa8229dfb7cae63cecdbb80efe205f",
+    ("d1", 70): "7130cee9cca7c4be0bbc234cf879b77eeef84d32d05721f2555266c92fdf69d4",
+}
+BLOCK_SWEEPS = {"trials": None, "pt_dbm": SweepSpec("pt_dbm", 20.0, 30.0, 10.0),
+                "d1": SweepSpec("d1", 8.0, 12.0, 2.0)}
+
+
+@pytest.mark.parametrize("case", BLOCK_DIGESTS)
+def test_block_boundaries_change_no_byte(case, tmp_path):
+    kind, trials = case
+    out = tmp_path / "r.csv"
+    run_experiment(ExperimentSpec(base=BLOCK_BASE, schemes=ALL_SCHEMES,
+                                  trials=trials, sweep=BLOCK_SWEEPS[kind],
+                                  output_path=out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCK_DIGESTS[case]
+
+
+def test_block_terms_equal_per_trial_calls_exactly():
+    cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
+    shared = harness._TrialObjects((cfg,))
+    assert list(shared.blocks(70)) == [range(0, 64), range(64, 70)]
+    block = shared.block(0, cfg, ALL_SCHEMES)
+    assert [t.index for t in block] == list(range(64, 70))
+    for t in block:
+        dep = t.deployment
+        assert dep == make_deployment(cfg, stream_rng(cfg.seed, 0, t.index))
+        assert t.initial == random_matching(
+            cfg, dep, stream_rng(cfg.seed, 1, t.index))
+        assert t.grid.tolist() == kernels.amplitude_matrix(cfg, dep).tolist()
+        points = t.initial.active_set().antenna_points(dep)
+        assert (t.random_terms.tolist()
+                == amplitudes(cfg, dep.users, points, dep.feed).tolist())
+        assert t.placement == distance_based_activation(cfg, dep)
+        assert (t.distance_terms.tolist()
+                == amplitudes(cfg, dep.users, t.placement, dep.feed).tolist())
+        assert (t.conventional_terms.tolist()
+                == conventional_amplitudes(cfg, dep.users).tolist())
+        for terms in (t.grid, t.random_terms, t.distance_terms,
+                      t.conventional_terms):
+            assert terms.flags.f_contiguous  # users fastest, as per trial
+    # coinciding users collapse a placement: that trial is batched apart
+    cfg = SystemConfig(n_users=2, k_antennas=2)
+    grid = make_deployment(cfg, stream_rng(1, 0, 0))
+    drops = [Deployment(users=users, positions=grid.positions, feed=grid.feed)
+             for users in ((Point3(2.0, 1.0, 0.0), Point3(7.0, -1.0, 0.0)),
+                           (Point3(4.0, 1.0, 0.0), Point3(4.0, -2.0, 0.0)),
+                           (Point3(9.0, 0.5, 0.0), Point3(1.0, 2.0, 0.0)))]
+    placements = [distance_based_activation(cfg, d) for d in drops]
+    assert [len(p) for p in placements] == [2, 1, 2]
+    users = np.array([[u.as_tuple() for u in d.users] for d in drops])
+    terms = harness._distance_terms(cfg, grid.feed, users, placements)
+    for d, p, got in zip(drops, placements, terms):
+        assert got.shape == (2, len(p))
+        assert got.tolist() == amplitudes(cfg, d.users, p, d.feed).tolist()
+    block = conventional_amplitudes(cfg, users)
+    assert block.shape == (3, 2, len(conventional_positions(cfg)))
+    for d, got in zip(drops, block):
+        assert got.tolist() == conventional_amplitudes(cfg, d.users).tolist()
+
+
+def test_at_most_one_block_of_drops_is_alive(monkeypatch):
+    live = weakref.WeakSet()
+    most = []
+
+    def tracked(*args, **kwargs):
+        deployment = make_deployment(*args, **kwargs)
+        live.add(deployment)
+        most.append(len(live))
+        return deployment
+
+    monkeypatch.setattr("pinchsim.harness.make_deployment", tracked)
+    run_experiment(ExperimentSpec(base=BLOCK_BASE, schemes=ALL_SCHEMES,
+                                  trials=129,
+                                  sweep=SweepSpec("d1", 8.0, 10.0, 2.0)))
+    assert len(most) == 2 * 129
+    assert max(most) == harness.BLOCK == 64
+    most.clear()
+    convergence_trace(ExperimentSpec(base=BLOCK_BASE, trials=129))
+    assert len(most) == 129 and max(most) == 64
 
 def test_csv_round_trip_and_determinism(tmp_path):
     out_a = tmp_path / "a.csv"
@@ -262,7 +361,8 @@ def test_convergence_trace_shape():
 
 def test_convergence_trace_shares_the_trial_setup(monkeypatch):
     # each trial's trace starts from the drop and random matching that
-    # run_experiment scores, and builds each of them, and its grid, once
+    # run_experiment scores, and builds each of them once; the grid matrices
+    # are built once per block of trials
     built = {"drops": 0, "grids": 0}
 
     def counted(name, fn):
@@ -275,12 +375,14 @@ def test_convergence_trace_shares_the_trial_setup(monkeypatch):
                         counted("drops", harness.make_deployment))
     monkeypatch.setattr("pinchsim.kernels.amplitude_matrix",
                         counted("grids", kernels.amplitude_matrix))
-    rows = convergence_trace(ExperimentSpec(base=FAST, trials=4))
-    assert (built["drops"], built["grids"]) == (4, 4)
+    rows = convergence_trace(ExperimentSpec(base=FAST, trials=66))
+    assert (built["drops"], built["grids"]) == (66, 2)
     starts = [r.utility for r in rows if r.step == 0]
+    assert len(starts) == 66
     random_row = run_experiment(ExperimentSpec(base=FAST, schemes=("random",),
-                                               trials=4))[0]
-    assert math.isclose(sum(starts) / 4, random_row.mean_sum_rate, rel_tol=1e-8)
+                                               trials=66))[0]
+    assert math.isclose(sum(starts) / 66, random_row.mean_sum_rate,
+                        rel_tol=1e-8)
 
 
 def test_convergence_rejects_sweeps():

@@ -108,6 +108,37 @@ def test_evaluator_rejects_bad_indices():
                      amp=amplitude_matrix(cfg, dep)[:, :-1])
 
 
+
+def test_evaluator_rejects_duplicate_and_non_integer_indices():
+    # a duplicate used to count its antenna twice (14.42 for (3, 3) against
+    # 13.42 for (3,)), and 2.7 used to score position 2
+    cfg = SystemConfig()
+    dep = make_deployment(cfg, stream_rng(1, 0, 0))
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(cfg.n_users))
+    single = ev.utility((3,))
+    for bad in ((3, 3), (1, 3, 1)):
+        with pytest.raises(ValueError, match="distinct"):
+            ev.utility(bad)
+        with pytest.raises(ValueError, match="distinct"):
+            ev.gains(bad)
+        with pytest.raises(ValueError, match="distinct"):
+            ev.utilities([bad, tuple(range(len(bad)))])
+    for bad in ((2.7,), (2.0, 5.0), (True,)):
+        with pytest.raises(ValueError, match="integers"):
+            ev.utility(bad)
+        with pytest.raises(ValueError, match="integers"):
+            ev.gains(bad)
+        with pytest.raises(ValueError, match="integers"):
+            ev.utilities([bad])
+    with pytest.raises(ValueError, match="integers"):
+        ev.utilities(np.array([[2.7, 4.0]]))
+    # rejected calls are not counted, valid ones score as before
+    assert ev.calls == 1
+    assert ev.utility((np.int64(3),)) == single
+    assert ev.utilities([[3]]).tolist() == [single]
+    assert ev.utility(()) == 0.0 and ev.utilities(np.empty((2, 0))).tolist() == [0.0, 0.0]
+    assert ev.gains(()).tolist() == [0.0] * cfg.n_users
+
 def test_shared_amplitude_matrix_serves_every_power():
     # the grid matrix does not depend on P_t: an evaluator handed one built
     # at another power scores exactly like one that builds its own
