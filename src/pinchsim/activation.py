@@ -131,8 +131,7 @@ def _first_improvement(ev: SetEvaluator, assignment: Sequence[int | None],
 
 def matching_activation(config: SystemConfig, deployment: Deployment,
                         alloc: PowerAllocation, initial: Matching,
-                        evaluator: SetEvaluator | None = None,
-                        max_cycles: int | None = None
+                        evaluator: SetEvaluator | None = None
                         ) -> tuple[Matching, Trajectory]:
     """Run the strict-improvement scan until a full cycle accepts nothing.
 
@@ -157,8 +156,6 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
     while improved:
         improved = False
         cycles += 1
-        if max_cycles is not None and cycles > max_cycles:
-            raise RuntimeError(f"no convergence within {max_cycles} cycles")
         evals = 0
         for antenna in range(config.k_antennas):
             start = 0

@@ -3,16 +3,15 @@
 Every trial index maps to one user drop shared by all schemes of that row
 (paired comparison), and drops depend only on (seed, trial, geometry).  A
 run loops over blocks of `BLOCK` consecutive trials, then over the sweep
-values, then over the trials of the block.  At each sweep value the block's
-power-independent objects are rebuilt only when one of their config fields
-(`DEPENDS`) changed.  Per trial, with its own random stream: the drop, the
-random initial matching and the distance-based placement.  Per block, with
-one numpy call each: the users' coordinates, the search's grid matrices and
-the random, distance and conventional schemes' amplitude terms.  A power
-sweep shares them all, an attenuation sweep shares the drops and placements,
-and a geometry or count sweep draws fresh drops per value.  Channel sums,
-SIC rates, the searches and the reports run per (sweep value, trial), and
-at most one block of drops is held at a time.
+values, then over the trials of the block.  Per trial, with its own random
+stream: the drop, the random initial matching and the distance-based
+placement.  Per block, with one numpy call each: the users' coordinates, the
+search's grid matrices and the random, distance and conventional schemes'
+amplitude terms.  None of these depends on the transmit power, so a power
+sweep builds a block once and shares it across its values; any other sweep
+builds it afresh at each value.  Channel sums, SIC rates, the searches and
+the reports run per (sweep value, trial), and at most one block of drops is
+held at a time.
 """
 
 from __future__ import annotations
@@ -51,21 +50,6 @@ COUNT_PARAMS = ("n_users", "k_antennas", "l_positions")
 
 # Consecutive trials whose power-independent objects are built together.
 BLOCK = 64
-
-# The config fields each power-independent object of a block depends on.  An
-# object is rebuilt at a sweep value only when one of its fields changed.
-_DROP = ("d1", "d2", "height", "n_users", "l_positions", "seed")
-_PLACED = _DROP + ("k_antennas",)
-_RF = ("carrier_hz", "n_eff", "kappa_db_per_m")
-DEPENDS = {
-    "drop": _DROP,                        # users, grid and feed
-    "initial": _PLACED,                   # random matching
-    "distance": _PLACED,                  # distance-based placement
-    "grid": _DROP + _RF,                  # the evaluators' (T, N, L) matrices
-    "random_terms": _PLACED + _RF,        # (T, N, K) amplitude terms
-    "distance_terms": _PLACED + _RF,
-    "conventional_terms": _PLACED + ("carrier_hz",),  # no guide, no loss
-}
 
 
 class ConfigError(ValueError):
@@ -191,6 +175,15 @@ def _round9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
+def _number(key: str, text: str, kind: type):
+    """`text` as an int or a float, or a ConfigError naming `key`."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from None
+
+
 def _drop_hash(deployment) -> str:
     coords = ",".join(f"{u.x!r}:{u.y!r}" for u in deployment.users)
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
@@ -202,8 +195,8 @@ def _report(gains, cfg, alloc) -> RateReport:
 
 
 class _Trial(NamedTuple):
-    """One trial's power-independent objects at one sweep value; None where
-    no scheme of the run asks for them."""
+    """One trial's power-independent objects; None where no scheme of the
+    run asks for them."""
 
     index: int
     deployment: Deployment
@@ -215,21 +208,11 @@ class _Trial(NamedTuple):
     conventional_terms: np.ndarray | None     # (N, K)
 
 
-def _drops(cfg: SystemConfig, trials: range):
-    """The trials' drops and their users' coordinates as one (T, N, 3)
-    array."""
-    drops = [make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
-             for trial in trials]
-    return drops, np.array([[u.as_tuple() for u in d.users] for d in drops])
-
-
-def _random_terms(cfg: SystemConfig, drop: Deployment, users: np.ndarray,
-                  initial: list[Matching]) -> np.ndarray:
-    """(T, N, K) amplitude terms of each trial's users at the grid points of
-    its random matching, in ascending position order."""
-    grid = np.array([p.as_tuple() for p in drop.positions])
-    sel = np.array([m.active_positions() for m in initial], dtype=np.intp)
-    return amplitudes(cfg, users, grid[sel], drop.feed)
+def _blocks(trials: int) -> list[range]:
+    """Ranges of at most BLOCK consecutive trial indices that cover
+    `trials`."""
+    return [range(first, min(first + BLOCK, trials))
+            for first in range(0, trials, BLOCK)]
 
 
 def _distance_terms(cfg: SystemConfig, feed: Point3, users: np.ndarray,
@@ -247,68 +230,39 @@ def _distance_terms(cfg: SystemConfig, feed: Point3, users: np.ndarray,
     return terms
 
 
-class _TrialObjects:
-    """The power-independent objects of one block of trials, each built for
-    the whole block on first use and kept for later sweep values until a
-    config field it depends on (`DEPENDS`) changes."""
-
-    def __init__(self, configs):
-        self._keys = [{name: tuple(getattr(cfg, f) for f in depends)
-                       for name, depends in DEPENDS.items()} for cfg in configs]
-        self._built: dict[str, tuple] = {}
-        self.trials = range(0)
-
-    def blocks(self, trials: int):
-        """Walk the ranges of at most BLOCK consecutive trial indices that
-        cover `trials`, dropping one block's objects before the next."""
-        for first in range(0, trials, BLOCK):
-            self._built.clear()
-            self.trials = range(first, min(first + BLOCK, trials))
-            yield self.trials
-
-    def get(self, name: str, point: int, build):
-        """The object `name` at sweep point `point`, from `build()` if the
-        fields it depends on differ from those it was last built for."""
-        key = self._keys[point][name]
-        if self._built.get(name, (None,))[0] != key:
-            # Release the stale object before building its successor, so
-            # that at most one block of it is alive.
-            self._built.pop(name, None)
-            self._built[name] = (key, build())
-        return self._built[name][1]
-
-    def block(self, point: int, cfg: SystemConfig, schemes) -> list[_Trial]:
-        """Each trial's objects at sweep point `point`: its drop, and what
-        `schemes` need of the grid matrix, the random initial matching, the
-        distance-based placement and the amplitude terms."""
-        trials = self.trials
-        drops, users = self.get("drop", point, lambda: _drops(cfg, trials))
-        none = [None] * len(trials)
-        grid = initial = random_terms = none
-        placements = distance_terms = conventional_terms = none
-        if "matching" in schemes or "exhaustive" in schemes:
-            # Looked up on the module, so the traced benchmark (perfbench)
-            # credits the matrix build to kernels.
-            grid = self.get("grid", point, lambda: kernels.amplitude_matrix(
-                cfg, drops[0], users))
-        if "matching" in schemes or "random" in schemes:
-            initial = self.get("initial", point, lambda: [
-                random_matching(cfg, d, stream_rng(cfg.seed, MATCHING_STREAM, t))
-                for t, d in zip(trials, drops)])
-        if "random" in schemes:
-            random_terms = self.get("random_terms", point, lambda: (
-                _random_terms(cfg, drops[0], users, initial)))
-        if "distance" in schemes:
-            placements = self.get("distance", point, lambda: [
-                distance_based_activation(cfg, d) for d in drops])
-            distance_terms = self.get("distance_terms", point, lambda: (
-                _distance_terms(cfg, drops[0].feed, users, placements)))
-        if "conventional" in schemes:
-            conventional_terms = self.get("conventional_terms", point, lambda: (
-                conventional_amplitudes(cfg, users)))
-        return [_Trial(*objects) for objects in zip(
-            trials, drops, grid, initial, random_terms, placements,
-            distance_terms, conventional_terms)]
+def _block(cfg: SystemConfig, trials: range, schemes) -> list[_Trial]:
+    """Each trial's drop, and what `schemes` need of the grid matrix, the
+    random initial matching, the distance-based placement and the amplitude
+    terms.  Drops, matchings and placements come from one call per trial,
+    each with its own stream; the amplitude terms of the whole block from one
+    numpy call per kind."""
+    drops = [make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
+             for trial in trials]
+    users = np.array([[u.as_tuple() for u in d.users] for d in drops])
+    none = [None] * len(trials)
+    grid = initial = random_terms = none
+    placements = distance_terms = conventional_terms = none
+    if "matching" in schemes or "exhaustive" in schemes:
+        # Looked up on the module, so the traced benchmark (perfbench)
+        # credits the matrix build to kernels.
+        grid = kernels.amplitude_matrix(cfg, drops[0], users)
+    if "matching" in schemes or "random" in schemes:
+        initial = [random_matching(cfg, d, stream_rng(cfg.seed, MATCHING_STREAM, t))
+                   for t, d in zip(trials, drops)]
+    if "random" in schemes:
+        # Each trial's users at the grid points of its random matching, in
+        # ascending position order.
+        points = np.array([p.as_tuple() for p in drops[0].positions])
+        active = np.array([m.active_positions() for m in initial], dtype=np.intp)
+        random_terms = amplitudes(cfg, users, points[active], drops[0].feed)
+    if "distance" in schemes:
+        placements = [distance_based_activation(cfg, d) for d in drops]
+        distance_terms = _distance_terms(cfg, drops[0].feed, users, placements)
+    if "conventional" in schemes:
+        conventional_terms = conventional_amplitudes(cfg, users)
+    return [_Trial(*objects) for objects in zip(
+        trials, drops, grid, initial, random_terms, placements,
+        distance_terms, conventional_terms)]
 
 
 def _score_block(block: list[_Trial], value, cfg: SystemConfig,
@@ -370,15 +324,15 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every scheme over shared user drops; aggregate means per cell.
 
     Blocks of `BLOCK` trials are the outer loop, sweep values the middle
-    one and the trials of the block the inner one.  Per block, each
-    power-independent object (drops, placements, amplitude terms) is built
-    once and shared by the sweep values that leave its config fields
-    unchanged; the amplitude terms of the whole block come from one numpy
-    call per kind, the drops and placements from one call per trial.  Only
-    the power-dependent work (channel sums, SIC rates, searches, reports)
-    runs per (sweep value, trial).  Cells collect their trials in order, so
-    the rows do not depend on the loop order.  Deterministic for a fixed
-    spec: identical specs produce identical rows (and therefore
+    one and the trials of the block the inner one.  A block's drops,
+    placements and amplitude terms are built at the first sweep value and
+    kept for the others when the sweep is over `pt_dbm`; any other sweep
+    rebuilds them at each value.  The amplitude terms of the whole block come
+    from one numpy call per kind, the drops and placements from one call per
+    trial.  Only the power-dependent work (channel sums, SIC rates, searches,
+    reports) runs per (sweep value, trial).  Cells collect their trials in
+    order, so the rows do not depend on the loop order.  Deterministic for a
+    fixed spec: identical specs produce identical rows (and therefore
     byte-identical CSV files).
     """
     schemes = spec.schemes
@@ -389,12 +343,17 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     # ratio of each trial, as float columns since all values are held at once.
     metrics = [{s: tuple(array("d") for _ in range(5)) for s in schemes}
                for _ in configs]
-    shared = _TrialObjects(configs)
-    for _ in shared.blocks(spec.trials):
+    # A block's objects do not depend on the transmit power: a power sweep
+    # (or none) builds them once per block, any other sweep at every value.
+    shared = spec.sweep is None or spec.sweep.param == "pt_dbm"
+    for trials in _blocks(spec.trials):
         for point, (value, cfg, alloc) in enumerate(
                 zip(sweep_values, configs, allocs)):
-            _score_block(shared.block(point, cfg, schemes), value, cfg, alloc,
-                         spec, metrics[point])
+            if point == 0 or not shared:
+                # Release the last block's drops before building the next.
+                block = None
+                block = _block(cfg, trials, schemes)
+            _score_block(block, value, cfg, alloc, spec, metrics[point])
     rows: list[ResultRow] = []
     for value, cells in zip(sweep_values, metrics):
         for scheme in schemes:
@@ -451,10 +410,9 @@ def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
     if count > spec.exhaustive_budget:
         raise ConfigError(f"exhaustive baseline needs {count} candidates")
     alloc = PowerAllocation.equal(cfg.n_users)
-    shared = _TrialObjects((cfg,))
     rows: list[TraceRow] = []
-    for _ in shared.blocks(spec.trials):
-        rows += _trace_block(shared.block(0, cfg, ("matching", "exhaustive")),
+    for trials in _blocks(spec.trials):
+        rows += _trace_block(_block(cfg, trials, ("matching", "exhaustive")),
                              cfg, alloc, spec.exhaustive_budget)
     if spec.output_path is not None:
         write_trace(spec.output_path, rows)
@@ -477,37 +435,47 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_results(path: Path | str, rows: list[ResultRow]) -> None:
+def _write_rows(path: Path | str, names: tuple[str, ...], rows) -> None:
+    """A CSV file with the header `names` and one line per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_FIELDS)
+        writer.writerow(names)
         for row in rows:
-            writer.writerow([_format(getattr(row, name)) for name in RESULT_FIELDS])
+            writer.writerow([_format(getattr(row, name)) for name in names])
 
 
-def read_results(path: Path | str) -> list[ResultRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader)) != RESULT_FIELDS:
-            raise ConfigError(f"unexpected header in {path}")
-        parse = {"scheme": str, "trials": int}
-        blank = ("sweep_value", "mean_cycles", "mean_ratio_to_exhaustive")
-        return [ResultRow(**{name: None if name in blank and not text
-                             else parse.get(name, float)(text)
-                             for name, text in zip(RESULT_FIELDS, rec)})
-                for rec in reader]
+def write_results(path: Path | str, rows: list[ResultRow]) -> None:
+    _write_rows(path, RESULT_FIELDS, rows)
 
 
 def write_trace(path: Path | str, rows: list[TraceRow]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for row in rows:
-            writer.writerow([_format(getattr(row, name)) for name in TRACE_FIELDS])
+    _write_rows(path, TRACE_FIELDS, rows)
+
+
+def read_results(path: Path | str) -> list[ResultRow]:
+    """The rows of a `write_results` file; a ConfigError naming the file and
+    line for a wrong header, a wrong field count or an unparseable value."""
+    kinds = {name: int if name == "trials" else float
+             for name in RESULT_FIELDS if name != "scheme"}
+    blank = ("sweep_value", "mean_cycles", "mean_ratio_to_exhaustive")
+    rows: list[ResultRow] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != RESULT_FIELDS:
+            raise ConfigError(f"unexpected header in {path}")
+        for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(RESULT_FIELDS):
+                raise ConfigError(f"{where}: expected {len(RESULT_FIELDS)} "
+                                  f"fields, got {len(rec)}")
+            row = dict(zip(RESULT_FIELDS, rec))
+            for name, kind in kinds.items():
+                row[name] = (None if name in blank and not row[name]
+                             else _number(f"{where}: {name}", row[name], kind))
+            rows.append(ResultRow(**row))
+    return rows
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -540,8 +508,7 @@ SPEC_KEYS = config_field_names() + (
     "trials", "schemes", "output_path", "exhaustive_budget",
     "sweep_param", "sweep_from", "sweep_to", "sweep_step",
 )
-_FLOAT_CONFIG_KEYS = tuple(k for k in config_field_names()
-                           if k not in COUNT_PARAMS + ("seed",))
+_INT_KEYS = COUNT_PARAMS + ("seed", "trials", "exhaustive_budget")
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
@@ -571,15 +538,12 @@ def build_spec(entries: dict[str, str], output_default: Path | None = None
     unknown = set(entries) - set(SPEC_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
-    cfg_kwargs = {}
+    numbers = {key: _number(key, text, int if key in _INT_KEYS else float)
+               for key, text in entries.items()
+               if key not in ("schemes", "output_path", "sweep_param")}
     try:
-        for key in COUNT_PARAMS + ("seed",):
-            if key in entries:
-                cfg_kwargs[key] = int(entries[key])
-        for key in _FLOAT_CONFIG_KEYS:
-            if key in entries:
-                cfg_kwargs[key] = float(entries[key])
-        base = SystemConfig(**cfg_kwargs)
+        base = SystemConfig(**{key: numbers[key] for key in config_field_names()
+                               if key in numbers})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sweep = None
@@ -591,29 +555,19 @@ def build_spec(entries: dict[str, str], output_default: Path | None = None
             raise ConfigError(f"incomplete sweep: missing {', '.join(sorted(missing))}")
         sweep = SweepSpec(
             param=entries["sweep_param"],
-            start=float(entries["sweep_from"]),
-            stop=float(entries["sweep_to"]),
-            step=float(entries["sweep_step"]),
+            start=numbers["sweep_from"],
+            stop=numbers["sweep_to"],
+            step=numbers["sweep_step"],
         )
     schemes = tuple(s.strip() for s in entries.get("schemes", "matching").split(",")
                     if s.strip())
     output = entries.get("output_path")
     output_path = Path(output) if output else output_default
-    try:
-        trials = int(entries.get("trials", "100"))
-    except ValueError as exc:
-        raise ConfigError(f"bad trials value: {entries['trials']!r}") from exc
-    optional = {}
-    if "exhaustive_budget" in entries:
-        try:
-            optional["exhaustive_budget"] = int(entries["exhaustive_budget"])
-        except ValueError as exc:
-            raise ConfigError(f"exhaustive_budget must be an integer, got "
-                              f"{entries['exhaustive_budget']!r}") from exc
+    optional = {key: numbers[key] for key in ("trials", "exhaustive_budget")
+                if key in numbers}
     return ExperimentSpec(
         base=base,
         schemes=schemes,
-        trials=trials,
         sweep=sweep,
         output_path=output_path,
         **optional,

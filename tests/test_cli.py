@@ -81,6 +81,28 @@ def test_compare_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_malformed_row_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["run", *FAST_ARGS, "--schemes", "random",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    for broken in (text.rstrip("\n").rsplit(",", 1)[0] + "\n",  # short row
+                   text.replace(",2\n", ",2,7\n"),              # extra field
+                   text.replace(",random,", ",random,x")):       # not a number
+        out.write_text(broken)
+        assert main(["compare", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}:2: ")
+
+
+def test_unparseable_sweep_value_names_its_flag(tmp_path, capsys):
+    code = main(["sweep", *FAST_ARGS, "--sweep-param", "pt_dbm",
+                 "--sweep-from", "a", "--sweep-to", "30", "--sweep-step", "5",
+                 "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: sweep_from must be a number, got 'a'\n"
+
+
 def test_bad_scheme_is_a_clean_error(tmp_path, capsys):
     code = main(["run", *FAST_ARGS, "--schemes", "bogus",
                  "--output", str(tmp_path / "x.csv")])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -195,8 +196,9 @@ def test_sweep_rows_equal_separate_runs(param):
 
 
 def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
-    # drops are built once per trial, grid matrices once per block of trials,
-    # each only when a field it depends on changes; 70 trials are two blocks
+    # drops are built once per trial, grid matrices once per block of trials;
+    # a power sweep shares them across its values, any other sweep rebuilds
+    # them at each value; 70 trials are two blocks
     assert harness.BLOCK == 64
     built = {"drops": 0, "grids": 0}
 
@@ -212,9 +214,9 @@ def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
                         counted("grids", kernels.amplitude_matrix))
     for param, start, stop, step, drops, grids in (
             ("pt_dbm", 20.0, 40.0, 10.0, 70, 2),        # nothing rebuilt
-            ("kappa_db_per_m", 0.0, 0.2, 0.1, 70, 6),   # amplitudes rebuilt
-            ("k_antennas", 1.0, 2.0, 1.0, 70, 2),       # grid kept
-            ("d1", 8.0, 12.0, 2.0, 210, 6)):            # fresh drop per value
+            ("kappa_db_per_m", 0.0, 0.2, 0.1, 210, 6),  # rebuilt per value
+            ("k_antennas", 1.0, 2.0, 1.0, 140, 4),
+            ("d1", 8.0, 12.0, 2.0, 210, 6)):
         built.update(drops=0, grids=0)
         run_experiment(ExperimentSpec(
             base=FAST, schemes=("matching", "distance"), trials=70,
@@ -252,9 +254,8 @@ def test_block_boundaries_change_no_byte(case, tmp_path):
 
 def test_block_terms_equal_per_trial_calls_exactly():
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
-    shared = harness._TrialObjects((cfg,))
-    assert list(shared.blocks(70)) == [range(0, 64), range(64, 70)]
-    block = shared.block(0, cfg, ALL_SCHEMES)
+    assert harness._blocks(70) == [range(0, 64), range(64, 70)]
+    block = harness._block(cfg, range(64, 70), ALL_SCHEMES)
     assert [t.index for t in block] == list(range(64, 70))
     for t in block:
         dep = t.deployment
@@ -339,6 +340,32 @@ def test_read_results_rejects_foreign_header(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
         read_results(bad)
+
+
+GOOD_ROW = "20,matching,1.5,0.9,2,1.25,,3\n"
+
+
+@pytest.mark.parametrize("line, error", [
+    ("20,matching,1.5,0.9,2,1.25,\n", "expected 8 fields, got 7"),
+    ("20,matching,1.5,0.9,2,1.25,,3,9\n", "expected 8 fields, got 9"),
+    ("20,matching,fast,0.9,2,1.25,,3\n", "mean_sum_rate must be a number, got 'fast'"),
+    ("20,matching,1.5,0.9,2,1.25,,3.0\n", "trials must be an integer, got '3.0'"),
+    ("20,matching,,0.9,2,1.25,,3\n", "mean_sum_rate must be a number, got ''"),
+], ids=["short", "long", "text", "fraction", "blank"])
+def test_read_results_names_the_line_of_a_malformed_row(tmp_path, line, error):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(harness.RESULT_FIELDS) + "\n" + GOOD_ROW + line)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{bad}:3: {error}')}$"):
+        read_results(bad)
+    bad.write_text(",".join(harness.RESULT_FIELDS) + "\n" + GOOD_ROW)
+    assert read_results(bad)[0].mean_ratio_to_exhaustive is None
+
+
+def test_read_results_rejects_an_empty_file(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ConfigError, match="unexpected header"):
+        read_results(empty)
 
 
 def test_convergence_trace_shape():
@@ -454,3 +481,18 @@ def test_build_spec_errors():
     spec = build_spec({})
     assert spec.base == SystemConfig()
     assert spec.schemes == ("matching",)
+
+
+NUMERIC_KEYS = [(key, "2.0" if key in harness.COUNT_PARAMS + ("seed",)
+                 else "a") for key in harness.config_field_names()] + [
+    ("trials", "2.0"), ("exhaustive_budget", "2.0"),
+    ("sweep_from", "a"), ("sweep_to", "a"), ("sweep_step", "a")]
+
+
+@pytest.mark.parametrize("key, text", NUMERIC_KEYS)
+def test_unparseable_number_names_its_key(key, text):
+    entries = {"sweep_param": "pt_dbm", "sweep_from": "20", "sweep_to": "30",
+               "sweep_step": "5", key: text}
+    what = "an integer" if text == "2.0" else "a number"
+    with pytest.raises(ConfigError, match=f"^{key} must be {what}, got '{text}'$"):
+        build_spec(entries)
