@@ -77,7 +77,7 @@ class Trajectory:
     moves: tuple[Move, ...]
     move_cycles: tuple[int, ...]          # 1-based cycle of each accepted move
     cycles: int
-    evaluations: int                      # candidate utility calls, total
+    evaluations: int                      # candidates examined, total
     evaluations_per_cycle: tuple[int, ...]
 
     def __post_init__(self):
@@ -96,37 +96,55 @@ def random_matching(config: SystemConfig, deployment: Deployment,
     return Matching(assignment=tuple(int(p) for p in positions))
 
 
+def _mask(positions) -> int:
+    """An activation as a bitmask of its position indices."""
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
+
+
 def _first_improvement(ev: SetEvaluator, assignment: Sequence[int | None],
-                       antenna: int, utility: float, start: int = 0
+                       antenna: int, utility: float, start: int,
+                       memo: dict[int, float]
                        ) -> tuple[int, Move | None, float]:
     """Scan one antenna's candidate moves at positions >= start, in position
     order, for the first with a utility above `utility`.
 
     A free position is a relocation candidate (an activation when the antenna
     is inactive); the antenna's own position is its deactivation candidate;
-    positions held by other antennas are skipped.  All relocations are scored
-    in one batch.  Returns the number of candidates up to and including the
-    first improving one, that move and its utility; or the number of
-    candidates, None and the given utility when none improves.
+    positions held by other antennas are skipped.  `memo` maps every set
+    scored so far, as a `_mask`, to its utility: the relocations it lacks are
+    scored in one batch, the deactivation only once the scan reaches it, and
+    no set is scored twice while the memo lives.  Returns the number of
+    candidates up to and including the first improving one, that move and its
+    utility; or the number of candidates, None and the given utility when
+    none improves.  A candidate found in the memo still counts.
     """
     source = assignment[antenna]
     others = [p for p in assignment if p is not None and p != source]
+    base = _mask(others)
     taken = set(assignment)
     positions = [p for p in range(start, ev.n_positions) if p not in taken]
-    rows = np.empty((len(positions), len(others) + 1), dtype=np.intp)
-    rows[:, :-1] = others
-    rows[:, -1] = positions
-    gains = ev.utilities(rows)
+    fresh = [p for p in positions if base | 1 << p not in memo]
+    if fresh:
+        rows = np.empty((len(fresh), len(others) + 1), dtype=np.intp)
+        rows[:, :-1] = others
+        rows[:, -1] = fresh
+        for p, gain in zip(fresh, ev.utilities(rows).tolist()):
+            memo[base | 1 << p] = gain
     if source is not None and source >= start:
-        at = bisect_left(positions, source)
-        positions.insert(at, source)
-        gains = np.concatenate((gains[:at], (ev.utility(others),), gains[at:]))
-    better = np.flatnonzero(gains > utility)
-    if better.size == 0:
-        return len(positions), None, utility
-    i = int(better[0])
-    pos = positions[i]
-    return i + 1, Move(antenna, source, None if pos == source else pos), float(gains[i])
+        positions.insert(bisect_left(positions, source), source)
+    for i, pos in enumerate(positions):
+        if pos == source:
+            if base not in memo:
+                memo[base] = ev.utility(others)
+            gain = memo[base]
+        else:
+            gain = memo[base | 1 << pos]
+        if gain > utility:
+            return i + 1, Move(antenna, source, None if pos == source else pos), gain
+    return len(positions), None, utility
 
 
 def matching_activation(config: SystemConfig, deployment: Deployment,
@@ -137,16 +155,20 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
 
     Antennas are scanned in ascending index, positions likewise.  A free
     position is a relocation candidate for the current antenna; the antenna's
-    own position is its deactivation candidate.  Each candidate costs one
-    utility evaluation, so a cycle evaluates at most K*L candidates.  After an
-    accepted move the antenna's scan resumes at the next position, from the
-    new state.
+    own position is its deactivation candidate.  A cycle examines at most
+    K*L candidates.  After an accepted move the antenna's scan resumes at the
+    next position, from the new state.  The run keeps the utility of every
+    set it scores, so each candidate set costs one evaluation per run however
+    often it is examined; the memo dies with the run, as the evaluator is
+    bound to one transmit power.
     """
     if initial.k_antennas != config.k_antennas:
         raise ValueError("initial matching has the wrong number of antennas")
     ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
     assignment = list(initial.assignment)
-    utility = ev.utility(initial.active_positions())
+    active = initial.active_positions()
+    utility = ev.utility(active)
+    memo = {_mask(active): utility}
     utilities = [utility]
     moves: list[Move] = []
     move_cycles: list[int] = []
@@ -160,9 +182,9 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
         for antenna in range(config.k_antennas):
             start = 0
             while True:
-                scored, move, utility = _first_improvement(
-                    ev, assignment, antenna, utility, start)
-                evals += scored
+                examined, move, utility = _first_improvement(
+                    ev, assignment, antenna, utility, start, memo)
+                evals += examined
                 if move is None:
                     break
                 assignment[antenna] = move.target
@@ -195,8 +217,10 @@ def check_stability(matching: Matching, config: SystemConfig,
     """
     ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
     utility = ev.utility(matching.active_positions())
+    memo: dict[int, float] = {}
     for antenna in range(matching.k_antennas):
-        _, move, _ = _first_improvement(ev, matching.assignment, antenna, utility)
+        _, move, _ = _first_improvement(ev, matching.assignment, antenna,
+                                        utility, 0, memo)
         if move is not None:
             return False, move
     return True, None

@@ -182,8 +182,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             if row.sweep_value not in values:
                 values.append(row.sweep_value)
     if not cells:
-        print("no rows found", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no rows found in {', '.join(map(str, args.csv))}")
     width = max(10, *(len(s) + 2 for s in schemes))
     print("mean sum rate (bits/s/Hz)")
     print(f"{'sweep':>10}" + "".join(f"{s:>{width}}" for s in schemes))

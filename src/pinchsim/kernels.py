@@ -1,8 +1,10 @@
 """The precomputed set evaluator and its sum-rate kernel.
 
 The evaluator exposes one operation, the sum rate of a candidate activation,
-which the matching search and the exhaustive search call O(C*K*L) times per
-drop; the matching search scores one antenna's candidates as a batch.
+for one set (`utility`) or a batch of sets of one size (`utilities`).  The
+exhaustive search scores every set once, one per call.  The matching search
+scores, in one batch, the relocations of one antenna that its run has not
+scored yet, and reuses the rest.
 """
 
 from __future__ import annotations

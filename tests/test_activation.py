@@ -18,6 +18,9 @@ from pinchsim import (ActiveSet, BudgetExceededError, Matching, Move,
                       exhaustive_search, make_deployment, matching_activation,
                       power_gains, random_matching, rate_report, stream_rng,
                       sum_rate)
+from pinchsim.cli import PRESETS
+from pinchsim.harness import build_spec
+from pinchsim.kernels import amplitude_matrix
 from pinchsim.scenario import Deployment, Point3
 
 
@@ -161,6 +164,67 @@ def test_batched_scan_equals_reference_scan():
             moves = want[1].moves
             assert check_stability(init, cfg, dep, alloc) == (
                 (False, moves[0]) if moves else (True, None))
+
+
+class _RecordingEvaluator(SetEvaluator):
+    """Records every set it scores: one per `utility` call and one per row
+    of a `utilities` batch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.scored: list[tuple[int, ...]] = []
+
+    def utility(self, indices):
+        self.scored.append(tuple(sorted(indices)))
+        return super().utility(indices)
+
+    def utilities(self, rows):
+        self.scored.extend(tuple(sorted(r)) for r in np.asarray(rows).tolist())
+        return super().utilities(rows)
+
+
+def _scan_start(cfg, dep, rng, inactive):
+    """A random full matching with its first `inactive` antennas switched off."""
+    assignment = list(random_matching(cfg, dep, rng).assignment)
+    for antenna in range(inactive):
+        assignment[antenna] = None
+    return Matching(assignment=tuple(assignment))
+
+
+def test_scan_scores_each_candidate_set_once():
+    # a candidate set met again, after an accepted move or in the final
+    # silent cycle, reuses its utility; the trajectory, evaluation counts
+    # included, is still the candidate-by-candidate scan's
+    rng = np.random.default_rng(509)
+    for n, k, l_positions, drops in [(2, 2, 20, 30), (4, 4, 30, 12),
+                                     (8, 8, 60, 6)]:
+        for drop in range(drops):
+            cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                               l_positions=l_positions)
+            dep = make_deployment(cfg, rng)
+            alloc = PowerAllocation.equal(n)
+            init = _scan_start(cfg, dep, rng, drop % 3)
+            ev = _RecordingEvaluator(cfg, dep, alloc)
+            got = matching_activation(cfg, dep, alloc, init, evaluator=ev)
+            assert len(set(ev.scored)) == len(ev.scored)
+            assert got == reference_scan(cfg, dep, alloc, init)
+
+
+def test_scan_memo_never_crosses_powers():
+    # evaluators at every power of the power preset share one drop's grid
+    # matrix; each scan must still score with its own power
+    spec = build_spec(PRESETS["power"])
+    rng = np.random.default_rng(510)
+    for drop in range(6):
+        dep = make_deployment(spec.base, rng)
+        amp = amplitude_matrix(spec.base, dep)
+        alloc = PowerAllocation.equal(spec.base.n_users)
+        init = _scan_start(spec.base, dep, rng, drop % 3)
+        for pt_dbm in spec.sweep.values():
+            cfg = dataclasses.replace(spec.base, pt_dbm=pt_dbm)
+            ev = SetEvaluator(cfg, dep, alloc, amp=amp)
+            assert (matching_activation(cfg, dep, alloc, init, evaluator=ev)
+                    == reference_scan(cfg, dep, alloc, init))
 
 
 def test_stability_of_search_output():

@@ -95,6 +95,20 @@ def test_compare_malformed_row_is_a_clean_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {out}:2: ")
 
 
+def test_compare_header_only_files_are_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["run", *FAST_ARGS, "--schemes", "random",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    out.write_text(out.read_text().splitlines(keepends=True)[0])
+    empty = tmp_path / "d.csv"
+    empty.write_text(out.read_text())
+    assert main(["compare", str(out), str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no rows found in ")
+    assert str(out) in err and str(empty) in err
+
+
 def test_unparseable_sweep_value_names_its_flag(tmp_path, capsys):
     code = main(["sweep", *FAST_ARGS, "--sweep-param", "pt_dbm",
                  "--sweep-from", "a", "--sweep-to", "30", "--sweep-step", "5",
