@@ -14,7 +14,7 @@ from .harness import (ConfigError, ExperimentSpec, ResultRow, SweepSpec,
 from .kernels import SetEvaluator, amplitude_matrix
 from .noma import (PowerAllocation, RateReport, jain_fairness, rate_report,
                    sic_rates, sum_rate)
-from .scenario import (Deployment, Point3, SystemConfig, build_positions,
+from .scenario import (Deployment, SystemConfig, build_positions,
                        dbm_to_watts, derived_rf, feed_point, make_deployment,
                        sample_users, stream_rng)
 
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSet", "BudgetExceededError", "ConfigError",
     "Deployment", "ExperimentSpec", "Matching", "Move",
-    "Point3", "PowerAllocation", "RateReport", "ResultRow", "SetEvaluator",
+    "PowerAllocation", "RateReport", "ResultRow", "SetEvaluator",
     "SweepSpec", "SystemConfig", "TraceRow", "Trajectory",
     "amplitude_matrix", "amplitudes", "build_positions", "build_spec",
     "candidate_count", "check_stability", "conventional_baseline",

@@ -21,8 +21,8 @@ import numpy as np
 from .channel import ActiveSet, amplitudes, power_gains
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report
-from .scenario import (Deployment, Point3, SystemConfig, dbm_to_watts,
-                       derived_rf)
+from .scenario import (Deployment, SystemConfig, dbm_to_watts, derived_rf,
+                       waveguide_points)
 
 
 class Move(NamedTuple):
@@ -259,36 +259,33 @@ def exhaustive_search(config: SystemConfig, deployment: Deployment,
 
 
 def distance_based_activation(config: SystemConfig,
-                              deployment: Deployment) -> tuple[Point3, ...]:
-    """Antenna points on the waveguide right above the users' x-coordinates,
-    off the candidate grid.
+                              deployment: Deployment) -> np.ndarray:
+    """(S, 3) antenna points on the waveguide right above the users'
+    x-coordinates, off the candidate grid.
 
     Pairs antenna k with user k for k up to min(K, N); the surplus side stays
-    idle.  Coinciding placements collapse to a single antenna.
+    idle.  Coinciding placements collapse to a single antenna, the first.
     """
     n_pairs = min(config.k_antennas, len(deployment.users))
-    xs: list[float] = []
-    for user in deployment.users[:n_pairs]:
-        if user.x not in xs:
-            xs.append(user.x)
-    return tuple(Point3(x, 0.0, config.height) for x in xs)
+    xs = dict.fromkeys(deployment.users[:n_pairs, 0].tolist())
+    return waveguide_points(list(xs), config.height)
 
 
-def conventional_positions(config: SystemConfig) -> tuple[Point3, ...]:
-    """Fixed half-wavelength array centred over the rectangle, height d."""
+def conventional_positions(config: SystemConfig) -> np.ndarray:
+    """(K, 3) fixed half-wavelength array centred over the rectangle,
+    height d."""
     lam, _, _ = derived_rf(config)
     k = config.k_antennas
-    return tuple(
-        Point3(config.d1 / 2.0 + (i + 1 - (k + 1) / 2.0) * lam / 2.0, 0.0,
-               config.height)
-        for i in range(k)
-    )
+    return waveguide_points(
+        [config.d1 / 2.0 + (i + 1 - (k + 1) / 2.0) * lam / 2.0
+         for i in range(k)], config.height)
 
 
-def conventional_amplitudes(config: SystemConfig, users) -> np.ndarray:
-    """(..., N, K) `amplitudes` of the users, a Point3 sequence or a
-    (..., N, 3) coordinate array, at the fixed array: no feed, so no guide
-    phase and no loss.  They do not depend on the transmit power."""
+def conventional_amplitudes(config: SystemConfig, users: np.ndarray
+                            ) -> np.ndarray:
+    """(..., N, K) `amplitudes` of the (..., N, 3) users at the fixed array:
+    no feed, so no guide phase and no loss.  They do not depend on the
+    transmit power."""
     return amplitudes(config, users, conventional_positions(config), None)
 
 

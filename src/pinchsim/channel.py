@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Deployment, Point3, SystemConfig, dbm_to_watts, derived_rf
+from .scenario import Deployment, SystemConfig, dbm_to_watts, derived_rf
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,9 @@ class ActiveSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def antenna_points(self, deployment: Deployment) -> tuple[Point3, ...]:
-        n = len(deployment.positions)
-        if any(i >= n for i in self.indices):
-            raise ValueError("position index out of range")
-        return tuple(deployment.positions[i] for i in self.indices)
-
-
-def _coords(points) -> np.ndarray:
-    """(..., M, 3) coordinates: a coordinate array as it is, or a Point3
-    sequence as an (M, 3) array."""
-    if isinstance(points, np.ndarray):
-        return points
-    return np.array([q.as_tuple() for q in points], dtype=float).reshape(-1, 3)
+    def antenna_points(self, deployment: Deployment) -> np.ndarray:
+        """(S, 3) coordinates of the active positions, in index order."""
+        return deployment.positions[list(self.indices)]
 
 
 def _distances(points: np.ndarray, users: np.ndarray) -> np.ndarray:
@@ -57,27 +47,26 @@ def _distances(points: np.ndarray, users: np.ndarray) -> np.ndarray:
     return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
 
 
-def amplitudes(config: SystemConfig, users, points, feed: Point3 | None
-               ) -> np.ndarray:
+def amplitudes(config: SystemConfig, users: np.ndarray, points: np.ndarray,
+               feed: np.ndarray | None) -> np.ndarray:
     """(..., N, S) complex amplitude terms of N users and S antenna points.
 
-    `users` and `points` are Point3 sequences or (..., N, 3) and (..., S, 3)
-    coordinate arrays whose leading axes broadcast, so one call builds the
-    terms of a whole block of drops.  Entry (n, s) is the spherical-wave
-    coefficient of user n and point s, rotated by the waveguide phase of s
-    and scaled by the square root of the dielectric attenuation over its
-    feed distance; `feed=None` is a fixed array, with neither.  Phases stay
-    real until the exponential: numpy divides a complex by a real through
-    the reciprocal, an ulp off at thousands of radians.
+    `users` and `points` are (..., N, 3) and (..., S, 3) coordinate arrays
+    whose leading axes broadcast, so one call builds the terms of a whole
+    block of drops.  Entry (n, s) is the spherical-wave coefficient of user
+    n and point s, rotated by the waveguide phase of s and scaled by the
+    square root of the dielectric attenuation over its distance from the (3,)
+    `feed`; `feed=None` is a fixed array, with neither.  Phases stay real
+    until the exponential: numpy divides a complex by a real through the
+    reciprocal, an ulp off at thousands of radians.
     """
     lam, lam_g, eta = derived_rf(config)
-    points = _coords(points)
-    r = _distances(points, _coords(users))
+    r = _distances(points, users)
     if not r.all():
         raise ValueError("user and antenna coincide (singular channel)")
     amp = np.exp(-1j * (2.0 * np.pi * r / lam)) * (eta / r)
     if feed is not None:
-        r = _distances(points, _coords((feed,)))
+        r = _distances(points, feed[None])
         col = np.exp(-1j * (2.0 * np.pi * r / lam_g)) * np.sqrt(
             10.0 ** (-config.kappa_db_per_m * r / 10.0))
         # The product by parts: numpy's complex multiply may fuse in its
@@ -103,10 +92,11 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     return (pt_watts / terms.shape[-1]) * (z.real * z.real + z.imag * z.imag)
 
 
-def effective_channel(users: tuple[Point3, ...], active: ActiveSet,
+def effective_channel(users: np.ndarray, active: ActiveSet,
                       deployment: Deployment, config: SystemConfig,
                       amp: np.ndarray | None = None) -> np.ndarray:
-    """(N,) power gains |h_n|^2 of every user for the given activation.
+    """(N,) power gains |h_n|^2 of the (N, 3) `users` for the given
+    activation.
 
     `amp`, the users' `amplitudes` at the active antennas, spares their
     rebuild when the caller keeps them across transmit powers.  Empty active

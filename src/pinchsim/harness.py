@@ -37,8 +37,8 @@ from .activation import (Matching, candidate_count, conventional_amplitudes,
 from .channel import amplitudes, power_gains
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report, sum_rate
-from .scenario import (MATCHING_STREAM, USER_STREAM, Deployment, Point3,
-                       SystemConfig, config_field_names, dbm_to_watts,
+from .scenario import (MATCHING_STREAM, USER_STREAM, Deployment,
+                       SystemConfig, config_field_names, dbm_to_watts, integer,
                        make_deployment, stream_rng)
 
 log = logging.getLogger(__name__)
@@ -103,13 +103,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
+        for name in ("trials", "exhaustive_budget"):
+            value = integer(name, getattr(self, name), ConfigError)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.output_path is not None:
             object.__setattr__(self, "output_path", Path(self.output_path))
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.exhaustive_budget < 1:
-            raise ConfigError(f"exhaustive_budget must be >= 1, got "
-                              f"{self.exhaustive_budget!r}")
         if not self.schemes:
             raise ConfigError("need at least one scheme")
         for s in self.schemes:
@@ -119,15 +119,12 @@ class ExperimentSpec:
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must be distinct")
         for cfg in self.configs():
-            if "exhaustive" in self.schemes:
-                count = candidate_count(cfg.l_positions, cfg.k_antennas)
-                if count > self.exhaustive_budget:
-                    raise ConfigError(
-                        f"exhaustive search needs {count} candidates at "
-                        f"{self.sweep.param}={getattr(cfg, self.sweep.param)}"
-                        if self.sweep else
-                        f"exhaustive search needs {count} candidates",
-                    )
+            count = candidate_count(cfg.l_positions, cfg.k_antennas)
+            if "exhaustive" in self.schemes and count > self.exhaustive_budget:
+                param = self.sweep and self.sweep.param
+                where = f" at {param}={getattr(cfg, param)}" if param else ""
+                raise ConfigError(
+                    f"exhaustive search needs {count} candidates{where}")
 
     def configs(self) -> tuple[SystemConfig, ...]:
         """The swept configurations (just the base when there is no sweep)."""
@@ -164,9 +161,14 @@ class TraceRow:
 
 
 def apply_sweep_value(base: SystemConfig, param: str, value: float) -> SystemConfig:
+    """`base` with `param` set to `value`; a ConfigError naming both when
+    that makes an invalid configuration."""
     if param in COUNT_PARAMS:
-        return replace(base, **{param: int(round(value))})
-    return replace(base, **{param: value})
+        value = int(round(value))
+    try:
+        return replace(base, **{param: value})
+    except ValueError as exc:
+        raise ConfigError(f"sweep value {param}={value}: {exc}") from None
 
 
 def _round9(x: float) -> float:
@@ -185,7 +187,8 @@ def _number(key: str, text: str, kind: type):
 
 
 def _drop_hash(deployment) -> str:
-    coords = ",".join(f"{u.x!r}:{u.y!r}" for u in deployment.users)
+    """A digest of the users' x and y, printed from Python floats."""
+    coords = ",".join(f"{x!r}:{y!r}" for x, y, _ in deployment.users.tolist())
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
@@ -203,7 +206,7 @@ class _Trial(NamedTuple):
     grid: np.ndarray | None                   # (N, L) amplitude matrix
     initial: Matching | None
     random_terms: np.ndarray | None           # (N, K)
-    placement: tuple[Point3, ...] | None      # distance-based points
+    placement: np.ndarray | None              # (S, 3) distance-based points
     distance_terms: np.ndarray | None         # (N, S)
     conventional_terms: np.ndarray | None     # (N, K)
 
@@ -215,8 +218,8 @@ def _blocks(trials: int) -> list[range]:
             for first in range(0, trials, BLOCK)]
 
 
-def _distance_terms(cfg: SystemConfig, feed: Point3, users: np.ndarray,
-                    placements: list[tuple[Point3, ...]]) -> list[np.ndarray]:
+def _distance_terms(cfg: SystemConfig, feed: np.ndarray, users: np.ndarray,
+                    placements: list[np.ndarray]) -> list[np.ndarray]:
     """Each trial's (N, S) amplitude terms at its distance-based placement.
     Trials are batched by S, since coinciding users collapse placements."""
     terms: list = [None] * len(placements)
@@ -224,7 +227,7 @@ def _distance_terms(cfg: SystemConfig, feed: Point3, users: np.ndarray,
     for i, points in enumerate(placements):
         by_size.setdefault(len(points), []).append(i)
     for idx in by_size.values():
-        points = np.array([[p.as_tuple() for p in placements[i]] for i in idx])
+        points = np.stack([placements[i] for i in idx])
         for i, amp in zip(idx, amplitudes(cfg, users[idx], points, feed)):
             terms[i] = amp
     return terms
@@ -238,7 +241,7 @@ def _block(cfg: SystemConfig, trials: range, schemes) -> list[_Trial]:
     numpy call per kind."""
     drops = [make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
              for trial in trials]
-    users = np.array([[u.as_tuple() for u in d.users] for d in drops])
+    users = np.stack([d.users for d in drops])
     none = [None] * len(trials)
     grid = initial = random_terms = none
     placements = distance_terms = conventional_terms = none
@@ -252,9 +255,9 @@ def _block(cfg: SystemConfig, trials: range, schemes) -> list[_Trial]:
     if "random" in schemes:
         # Each trial's users at the grid points of its random matching, in
         # ascending position order.
-        points = np.array([p.as_tuple() for p in drops[0].positions])
         active = np.array([m.active_positions() for m in initial], dtype=np.intp)
-        random_terms = amplitudes(cfg, users, points[active], drops[0].feed)
+        random_terms = amplitudes(cfg, users, drops[0].positions[active],
+                                  drops[0].feed)
     if "distance" in schemes:
         placements = [distance_based_activation(cfg, d) for d in drops]
         distance_terms = _distance_terms(cfg, drops[0].feed, users, placements)

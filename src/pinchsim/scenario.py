@@ -2,12 +2,14 @@
 
 Coordinate convention: the waveguide runs along the x-axis at y=0, z=height,
 fed from the x=0 end; users live in the ground rectangle x in [0, d1],
-y in [-d2/2, d2/2], z=0.
+y in [-d2/2, d2/2], z=0.  Point sets are float arrays of shape (M, 3), one
+(x, y, z) row per point; a deployment's are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -20,20 +22,12 @@ USER_STREAM = 0
 MATCHING_STREAM = 1
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A location in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"coordinates must be finite, got {self!r}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+def integer(name: str, value, error: type[Exception] = ValueError) -> int:
+    """`value`, a Python or numpy integer, as an int; `error` naming `name`
+    for anything else, a bool included."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +52,8 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("n_users", "k_antennas", "l_positions", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -86,56 +82,64 @@ class SystemConfig:
                 f"wavelength ({half_wave:.6g} m)")
 
 
-# Position tuples that passed `_check_grid`, newest first.  Drops of one
-# configuration share the cached `build_positions` tuple, so its check runs
-# once, not once per drop.
-_CHECKED_GRIDS: list[tuple[Point3, ...]] = []
-
-
-def _check_grid(positions: tuple[Point3, ...]) -> None:
-    """Raise ValueError unless the positions are uniformly spaced in
-    ascending x; a tuple that passed before is not checked again."""
-    global _CHECKED_GRIDS
-    if any(positions is grid for grid in _CHECKED_GRIDS):
-        return
-    xs = [p.x for p in positions]
+def _check_grid(xs: np.ndarray) -> None:
+    """ValueError unless every gap of the candidate x-coordinates is
+    `math.isclose` to the mean step and positive; the first gap that is not
+    decides the message."""
     span = xs[-1] - xs[0]
     step = span / (len(xs) - 1)
-    for i in range(1, len(xs)):
-        if not math.isclose(xs[i] - xs[i - 1], step, rel_tol=1e-12,
-                            abs_tol=1e-12 * max(1.0, span)):
+    gaps = xs[1:] - xs[:-1]
+    abs_tol = 1e-12 * max(1.0, span)
+    # Gaps within isclose's step-relative or absolute tolerance (capped, so
+    # an infinite gap or step never passes) are close; the rest go through
+    # isclose itself, in order.
+    bound = min(max(1e-12 * abs(step), abs_tol), sys.float_info.max)
+    for gap in gaps[(np.abs(gaps - step) > bound) | (gaps <= 0.0)].tolist():
+        if not math.isclose(gap, step, rel_tol=1e-12, abs_tol=abs_tol):
             raise ValueError("candidate positions must be uniformly spaced")
-        if xs[i] <= xs[i - 1]:
+        if gap <= 0.0:
             raise ValueError("candidate positions must have ascending x")
-    _CHECKED_GRIDS = [positions, *_CHECKED_GRIDS[:15]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deployment:
-    """One realization: user drop, candidate antenna positions, feed point."""
+    """One realization: user drop, candidate antenna positions, feed point.
 
-    users: tuple[Point3, ...]
-    positions: tuple[Point3, ...]
-    feed: Point3
+    `users` is (N, 3), `positions` (L, 3) and `feed` (3,): read-only float
+    copies of the given coordinates, in meters.
+    """
+
+    users: np.ndarray
+    positions: np.ndarray
+    feed: np.ndarray
     d1: float | None = field(repr=False, default=None)  # rectangle bounds
     d2: float | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "positions", tuple(self.positions))
+        for name, ndim in (("users", 2), ("positions", 2), ("feed", 1)):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            if arr.ndim != ndim or arr.shape[-1] != 3:
+                raise ValueError(f"{name} must have shape "
+                                 f"{'(M, 3)' if ndim == 2 else '(3,)'}, "
+                                 f"got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} coordinates must be finite")
+            object.__setattr__(self, name, arr)
         if len(self.positions) < 2:
             raise ValueError("need at least two candidate positions")
-        _check_grid(self.positions)
-        d1 = (self.d1 if self.d1 is not None
-              else self.positions[-1].x - self.positions[0].x)
-        d2 = self.d2
-        for u in self.users:
-            if u.z != 0.0:
-                raise ValueError("users must lie in the z=0 plane")
-            if not 0.0 <= u.x <= d1 * (1 + 1e-12):
-                raise ValueError(f"user x={u.x} outside [0, {d1}]")
-            if d2 is not None and abs(u.y) > d2 / 2 * (1 + 1e-12):
-                raise ValueError(f"user y={u.y} outside [-{d2/2}, {d2/2}]")
+        xs = self.positions[:, 0]
+        _check_grid(xs)
+        x, y, z = self.users.T
+        if z.any():
+            raise ValueError("users must lie in the z=0 plane")
+        d1 = self.d1 if self.d1 is not None else xs[-1] - xs[0]
+        half = math.inf if self.d2 is None else self.d2 / 2
+        for axis, v, lo, hi in (("x", x, 0.0, d1), ("y", y, -half, half)):
+            outside = (v < lo * (1 + 1e-12)) | (v > hi * (1 + 1e-12))
+            if outside.any():
+                raise ValueError(f"user {axis}={v[outside][0]} outside "
+                                 f"[{lo}, {hi}]")
 
 
 def derived_rf(config: SystemConfig) -> tuple[float, float, float]:
@@ -148,28 +152,41 @@ def derived_rf(config: SystemConfig) -> tuple[float, float, float]:
     return lam, lam / config.n_eff, lam / (4.0 * math.pi)
 
 
+def waveguide_points(xs, height: float) -> np.ndarray:
+    """(M, 3) points on the waveguide axis (y=0, z=height) at the given
+    x-coordinates."""
+    points = np.full((len(xs), 3), (0.0, 0.0, height))
+    points[:, 0] = xs
+    return points
+
+
 @lru_cache(maxsize=16)
-def build_positions(config: SystemConfig) -> tuple[Point3, ...]:
-    """Uniformly spaced candidate positions along the waveguide, cached per
-    configuration so that its drops share one grid.
+def build_positions(config: SystemConfig) -> np.ndarray:
+    """(L, 3) uniformly spaced candidate positions along the waveguide,
+    cached per configuration, so read-only.
 
     Position i sits at x = i*d1/(L-1), y=0, z=height, for i = 0..L-1.
     """
     step_den = config.l_positions - 1
-    return tuple(Point3(config.d1 * i / step_den, 0.0, config.height)
-                 for i in range(config.l_positions))
+    grid = waveguide_points(
+        [config.d1 * i / step_den for i in range(config.l_positions)],
+        config.height)
+    grid.flags.writeable = False
+    return grid
 
 
-def feed_point(config: SystemConfig) -> Point3:
-    """Waveguide feed at the x=0 end, on the waveguide axis."""
-    return Point3(0.0, 0.0, config.height)
+def feed_point(config: SystemConfig) -> np.ndarray:
+    """(3,) waveguide feed at the x=0 end, on the waveguide axis."""
+    return np.array((0.0, 0.0, config.height))
 
 
-def sample_users(config: SystemConfig, rng: np.random.Generator) -> tuple[Point3, ...]:
-    """Drop n_users uniformly in the rectangle, on the ground plane."""
-    xs = rng.uniform(0.0, config.d1, config.n_users)
-    ys = rng.uniform(-config.d2 / 2.0, config.d2 / 2.0, config.n_users)
-    return tuple(Point3(float(x), float(y), 0.0) for x, y in zip(xs, ys))
+def sample_users(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """(N, 3) users dropped uniformly in the rectangle, on the ground
+    plane."""
+    users = np.zeros((config.n_users, 3))
+    users[:, 0] = rng.uniform(0.0, config.d1, config.n_users)
+    users[:, 1] = rng.uniform(-config.d2 / 2.0, config.d2 / 2.0, config.n_users)
+    return users
 
 
 def make_deployment(config: SystemConfig, rng: np.random.Generator) -> Deployment:

@@ -40,9 +40,9 @@ def random_subset(rng, l_positions, k_max):
 def oracle_sum_rate(cfg, deployment, antenna_points, alloc):
     """Route one activation through the independent scalar reference."""
     return reference.reference_sum_rate(
-        [u.as_tuple() for u in deployment.users],
-        [p.as_tuple() for p in antenna_points],
-        deployment.feed.as_tuple(),
+        deployment.users.tolist(),
+        antenna_points.tolist(),
+        deployment.feed.tolist(),
         dbm_to_watts(cfg.pt_dbm),
         dbm_to_watts(cfg.noise_dbm),
         cfg.kappa_db_per_m,

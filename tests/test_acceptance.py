@@ -78,8 +78,8 @@ def test_criterion_01_oracle_equivalence():
         cfg, dep, alloc = helpers.random_instance(rng, n_max=4, k_max=4, l_max=12)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         got = sum_rate(ActiveSet(indices=sel), dep, cfg, alloc).sum_rate
-        want = helpers.oracle_sum_rate(cfg, dep,
-                                       [dep.positions[i] for i in sel], alloc)
+        want = helpers.oracle_sum_rate(cfg, dep, dep.positions[list(sel)],
+                                       alloc)
         rel = abs(got - want) / abs(want)
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -197,15 +197,14 @@ def test_criterion_10_invariant_suite():
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
         pt = dbm_to_watts(cfg.pt_dbm)
-        for user, gain in zip(dep.users, gains):
+        for user, gain in zip(dep.users.tolist(), gains):
             bound = 0.0
             for i in sel:
-                p = dep.positions[i]
-                d_feed = reference.euclid(dep.feed.as_tuple(), p.as_tuple())
+                p = dep.positions[i].tolist()
+                d_feed = reference.euclid(dep.feed.tolist(), p)
                 power = reference.reference_antenna_power(
                     pt, len(sel), cfg.kappa_db_per_m, d_feed)
-                coeff = reference.reference_coeff(user.as_tuple(), p.as_tuple(),
-                                                  cfg.carrier_hz)
+                coeff = reference.reference_coeff(user, p, cfg.carrier_hz)
                 bound += abs(coeff) * math.sqrt(power)
             assert math.sqrt(gain) <= bound * (1 + 1e-9)
 

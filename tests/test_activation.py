@@ -21,7 +21,7 @@ from pinchsim import (ActiveSet, BudgetExceededError, Matching, Move,
 from pinchsim.cli import PRESETS
 from pinchsim.harness import build_spec
 from pinchsim.kernels import amplitude_matrix
-from pinchsim.scenario import Deployment, Point3
+from pinchsim.scenario import Deployment, waveguide_points
 
 
 def small_instance(rng):
@@ -131,9 +131,9 @@ def test_single_user_moves_to_nearest_position():
     # user straight below the middle of three positions, lossless waveguide
     cfg = SystemConfig(d1=10.0, l_positions=3, n_users=1, k_antennas=1,
                        kappa_db_per_m=0.0)
-    dep = Deployment(users=(Point3(5.0, 0.0, 0.0),),
-                     positions=tuple(Point3(x, 0.0, 3.0) for x in (0.0, 5.0, 10.0)),
-                     feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
+    dep = Deployment(users=((5.0, 0.0, 0.0),),
+                     positions=waveguide_points((0.0, 5.0, 10.0), 3.0),
+                     feed=(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
     alloc = PowerAllocation.equal(1)
     for start in (0, 2):
         final, traj = matching_activation(cfg, dep, alloc,
@@ -266,9 +266,9 @@ def test_deactivation_never_improves_single_antenna():
     # symmetric two-position instance is stable in place
     cfg = SystemConfig(d1=10.0, l_positions=2, n_users=1, k_antennas=1,
                        kappa_db_per_m=0.0)
-    dep = Deployment(users=(Point3(5.0, 0.0, 0.0),),
-                     positions=(Point3(0.0, 0.0, 3.0), Point3(10.0, 0.0, 3.0)),
-                     feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
+    dep = Deployment(users=((5.0, 0.0, 0.0),),
+                     positions=((0.0, 0.0, 3.0), (10.0, 0.0, 3.0)),
+                     feed=(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
     alloc = PowerAllocation.equal(1)
     ev = SetEvaluator(cfg, dep, alloc)
     assert ev.utility(()) == 0.0
@@ -368,22 +368,20 @@ def test_matching_never_beats_exhaustive():
 
 def test_distance_based_overhead_placement():
     cfg = SystemConfig(n_users=2, k_antennas=2)
-    dep = Deployment(users=(Point3(2.0, 1.0, 0.0), Point3(8.0, -2.0, 0.0)),
-                     positions=tuple(Point3(x, 0.0, 3.0)
-                                     for x in np.linspace(0, 10, 20)),
-                     feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
+    dep = Deployment(users=((2.0, 1.0, 0.0), (8.0, -2.0, 0.0)),
+                     positions=waveguide_points(np.linspace(0, 10, 20), 3.0),
+                     feed=(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
     points = distance_based_activation(cfg, dep)
-    assert points == (Point3(2.0, 0.0, 3.0), Point3(8.0, 0.0, 3.0))
+    assert points.tolist() == [[2.0, 0.0, 3.0], [8.0, 0.0, 3.0]]
 
 
 def test_distance_based_surplus_and_merge():
-    dep = Deployment(users=(Point3(4.0, 1.0, 0.0),),
-                     positions=tuple(Point3(x, 0.0, 3.0)
-                                     for x in np.linspace(0, 10, 20)),
-                     feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
+    dep = Deployment(users=((4.0, 1.0, 0.0),),
+                     positions=waveguide_points(np.linspace(0, 10, 20), 3.0),
+                     feed=(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
     points = distance_based_activation(SystemConfig(n_users=1, k_antennas=4), dep)
     assert len(points) == 1  # surplus antennas stay idle
-    two = Deployment(users=(Point3(4.0, 1.0, 0.0), Point3(4.0, -1.0, 0.0)),
+    two = Deployment(users=((4.0, 1.0, 0.0), (4.0, -1.0, 0.0)),
                      positions=dep.positions, feed=dep.feed, d1=10.0, d2=6.0)
     merged = distance_based_activation(SystemConfig(n_users=2, k_antennas=2), two)
     assert len(merged) == 1  # coinciding placements collapse
@@ -391,10 +389,9 @@ def test_distance_based_surplus_and_merge():
 
 def test_distance_based_on_grid_equals_grid_activation():
     cfg = SystemConfig(d1=10.0, l_positions=6, n_users=1, k_antennas=1)
-    dep = Deployment(users=(Point3(4.0, 2.0, 0.0),),  # x on the grid (index 2)
-                     positions=tuple(Point3(float(x), 0.0, 3.0)
-                                     for x in (0, 2, 4, 6, 8, 10)),
-                     feed=Point3(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
+    dep = Deployment(users=((4.0, 2.0, 0.0),),  # x on the grid (index 2)
+                     positions=waveguide_points((0, 2, 4, 6, 8, 10), 3.0),
+                     feed=(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
     alloc = PowerAllocation.equal(1)
     terms = amplitudes(cfg, dep.users, distance_based_activation(cfg, dep),
                        dep.feed)
@@ -407,13 +404,13 @@ def test_distance_based_on_grid_equals_grid_activation():
 def test_conventional_array_geometry():
     lam, _, _ = derived_rf(SystemConfig())
     single = conventional_positions(SystemConfig(k_antennas=1))
-    assert single == (Point3(5.0, 0.0, 3.0),)
+    assert single.tolist() == [[5.0, 0.0, 3.0]]
     four = conventional_positions(SystemConfig(k_antennas=4))
     assert len(four) == 4
     for a, b in zip(four, four[1:]):
-        assert math.isclose(b.x - a.x, 0.00535343675, rel_tol=1e-12)
-        assert math.isclose(b.x - a.x, lam / 2.0, rel_tol=1e-12)
-    assert math.isclose(sum(p.x for p in four) / 4.0, 5.0, rel_tol=1e-12)
+        assert math.isclose(b[0] - a[0], 0.00535343675, rel_tol=1e-12)
+        assert math.isclose(b[0] - a[0], lam / 2.0, rel_tol=1e-12)
+    assert math.isclose(sum(four[:, 0]) / 4.0, 5.0, rel_tol=1e-12)
 
 
 def test_conventional_baseline_against_direct_computation():
@@ -428,7 +425,7 @@ def test_conventional_baseline_against_direct_computation():
     for u in dep.users:
         h = 0j
         for p in conventional_positions(cfg):
-            r = math.dist(u.as_tuple(), p.as_tuple())
+            r = math.dist(u, p)
             h += eta * np.exp(-2j * np.pi * r / lam) / r * weight
         gains.append(abs(h) ** 2)
     want = reference.reference_rates(gains, list(alloc.alpha),

@@ -8,47 +8,50 @@ import numpy as np
 import pytest
 
 import helpers
-from pinchsim import (ActiveSet, Point3, SystemConfig, amplitudes,
+from pinchsim import (ActiveSet, SystemConfig, amplitudes,
                       dbm_to_watts, derived_rf, effective_channel,
                       make_deployment, power_gains, stream_rng)
+from pinchsim.scenario import waveguide_points
 
 CFG = SystemConfig()
 _, LAM_G, ETA = derived_rf(CFG)
-FEED = Point3(0.0, 0.0, 3.0)
+FEED = np.array([0.0, 0.0, 3.0])
 
 
 def term(user, antenna, feed=None, cfg=CFG):
-    """One entry of `amplitudes`: the coefficient alone when feed is None."""
-    return complex(amplitudes(cfg, (user,), (antenna,), feed)[0, 0])
+    """One entry of `amplitudes` for (x, y, z) points: the coefficient alone
+    when feed is None."""
+    return complex(amplitudes(cfg, np.array([user]), np.array([antenna]),
+                              feed)[0, 0])
 
 
 def guide_factor(antenna, cfg=CFG):
     """What the guide does to an antenna's term: phase rotation and loss."""
-    user = Point3(antenna.x, 1.0, 0.0)
+    user = (antenna[0], 1.0, 0.0)
     return term(user, antenna, FEED, cfg) / term(user, antenna, None, cfg)
 
 
 def test_coeff_magnitude_at_unit_distance():
-    c = term(Point3(0.0, 0.0, 0.0), Point3(0.0, 0.0, 1.0))
+    c = term((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     assert math.isclose(abs(c), ETA, rel_tol=1e-12)
 
 
 def test_coeff_inverse_distance_law():
-    user = Point3(0.0, 0.0, 0.0)
-    c1 = term(user, Point3(0.0, 0.0, 1.0))
-    c2 = term(user, Point3(0.0, 0.0, 2.0))
+    user = (0.0, 0.0, 0.0)
+    c1 = term(user, (0.0, 0.0, 1.0))
+    c2 = term(user, (0.0, 0.0, 2.0))
     assert math.isclose(abs(c2) / abs(c1), 0.5, rel_tol=1e-12)
 
 
 def test_coeff_directly_overhead():
     # antenna 3 m above the user: |coeff| = eta / 3
-    c = term(Point3(5.0, 0.0, 0.0), Point3(5.0, 0.0, 3.0))
+    c = term((5.0, 0.0, 0.0), (5.0, 0.0, 3.0))
     assert math.isclose(abs(c), 0.0002840086404307704, rel_tol=1e-12)
     assert math.isclose(abs(c), ETA / 3.0, rel_tol=1e-12)
 
 
 def test_coeff_rejects_coincident_points():
-    p = Point3(1.0, 2.0, 0.0)
+    p = (1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         term(p, p)
     with pytest.raises(ValueError):
@@ -57,20 +60,20 @@ def test_coeff_rejects_coincident_points():
 
 def test_phase_zero_at_feed():
     # an antenna at the feed: no rotation and no loss, even on a lossy guide
-    user = Point3(0.0, 1.0, 0.0)
+    user = (0.0, 1.0, 0.0)
     assert CFG.kappa_db_per_m > 0
     assert term(user, FEED, FEED) == term(user, FEED, None)
 
 
 def test_phase_pi_at_half_guided_wavelength():
     lossless = SystemConfig(kappa_db_per_m=0.0)
-    rotation = guide_factor(Point3(LAM_G / 2.0, 0.0, 3.0), lossless)
+    rotation = guide_factor((LAM_G / 2.0, 0.0, 3.0), lossless)
     assert cmath.isclose(rotation, -1.0, rel_tol=1e-12)
 
 
 def test_phase_two_meters():
     lossless = SystemConfig(kappa_db_per_m=0.0)
-    rotation = guide_factor(Point3(2.0, 0.0, 3.0), lossless)
+    rotation = guide_factor((2.0, 0.0, 3.0), lossless)
     assert cmath.isclose(rotation, cmath.exp(-1j * 1643.1424972101183),
                          rel_tol=1e-12)
     assert cmath.isclose(rotation, cmath.exp(-2j * math.pi * 261.5142506353512),
@@ -82,14 +85,14 @@ def test_antenna_power_lossless():
     for size in (1, 2, 4):
         assert power_gains(np.eye(size), 1.0).tolist() == [1.0 / size] * size
     lossless = SystemConfig(kappa_db_per_m=0.0)
-    assert math.isclose(abs(guide_factor(Point3(7.3, 0.0, 3.0), lossless)), 1.0,
+    assert math.isclose(abs(guide_factor((7.3, 0.0, 3.0), lossless)), 1.0,
                         rel_tol=1e-15)
 
 
 def test_antenna_power_attenuated():
     # 0.1 dB/m over 10 m is a 1 dB drop in power: 10^(-kappa d / 20) in amplitude
     lossy = SystemConfig(kappa_db_per_m=0.1)
-    loss = abs(guide_factor(Point3(10.0, 0.0, 3.0), lossy))
+    loss = abs(guide_factor((10.0, 0.0, 3.0), lossy))
     assert math.isclose(loss ** 2, 0.7943282347242815, rel_tol=1e-12)
     assert math.isclose(loss, 10.0 ** (-0.1 * 10.0 / 20.0), rel_tol=1e-12)
     # 2 W over two antennas at the feed: 1 W each
@@ -103,8 +106,8 @@ def test_active_set_validation():
         ActiveSet(indices=(-1,))
     assert ActiveSet(indices=(3, 1)).size == 2
     # an off-grid antenna is a point handed to `amplitudes`, one term column
-    off_grid = amplitudes(CFG, (Point3(2.0, 1.0, 0.0),), (Point3(1.0, 0.0, 3.0),),
-                          FEED)
+    off_grid = amplitudes(CFG, np.array([[2.0, 1.0, 0.0]]),
+                          np.array([[1.0, 0.0, 3.0]]), FEED)
     assert off_grid.shape == (1, 1)
 
 
@@ -120,10 +123,10 @@ def test_single_antenna_at_feed_collapses():
     # so |h|^2 = P_t * eta^2 / r^2
     cfg = SystemConfig(kappa_db_per_m=0.0, pt_dbm=30.0)
     dep = make_deployment(cfg, stream_rng(3, 0, 0))
-    assert dep.positions[0] == dep.feed
+    assert dep.positions[0].tolist() == dep.feed.tolist()
     gains = effective_channel(dep.users, ActiveSet(indices=(0,)), dep, cfg)
     for user, gain in zip(dep.users, gains):
-        r = math.dist(user.as_tuple(), dep.positions[0].as_tuple())
+        r = math.dist(user, dep.positions[0])
         assert math.isclose(gain, 1.0 * ETA ** 2 / r ** 2, rel_tol=1e-12)
 
 
@@ -133,10 +136,10 @@ def test_destructive_interference():
     cfg = SystemConfig(kappa_db_per_m=0.0)
     dep = make_deployment(cfg, stream_rng(4, 0, 0))
     x0 = 4.0
-    a = Point3(x0, 0.0, cfg.height)
-    b = Point3(x0 + LAM_G / 2.0, 0.0, cfg.height)
-    user = Point3(x0 + LAM_G / 4.0, 1.0, 0.0)
-    terms = amplitudes(cfg, (user,), (a, b), dep.feed)
+    a = (x0, 0.0, cfg.height)
+    b = (x0 + LAM_G / 2.0, 0.0, cfg.height)
+    user = (x0 + LAM_G / 4.0, 1.0, 0.0)
+    terms = amplitudes(cfg, np.array([user]), np.array([a, b]), dep.feed)
     h = math.sqrt(power_gains(terms, dbm_to_watts(cfg.pt_dbm))[0])
     single = abs(term(user, a))
     assert h < 1e-9 * single
@@ -147,15 +150,13 @@ def test_effective_channel_matches_reference():
     for _ in range(200):
         cfg, dep, alloc = helpers.random_instance(rng)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        points = [dep.positions[i] for i in sel]
+        points = dep.positions[list(sel)]
         pt = dbm_to_watts(cfg.pt_dbm)
         gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
         per_user = (amplitudes(cfg, dep.users, points, dep.feed).sum(axis=1)
                     * math.sqrt(pt / len(sel)))
         ref = helpers.reference.reference_user_channels(
-            [u.as_tuple() for u in dep.users],
-            [p.as_tuple() for p in points],
-            dep.feed.as_tuple(),
+            dep.users.tolist(), points.tolist(), dep.feed.tolist(),
             pt, cfg.kappa_db_per_m,
             cfg.carrier_hz, cfg.n_eff)
         for h, g, h_ref in zip(per_user, gains, ref):
@@ -167,20 +168,15 @@ def test_gains_are_squared_magnitudes():
     cfg = SystemConfig()
     dep = make_deployment(cfg, stream_rng(5, 0, 0))
     gains = effective_channel(dep.users, ActiveSet(indices=(2, 7)), dep, cfg)
-    terms = amplitudes(cfg, dep.users, (dep.positions[2], dep.positions[7]),
-                       dep.feed)
+    terms = amplitudes(cfg, dep.users, dep.positions[[2, 7]], dep.feed)
     per_user = terms.sum(axis=1) * math.sqrt(dbm_to_watts(cfg.pt_dbm) / 2)
     for h, g in zip(per_user, gains):
         assert math.isclose(g, abs(h) ** 2, rel_tol=1e-15)
 
 
-def _coords(points):
-    return np.array([p.as_tuple() for p in points])
-
-
 def test_batched_amplitudes_equal_per_drop_calls_exactly():
     # a block of drops in one call: each drop's (N, S) slice equals, bit for
-    # bit, its own call on Point3 sequences, with users fastest in memory
+    # bit, its own call, with users fastest in memory
     rng = np.random.default_rng(510)
     for n, s, with_feed in ((1, 1, True), (3, 2, True), (8, 8, True),
                             (8, 60, True), (4, 5, False)):
@@ -189,11 +185,10 @@ def test_batched_amplitudes_equal_per_drop_calls_exactly():
                            kappa_db_per_m=float(rng.choice([0.0, 0.1])))
         drops = [make_deployment(cfg, rng) for _ in range(5)]
         feed = drops[0].feed if with_feed else None
-        points = [tuple(Point3(float(x), 0.0, cfg.height)
-                        for x in rng.uniform(0.0, cfg.d1, s)) for _ in drops]
-        users = np.stack([_coords(d.users) for d in drops])
-        block = amplitudes(cfg, users, np.stack([_coords(p) for p in points]),
-                           feed)
+        points = [waveguide_points(rng.uniform(0.0, cfg.d1, s), cfg.height)
+                  for _ in drops]
+        users = np.stack([d.users for d in drops])
+        block = amplitudes(cfg, users, np.stack(points), feed)
         shared = amplitudes(cfg, users, points[0], feed)  # points broadcast
         assert block.shape == shared.shape == (5, n, s)
         for i, d in enumerate(drops):
@@ -210,4 +205,4 @@ def test_batched_amplitudes_equal_per_drop_calls_exactly():
 def test_batched_amplitudes_keep_the_singular_check():
     users = np.array([[[1.0, 0.0, 0.0]], [[2.0, 0.0, 3.0]]])
     with pytest.raises(ValueError, match="coincide"):
-        amplitudes(CFG, users, (Point3(2.0, 0.0, 3.0),), FEED)
+        amplitudes(CFG, users, np.array([[2.0, 0.0, 3.0]]), FEED)

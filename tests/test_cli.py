@@ -117,6 +117,18 @@ def test_unparseable_sweep_value_names_its_flag(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sweep_from must be a number, got 'a'\n"
 
 
+def test_invalid_sweep_value_names_itself(tmp_path, capsys):
+    # antenna-count steps k_antennas by 2 over l_positions = 20
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--preset", "antenna-count", "--sweep-to", "30",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sweep value k_antennas=22: need 1 <= k_antennas <= "
+        "l_positions\n")
+    assert not out.exists()
+
+
 def test_bad_scheme_is_a_clean_error(tmp_path, capsys):
     code = main(["run", *FAST_ARGS, "--schemes", "bogus",
                  "--output", str(tmp_path / "x.csv")])

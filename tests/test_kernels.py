@@ -20,8 +20,7 @@ def test_amplitude_matrix_reproduces_channels():
         assert amp.shape == (cfg.n_users, cfg.l_positions)
         # ascending selections: both sides sum the same columns in one order
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        terms = amplitudes(cfg, dep.users, [dep.positions[i] for i in sel],
-                           dep.feed)
+        terms = amplitudes(cfg, dep.users, dep.positions[list(sel)], dep.feed)
         assert amp[:, list(sel)].tolist() == terms.tolist()
         gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
         pt = 10.0 ** ((cfg.pt_dbm - 30.0) / 10.0)

@@ -147,8 +147,8 @@ def test_sum_rate_matches_reference_pipeline():
         cfg, dep, alloc = helpers.random_instance(rng)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         report = sum_rate(ActiveSet(indices=sel), dep, cfg, alloc)
-        want = helpers.oracle_sum_rate(
-            cfg, dep, [dep.positions[i] for i in sel], alloc)
+        want = helpers.oracle_sum_rate(cfg, dep, dep.positions[list(sel)],
+                                       alloc)
         assert math.isclose(report.sum_rate, want, rel_tol=1e-12)
 
 

@@ -1,13 +1,20 @@
 """Geometry, RF derivations, unit conversion, and drop sampling."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinchsim import (Deployment, Point3, SystemConfig, build_positions,
-                      dbm_to_watts, derived_rf, feed_point, make_deployment,
-                      sample_users, stream_rng)
+from pinchsim import (Deployment, ExperimentSpec, SystemConfig,
+                      build_positions, dbm_to_watts, derived_rf, feed_point,
+                      make_deployment, sample_users, stream_rng)
+from pinchsim.harness import spec_to_dict
+from pinchsim.scenario import waveguide_points
+
+NO_USERS = np.empty((0, 3))
 
 
 def test_derived_rf_at_28ghz():
@@ -22,48 +29,46 @@ def test_derived_rf_at_28ghz():
 def test_position_grid_endpoints():
     cfg = SystemConfig(d1=10.0, l_positions=2)
     pos = build_positions(cfg)
-    assert [p.x for p in pos] == [0.0, 10.0]
-    assert all(p.y == 0.0 and p.z == cfg.height for p in pos)
+    assert pos[:, 0].tolist() == [0.0, 10.0]
+    assert (pos[:, 1] == 0.0).all() and (pos[:, 2] == cfg.height).all()
 
 
 def test_position_grid_six():
     pos = build_positions(SystemConfig(d1=10.0, l_positions=6))
-    assert [p.x for p in pos] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+    assert pos[:, 0].tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
 
 def test_position_grid_spacing_20():
     pos = build_positions(SystemConfig(d1=10.0, l_positions=20))
     assert len(pos) == 20
-    assert pos[1].x == 10.0 / 19.0
-    diffs = [b.x - a.x for a, b in zip(pos, pos[1:])]
-    for d in diffs:
+    assert pos[1, 0] == 10.0 / 19.0
+    for d in np.diff(pos[:, 0]):
         assert math.isclose(d, 10.0 / 19.0, rel_tol=1e-12)
-    assert pos[-1].x == 10.0
+    assert pos[-1, 0] == 10.0
 
 
 def test_feed_sits_at_x0():
     cfg = SystemConfig(height=3.0)
-    assert feed_point(cfg) == Point3(0.0, 0.0, 3.0)
+    assert feed_point(cfg).tolist() == [0.0, 0.0, 3.0]
 
 
 def test_sampling_is_deterministic():
     cfg = SystemConfig(n_users=4)
     a = sample_users(cfg, stream_rng(9, 0, 3))
     b = sample_users(cfg, stream_rng(9, 0, 3))
-    assert a == b
+    assert a.shape == (4, 3) and a.tolist() == b.tolist()
     c = sample_users(cfg, stream_rng(9, 0, 4))
-    assert a != c
+    assert a.tolist() != c.tolist()
 
 
 def test_sampling_mean_and_support():
     cfg = SystemConfig(d1=10.0, d2=6.0, n_users=100000)
     users = sample_users(cfg, stream_rng(0, 0, 0))
-    xs = np.array([u.x for u in users])
-    ys = np.array([u.y for u in users])
+    xs, ys, zs = users.T
     assert 4.9 <= xs.mean() <= 5.1
     assert xs.min() >= 0.0 and xs.max() <= 10.0
     assert ys.min() >= -3.0 and ys.max() <= 3.0
-    assert all(u.z == 0.0 for u in users)
+    assert (zs == 0.0).all()
 
 
 def test_dbm_conversion():
@@ -118,15 +123,26 @@ def test_deployment_validation():
     dep = make_deployment(cfg, stream_rng(1, 0, 0))
     assert len(dep.users) == 2
     assert len(dep.positions) == cfg.l_positions
-    with pytest.raises(ValueError):
-        Deployment(users=(Point3(1.0, 0.0, 1.0),), positions=dep.positions,
+    with pytest.raises(ValueError, match="z=0 plane"):
+        Deployment(users=((1.0, 0.0, 1.0),), positions=dep.positions,
                    feed=dep.feed)  # user off the ground plane
-    with pytest.raises(ValueError):
-        Deployment(users=(Point3(50.0, 0.0, 0.0),), positions=dep.positions,
+    with pytest.raises(ValueError, match="x=50.0 outside"):
+        Deployment(users=((50.0, 0.0, 0.0),), positions=dep.positions,
                    feed=dep.feed, d1=cfg.d1)  # outside the rectangle
-    bad = (Point3(0.0, 0.0, 3.0), Point3(1.0, 0.0, 3.0), Point3(5.0, 0.0, 3.0))
+    with pytest.raises(ValueError, match="x=-1.0 outside"):
+        Deployment(users=((2.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+                   positions=dep.positions, feed=dep.feed)
+    with pytest.raises(ValueError, match="y=-3.5 outside"):
+        Deployment(users=((2.0, 3.0, 0.0), (2.0, -3.5, 0.0)),
+                   positions=dep.positions, feed=dep.feed, d2=cfg.d2)
+    bad = ((0.0, 0.0, 3.0), (1.0, 0.0, 3.0), (5.0, 0.0, 3.0))
     with pytest.raises(ValueError):
-        Deployment(users=(), positions=bad, feed=dep.feed)  # uneven grid
+        Deployment(users=NO_USERS, positions=bad, feed=dep.feed)  # uneven grid
+    with pytest.raises(ValueError, match="two candidate positions"):
+        Deployment(users=NO_USERS, positions=bad[:1], feed=dep.feed)
+    with pytest.raises(ValueError):  # users are checked on every drop
+        Deployment(users=((99.0, 0.0, 0.0),), positions=dep.positions,
+                   feed=dep.feed)
 
 
 def _scalar_grid_error(xs):
@@ -143,11 +159,11 @@ def _scalar_grid_error(xs):
 
 
 def _grid(xs):
-    return tuple(Point3(x, 0.0, 3.0) for x in xs)
+    return waveguide_points(xs, 3.0)
 
 
 def test_deployment_rejects_uneven_or_descending_grids():
-    feed = Point3(0.0, 0.0, 3.0)
+    feed = (0.0, 0.0, 3.0)
     cases = {
         (0.0, 1.0, 2.5, 3.0): "uniformly spaced",   # one gap off, inside
         (0.0, 1.0, 2.0, 3.0, 4.0, 5.5): "uniformly spaced",  # last gap off
@@ -159,37 +175,98 @@ def test_deployment_rejects_uneven_or_descending_grids():
     for xs, message in cases.items():
         assert _scalar_grid_error(xs) == message
         with pytest.raises(ValueError, match=message):
-            Deployment(users=(), positions=_grid(xs), feed=feed)
-    Deployment(users=(), positions=_grid((0.0, 1.0, 2.0, 3.0)), feed=feed)
+            Deployment(users=NO_USERS, positions=_grid(xs), feed=feed)
+    Deployment(users=NO_USERS, positions=_grid((0.0, 1.0, 2.0, 3.0)), feed=feed)
 
 
-def test_grid_is_checked_once_per_position_tuple(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return math_isclose(*args, **kwargs)
-
-    math_isclose = math.isclose
-    monkeypatch.setattr(math, "isclose", counted)
-    feed = Point3(0.0, 0.0, 3.0)
-    even = _grid((0.0, 1.5, 3.0, 4.5))
-    Deployment(users=(), positions=even, feed=feed)
-    assert len(calls) == 3
-    Deployment(users=(Point3(1.0, 0.0, 0.0),), positions=even, feed=feed)
-    assert len(calls) == 3  # the same tuple passed before
-    Deployment(users=(), positions=tuple(even[:3]) + even[3:], feed=feed)
-    assert len(calls) == 6  # equal grid, another tuple: checked
-    uneven = _grid((0.0, 1.0, 3.0))
-    for _ in range(2):  # a failure is never remembered as a pass
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            Deployment(users=(), positions=uneven, feed=feed)
-    with pytest.raises(ValueError):  # users are checked on every drop
-        Deployment(users=(Point3(9.0, 0.0, 0.0),), positions=even, feed=feed)
+@st.composite
+def _grids(draw):
+    """Candidate x-coordinates: uniform, ascending or descending, or of zero
+    span, with some of them moved by a few times the 1e-12 tolerance."""
+    n = draw(st.integers(2, 12))
+    start = draw(st.floats(-100.0, 100.0))
+    step = draw(st.one_of(st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3),
+                          st.just(0.0)))
+    xs = [start + i * step for i in range(n)]
+    scale = 1e-12 * max(1.0, abs(step) * (n - 1))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        xs[i] += draw(st.floats(-4.0, 4.0)) * scale
+    return xs
 
 
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point3(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Point3(0.0, math.inf, 0.0)
+@settings(max_examples=400, deadline=None)
+@given(_grids())
+def test_grid_check_agrees_with_the_scalar_check(xs):
+    message = _scalar_grid_error(xs)
+    if message is None:
+        Deployment(users=NO_USERS, positions=_grid(xs), feed=(0.0, 0.0, 3.0))
+        return
+    with pytest.raises(ValueError, match=message):
+        Deployment(users=NO_USERS, positions=_grid(xs), feed=(0.0, 0.0, 3.0))
+
+
+@pytest.mark.parametrize("name", ["users", "positions", "feed"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_deployment_rejects_non_finite_coordinates(name, value):
+    dep = make_deployment(SystemConfig(), stream_rng(1, 0, 0))
+    fields = {"users": dep.users, "positions": dep.positions, "feed": dep.feed}
+    bad = fields[name].copy()
+    bad.flat[-1] = value
+    with pytest.raises(ValueError, match=f"^{name} coordinates must be finite"):
+        Deployment(**{**fields, name: bad})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("users", np.zeros((2, 2))), ("users", np.zeros(3)),
+    ("positions", np.zeros((4, 3, 1))), ("feed", np.zeros((1, 3))),
+    ("feed", np.zeros(2)), ("users", ()),
+])
+def test_deployment_rejects_arrays_of_the_wrong_shape(name, value):
+    dep = make_deployment(SystemConfig(), stream_rng(1, 0, 0))
+    fields = {"users": dep.users, "positions": dep.positions, "feed": dep.feed}
+    with pytest.raises(ValueError, match=f"^{name} must have shape"):
+        Deployment(**{**fields, name: value})
+
+
+def test_deployment_fields_are_read_only_float_arrays():
+    cfg = SystemConfig(n_users=3)
+    dep = make_deployment(cfg, stream_rng(1, 0, 0))
+    for name, shape in (("users", (3, 3)), ("positions", (20, 3)),
+                        ("feed", (3,))):
+        arr = getattr(dep, name)
+        assert arr.shape == shape and arr.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):  # cached, so shared
+        build_positions(cfg)[0, 0] = 1.0
+    # the input is copied, so the caller cannot move a drop's users
+    users = np.array([[1, 0, 0]])
+    dep = Deployment(users=users, positions=dep.positions, feed=dep.feed)
+    users[0, 0] = 2
+    assert dep.users.tolist() == [[1.0, 0.0, 0.0]] and users.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["n_users", "k_antennas", "l_positions", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_config_integer_fields_reject_non_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SystemConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["trials", "exhaustive_budget"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_spec_integer_fields_reject_non_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        ExperimentSpec(base=SystemConfig(), **{name: value})
+
+
+def test_integer_fields_store_numpy_integers_as_int():
+    cfg = SystemConfig(n_users=np.int64(3), k_antennas=np.int32(2),
+                       l_positions=np.uint16(20), seed=np.uint64(2**64 - 1))
+    spec = ExperimentSpec(base=cfg, trials=np.int64(2),
+                          exhaustive_budget=np.int16(9))
+    for value in (cfg.n_users, cfg.k_antennas, cfg.l_positions, cfg.seed,
+                  spec.trials, spec.exhaustive_budget):
+        assert type(value) is int
+    assert (cfg.n_users, cfg.seed, spec.trials) == (3, 2**64 - 1, 2)
+    json.dumps(spec_to_dict(spec))  # the sidecar takes them
