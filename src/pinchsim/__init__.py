@@ -6,7 +6,7 @@ from .activation import (BudgetExceededError, Matching, Move, Trajectory,
                          conventional_baseline, conventional_positions,
                          distance_based_activation, exhaustive_search,
                          matching_activation, random_matching)
-from .channel import ActiveSet, amplitudes, effective_channel, power_gains
+from .channel import amplitudes, effective_channel, power_gains
 from .harness import (ConfigError, ExperimentSpec, ResultRow, SweepSpec,
                       TraceRow, build_spec, convergence_trace,
                       parse_config_file, read_results, run_experiment,
@@ -21,7 +21,7 @@ from .scenario import (Deployment, SystemConfig, build_positions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet", "BudgetExceededError", "ConfigError",
+    "BudgetExceededError", "ConfigError",
     "Deployment", "ExperimentSpec", "Matching", "Move",
     "PowerAllocation", "RateReport", "ResultRow", "SetEvaluator",
     "SweepSpec", "SystemConfig", "TraceRow", "Trajectory",

@@ -18,11 +18,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ActiveSet, amplitudes, power_gains
+from .channel import amplitudes, power_gains
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report
 from .scenario import (Deployment, SystemConfig, dbm_to_watts, derived_rf,
-                       waveguide_points)
+                       integer, waveguide_points)
 
 
 class Move(NamedTuple):
@@ -41,13 +41,18 @@ class BudgetExceededError(RuntimeError):
 class Matching:
     """Assignment of each antenna to a position index or None (inactive).
 
-    Matched positions are distinct: a position holds at most one antenna.
+    Matched positions are distinct integers, stored as `int`: a position
+    holds at most one antenna.
     """
 
     assignment: tuple[int | None, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
+        # Plain ints skip the check, which would build its message for each.
+        object.__setattr__(self, "assignment", tuple(
+            p if p is None or type(p) is int
+            else integer(f"position of antenna {a}", p)
+            for a, p in enumerate(self.assignment)))
         matched = [p for p in self.assignment if p is not None]
         if len(set(matched)) != len(matched):
             raise ValueError("two antennas share a position")
@@ -60,9 +65,6 @@ class Matching:
 
     def active_positions(self) -> tuple[int, ...]:
         return tuple(sorted(p for p in self.assignment if p is not None))
-
-    def active_set(self) -> ActiveSet:
-        return ActiveSet(indices=self.active_positions())
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,8 @@ class Trajectory:
 def random_matching(config: SystemConfig, deployment: Deployment,
                     rng: np.random.Generator) -> Matching:
     """All K antennas activated at K distinct uniformly-random positions."""
-    k = config.k_antennas
-    positions = rng.choice(len(deployment.positions), size=k, replace=False)
-    return Matching(assignment=tuple(int(p) for p in positions))
+    return Matching(assignment=tuple(rng.choice(
+        len(deployment.positions), config.k_antennas, replace=False).tolist()))
 
 
 def _mask(positions) -> int:
@@ -147,9 +148,7 @@ def _first_improvement(ev: SetEvaluator, assignment: Sequence[int | None],
     return len(positions), None, utility
 
 
-def matching_activation(config: SystemConfig, deployment: Deployment,
-                        alloc: PowerAllocation, initial: Matching,
-                        evaluator: SetEvaluator | None = None
+def matching_activation(ev: SetEvaluator, initial: Matching
                         ) -> tuple[Matching, Trajectory]:
     """Run the strict-improvement scan until a full cycle accepts nothing.
 
@@ -160,11 +159,8 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
     next position, from the new state.  The run keeps the utility of every
     set it scores, so each candidate set costs one evaluation per run however
     often it is examined; the memo dies with the run, as the evaluator is
-    bound to one transmit power.
+    bound to one transmit power.  The K antennas are those of `initial`.
     """
-    if initial.k_antennas != config.k_antennas:
-        raise ValueError("initial matching has the wrong number of antennas")
-    ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
     assignment = list(initial.assignment)
     active = initial.active_positions()
     utility = ev.utility(active)
@@ -179,7 +175,7 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
         improved = False
         cycles += 1
         evals = 0
-        for antenna in range(config.k_antennas):
+        for antenna in range(initial.k_antennas):
             start = 0
             while True:
                 examined, move, utility = _first_improvement(
@@ -205,9 +201,7 @@ def matching_activation(config: SystemConfig, deployment: Deployment,
     return Matching(assignment=tuple(assignment)), trajectory
 
 
-def check_stability(matching: Matching, config: SystemConfig,
-                    deployment: Deployment, alloc: PowerAllocation,
-                    evaluator: SetEvaluator | None = None
+def check_stability(ev: SetEvaluator, matching: Matching
                     ) -> tuple[bool, Move | None]:
     """Search the unilateral move set; return the first improving move in
     (antenna, position) order as the certificate.
@@ -215,7 +209,6 @@ def check_stability(matching: Matching, config: SystemConfig,
     Stable means no single antenna can relocate to a free position or
     deactivate with a strict utility gain.  Swaps are outside the move set.
     """
-    ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
     utility = ev.utility(matching.active_positions())
     memo: dict[int, float] = {}
     for antenna in range(matching.k_antennas):
@@ -231,31 +224,29 @@ def candidate_count(l_positions: int, k_antennas: int) -> int:
     return sum(math.comb(l_positions, k) for k in range(1, k_antennas + 1))
 
 
-def exhaustive_search(config: SystemConfig, deployment: Deployment,
-                      alloc: PowerAllocation,
-                      evaluator: SetEvaluator | None = None,
-                      budget: int = 10 ** 6) -> tuple[ActiveSet, float]:
-    """Evaluate every nonempty subset of positions up to size K.
+def exhaustive_search(ev: SetEvaluator, k_antennas: int,
+                      budget: int = 10 ** 6) -> tuple[tuple[int, ...], float]:
+    """Evaluate every nonempty subset of the evaluator's positions up to
+    size `k_antennas`; return the best as sorted grid indices, with its
+    utility.
 
     Ties go to the lexicographically smallest index tuple.  Refuses to start
     when the candidate count exceeds the budget.
     """
-    n_positions = len(deployment.positions)
-    count = candidate_count(n_positions, config.k_antennas)
+    count = candidate_count(ev.n_positions, k_antennas)
     if count > budget:
         raise BudgetExceededError(
             f"{count} candidate sets exceed the budget of {budget}")
-    ev = evaluator if evaluator is not None else SetEvaluator(config, deployment, alloc)
     best: tuple[int, ...] | None = None
     best_utility = -math.inf
-    for size in range(1, config.k_antennas + 1):
-        for sel in combinations(range(n_positions), size):
+    for size in range(1, k_antennas + 1):
+        for sel in combinations(range(ev.n_positions), size):
             utility = ev.utility(sel)
             if utility > best_utility or (utility == best_utility
                                           and best is not None and sel < best):
                 best = sel
                 best_utility = utility
-    return ActiveSet(indices=best), best_utility
+    return best, best_utility
 
 
 def distance_based_activation(config: SystemConfig,

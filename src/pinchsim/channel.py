@@ -9,34 +9,27 @@ Every scheme's terms come from `amplitudes` and every gain from `power_gains`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scenario import Deployment, SystemConfig, dbm_to_watts, derived_rf
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Set of activated antennas: distinct 0-based indices into
-    Deployment.positions."""
-
-    indices: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("active positions must be distinct")
-        if any(i < 0 for i in self.indices):
-            raise ValueError("position indices are 0-based and non-negative")
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def antenna_points(self, deployment: Deployment) -> np.ndarray:
-        """(S, 3) coordinates of the active positions, in index order."""
-        return deployment.positions[list(self.indices)]
+def selection(indices, n_positions: int) -> np.ndarray:
+    """The sorted grid indices of one activation as an index array;
+    ValueError unless they are distinct integers in [0, n_positions).
+    Checked on the sorted list, which is cheaper than on an array at a few
+    indices: the exhaustive search scores one set per call."""
+    sel = sorted(indices)
+    if not sel:
+        return np.empty(0, dtype=np.intp)
+    if len(set(sel)) < len(sel):
+        raise ValueError("position indices must be distinct")
+    if sel[0] < 0 or sel[-1] >= n_positions:
+        raise ValueError("position index out of range")
+    arr = np.asarray(sel)
+    if arr.dtype.kind not in "iu":
+        raise ValueError("position indices must be integers")
+    return arr
 
 
 def _distances(points: np.ndarray, users: np.ndarray) -> np.ndarray:
@@ -92,20 +85,20 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     return (pt_watts / terms.shape[-1]) * (z.real * z.real + z.imag * z.imag)
 
 
-def effective_channel(users: np.ndarray, active: ActiveSet,
-                      deployment: Deployment, config: SystemConfig,
+def effective_channel(indices, deployment: Deployment, config: SystemConfig,
                       amp: np.ndarray | None = None) -> np.ndarray:
-    """(N,) power gains |h_n|^2 of the (N, 3) `users` for the given
-    activation.
+    """(N,) power gains |h_n|^2 of the deployment's users for the activation
+    of the grid `indices`.
 
     `amp`, the users' `amplitudes` at the active antennas, spares their
     rebuild when the caller keeps them across transmit powers.  Empty active
     set yields all-zero gains (the caller convention for a fully
     deactivated system).
     """
-    if active.size == 0:
-        return np.zeros(len(users))
+    sel = selection(indices, len(deployment.positions))
+    if sel.size == 0:
+        return np.zeros(len(deployment.users))
     if amp is None:
-        amp = amplitudes(config, users, active.antenna_points(deployment),
+        amp = amplitudes(config, deployment.users, deployment.positions[sel],
                          deployment.feed)
     return power_gains(amp, dbm_to_watts(config.pt_dbm))

@@ -118,13 +118,8 @@ class ExperimentSpec:
                                   f"{', '.join(SCHEMES)}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must be distinct")
-        for cfg in self.configs():
-            count = candidate_count(cfg.l_positions, cfg.k_antennas)
-            if "exhaustive" in self.schemes and count > self.exhaustive_budget:
-                param = self.sweep and self.sweep.param
-                where = f" at {param}={getattr(cfg, param)}" if param else ""
-                raise ConfigError(
-                    f"exhaustive search needs {count} candidates{where}")
+        if "exhaustive" in self.schemes:
+            _check_budget(self)
 
     def configs(self) -> tuple[SystemConfig, ...]:
         """The swept configurations (just the base when there is no sweep)."""
@@ -158,6 +153,19 @@ class TraceRow:
     utility: float
     optimum: float
     ratio: float
+
+
+def _check_budget(spec: ExperimentSpec) -> None:
+    """ConfigError unless the exhaustive search of every configuration of
+    `spec` fits its budget; the message names the count and, in a sweep, the
+    value."""
+    for cfg in spec.configs():
+        count = candidate_count(cfg.l_positions, cfg.k_antennas)
+        if count > spec.exhaustive_budget:
+            param = spec.sweep and spec.sweep.param
+            where = f" at {param}={getattr(cfg, param)}" if param else ""
+            raise ConfigError(
+                f"exhaustive search needs {count} candidates{where}")
 
 
 def apply_sweep_value(base: SystemConfig, param: str, value: float) -> SystemConfig:
@@ -279,37 +287,34 @@ def _score_block(block: list[_Trial], value, cfg: SystemConfig,
         if log.isEnabledFor(logging.DEBUG):
             log.debug("sweep=%s trial=%d drop=%s", value, trial.index,
                       _drop_hash(deployment))
-        evaluator = None
-        if trial.grid is not None:
-            evaluator = SetEvaluator(cfg, deployment, alloc, amp=trial.grid)
+        evaluator = (SetEvaluator(cfg, deployment, alloc, amp=trial.grid)
+                     if trial.grid is not None else None)
         exhaustive_rate: float | None = None
         if "exhaustive" in schemes:
-            exh_set, _ = exhaustive_search(cfg, deployment, alloc,
-                                           evaluator=evaluator,
-                                           budget=spec.exhaustive_budget)
-            exh_report = _report(evaluator.gains(exh_set.indices), cfg, alloc)
+            exh_set, _ = exhaustive_search(evaluator, cfg.k_antennas,
+                                           spec.exhaustive_budget)
+            exh_report = _report(evaluator.gains(exh_set), cfg, alloc)
             exhaustive_rate = exh_report.sum_rate
         for scheme in schemes:
             cycles = None
             if scheme == "matching":
-                final, trajectory = matching_activation(
-                    cfg, deployment, alloc, trial.initial, evaluator=evaluator)
+                final, trajectory = matching_activation(evaluator, trial.initial)
                 positions = final.active_positions()
                 report = _report(evaluator.gains(positions), cfg, alloc)
                 active_count = len(positions)
                 cycles = trajectory.cycles
             elif scheme == "random":
-                active = trial.initial.active_set()
-                report = sum_rate(active, deployment, cfg, alloc,
+                positions = trial.initial.active_positions()
+                report = sum_rate(positions, deployment, cfg, alloc,
                                   trial.random_terms)
-                active_count = active.size
+                active_count = len(positions)
             elif scheme == "distance":
                 report = _report(power_gains(trial.distance_terms, pt_watts),
                                  cfg, alloc)
                 active_count = len(trial.placement)
             elif scheme == "exhaustive":
                 report = exh_report
-                active_count = exh_set.size
+                active_count = len(exh_set)
             else:
                 report = conventional_baseline(cfg, deployment, alloc,
                                                trial.conventional_terms)
@@ -384,10 +389,8 @@ def _trace_block(block: list[_Trial], cfg: SystemConfig,
     rows: list[TraceRow] = []
     for trial in block:
         evaluator = SetEvaluator(cfg, trial.deployment, alloc, amp=trial.grid)
-        _, optimum = exhaustive_search(cfg, trial.deployment, alloc,
-                                       evaluator=evaluator, budget=budget)
-        _, trajectory = matching_activation(cfg, trial.deployment, alloc,
-                                            trial.initial, evaluator=evaluator)
+        _, optimum = exhaustive_search(evaluator, cfg.k_antennas, budget)
+        _, trajectory = matching_activation(evaluator, trial.initial)
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]
             rows.append(TraceRow(
@@ -408,10 +411,8 @@ def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
     matrices and random initial matchings."""
     if spec.sweep is not None:
         raise ConfigError("convergence traces take a single configuration")
+    _check_budget(spec)
     cfg = spec.base
-    count = candidate_count(cfg.l_positions, cfg.k_antennas)
-    if count > spec.exhaustive_budget:
-        raise ConfigError(f"exhaustive baseline needs {count} candidates")
     alloc = PowerAllocation.equal(cfg.n_users)
     rows: list[TraceRow] = []
     for trials in _blocks(spec.trials):

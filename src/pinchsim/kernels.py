@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import amplitudes, power_gains
+from .channel import amplitudes, power_gains, selection
 from .noma import PowerAllocation, sic_rates
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
@@ -48,7 +48,8 @@ def amplitude_matrix(config: SystemConfig, deployment: Deployment,
 
 
 class SetEvaluator:
-    """Fast sum-rate oracle for grid activations of one (config, drop) pair.
+    """Fast sum-rate oracle for grid activations of one (config, drop) pair,
+    and the searches' only input.
 
     Counts the activations it scores so searches can report their evaluation
     budget.
@@ -69,32 +70,12 @@ class SetEvaluator:
         self._alloc = alloc
         self._pt_watts = dbm_to_watts(config.pt_dbm)
         self._noise_watts = dbm_to_watts(config.noise_dbm)
+        self.n_positions = amp.shape[1]
         self.calls = 0
-
-    @property
-    def n_positions(self) -> int:
-        return self._amp.shape[1]
-
-    def _selection(self, indices) -> np.ndarray:
-        """The sorted position indices of one activation as an index array;
-        ValueError unless they are distinct integers in range.  Checked on
-        the sorted list, which is cheaper than on an array at a few
-        indices: the exhaustive search scores one set per call."""
-        sel = sorted(indices)
-        if not sel:
-            return np.empty(0, dtype=np.intp)
-        if len(set(sel)) < len(sel):
-            raise ValueError("position indices must be distinct")
-        if sel[0] < 0 or sel[-1] >= self.n_positions:
-            raise ValueError("position index out of range")
-        arr = np.asarray(sel)
-        if arr.dtype.kind not in "iu":
-            raise ValueError("position indices must be integers")
-        return arr
 
     def utility(self, indices) -> float:
         """Sum rate in bits/s/Hz for the given position indices; 0 if empty."""
-        sel = self._selection(indices)
+        sel = selection(indices, self.n_positions)
         if sel.size == 0:
             return 0.0
         self.calls += 1
@@ -125,7 +106,7 @@ class SetEvaluator:
     def gains(self, indices) -> np.ndarray:
         """Per-user |h|^2 of an activation, equal to `effective_channel`'s
         and to the gains `utility` ranks."""
-        sel = self._selection(indices)
+        sel = selection(indices, self.n_positions)
         if sel.size == 0:
             return np.zeros(self._amp.shape[0])
         return power_gains(self._amp[:, sel], self._pt_watts)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ActiveSet, effective_channel
+from .channel import effective_channel
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
 
@@ -113,12 +113,14 @@ def rate_report(gains, alloc: PowerAllocation, noise_watts: float) -> RateReport
     )
 
 
-def sum_rate(active: ActiveSet, deployment: Deployment, config: SystemConfig,
+def sum_rate(indices, deployment: Deployment, config: SystemConfig,
              alloc: PowerAllocation, amp=None) -> RateReport:
-    """Rates for one activation: power gains -> SIC order -> rates.
+    """Rates for the activation of the grid `indices`: power gains -> SIC
+    order -> rates.
 
     `amp` is the activation's (N, S) `channel.amplitudes` at its antenna
-    points, if the caller already has them.  An empty active set reports zero rates for everyone.
+    points, if the caller already has them.  An empty activation reports
+    zero rates for everyone.
     """
-    gains = effective_channel(deployment.users, active, deployment, config, amp)
+    gains = effective_channel(indices, deployment, config, amp)
     return rate_report(gains, alloc, dbm_to_watts(config.noise_dbm))

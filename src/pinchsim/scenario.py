@@ -30,6 +30,20 @@ def integer(name: str, value, error: type[Exception] = ValueError) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def real(name: str, value) -> float:
+    """`value`, a finite Python or numpy real number, ints included, as a
+    float; ValueError naming `name` for anything else, a bool included."""
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, bool)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scalar parameters of one scenario.
@@ -52,12 +66,9 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("n_users", "k_antennas", "l_positions", "seed"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            check = integer if f.type == "int" else real
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
         for name in ("d1", "d2", "height", "carrier_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")

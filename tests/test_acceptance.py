@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 import reference
-from pinchsim import (ActiveSet, ExperimentSpec, Matching, PowerAllocation,
+from pinchsim import (ExperimentSpec, Matching, PowerAllocation,
                       SetEvaluator, SweepSpec, SystemConfig, check_stability,
                       dbm_to_watts, effective_channel, exhaustive_search,
                       jain_fairness, make_deployment, matching_activation,
@@ -38,9 +38,9 @@ def near_optimal_runs():
         dep = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
         ev = SetEvaluator(cfg, dep, alloc)
         initial = random_matching(cfg, dep, stream_rng(cfg.seed, 1, trial))
-        final, traj = matching_activation(cfg, dep, alloc, initial, evaluator=ev)
-        _, optimum = exhaustive_search(cfg, dep, alloc, evaluator=ev)
-        stable, certificate = check_stability(final, cfg, dep, alloc, evaluator=ev)
+        final, traj = matching_activation(ev, initial)
+        _, optimum = exhaustive_search(ev, cfg.k_antennas)
+        stable, certificate = check_stability(ev, final)
         runs.append({
             "trajectory": traj,
             "ratio": traj.utilities[-1] / optimum,
@@ -77,7 +77,7 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(1000):
         cfg, dep, alloc = helpers.random_instance(rng, n_max=4, k_max=4, l_max=12)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        got = sum_rate(ActiveSet(indices=sel), dep, cfg, alloc).sum_rate
+        got = sum_rate(sel, dep, cfg, alloc).sum_rate
         want = helpers.oracle_sum_rate(cfg, dep, dep.positions[list(sel)],
                                        alloc)
         rel = abs(got - want) / abs(want)
@@ -195,7 +195,7 @@ def test_criterion_10_invariant_suite():
     for _ in range(10000):
         cfg, dep, _ = helpers.random_instance(rng, n_max=3, k_max=3, l_max=8)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
+        gains = effective_channel(sel, dep, cfg)
         pt = dbm_to_watts(cfg.pt_dbm)
         for user, gain in zip(dep.users.tolist(), gains):
             bound = 0.0
@@ -232,7 +232,7 @@ def test_criterion_10_invariant_suite():
     for _ in range(10000):
         cfg, dep, alloc = helpers.random_instance(rng, n_max=2, k_max=2, l_max=5)
         initial = random_matching(cfg, dep, rng)
-        final, traj = matching_activation(cfg, dep, alloc, initial)
+        final, traj = matching_activation(SetEvaluator(cfg, dep, alloc), initial)
         assignment = list(initial.assignment)
         for move in traj.moves:
             assert assignment[move.antenna] == move.source

@@ -10,7 +10,7 @@ import pytest
 import helpers
 import reference
 from reference_scan import reference_scan
-from pinchsim import (ActiveSet, BudgetExceededError, Matching, Move,
+from pinchsim import (BudgetExceededError, Matching, Move,
                       PowerAllocation, SetEvaluator, SystemConfig, Trajectory,
                       amplitudes, candidate_count, check_stability,
                       conventional_baseline, conventional_positions,
@@ -36,7 +36,13 @@ def test_matching_validation():
     m = Matching(assignment=(4, None, 1))
     assert m.k_antennas == 3
     assert m.active_positions() == (1, 4)
-    assert m.active_set().indices == (1, 4)
+    for position in (True, 1.0, np.float64(1.0), "1"):
+        with pytest.raises(ValueError,
+                           match="^position of antenna 1 must be an integer"):
+            Matching(assignment=(3, position))
+    m = Matching(assignment=(np.int64(2), None, np.uint8(0)))
+    assert m.assignment == (2, None, 0)
+    assert [type(p) for p in m.assignment] == [int, type(None), int]
 
 
 def test_trajectory_must_increase():
@@ -80,7 +86,7 @@ def test_trajectories_strictly_increase():
     for _ in range(100):
         cfg, dep, alloc = small_instance(rng)
         init = random_matching(cfg, dep, rng)
-        final, traj = matching_activation(cfg, dep, alloc, init)
+        final, traj = matching_activation(SetEvaluator(cfg, dep, alloc), init)
         for a, b in zip(traj.utilities, traj.utilities[1:]):
             assert b > a
         assert len(traj.utilities) == len(traj.moves) + 1
@@ -99,7 +105,7 @@ def test_evaluations_per_cycle_bounded():
     for _ in range(100):
         cfg, dep, alloc = small_instance(rng)
         init = random_matching(cfg, dep, rng)
-        _, traj = matching_activation(cfg, dep, alloc, init)
+        _, traj = matching_activation(SetEvaluator(cfg, dep, alloc), init)
         for evals in traj.evaluations_per_cycle:
             assert evals <= cfg.k_antennas * cfg.l_positions
 
@@ -110,7 +116,7 @@ def test_final_utility_matches_final_matching():
         cfg, dep, alloc = small_instance(rng)
         ev = SetEvaluator(cfg, dep, alloc)
         init = random_matching(cfg, dep, rng)
-        final, traj = matching_activation(cfg, dep, alloc, init, evaluator=ev)
+        final, traj = matching_activation(ev, init)
         assert traj.utilities[-1] == ev.utility(final.active_positions())
 
 
@@ -118,13 +124,13 @@ def test_optimal_start_accepts_no_moves():
     cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=8, seed=0)
     dep = make_deployment(cfg, stream_rng(0, 0, 0))
     alloc = PowerAllocation.equal(2)
-    best, _ = exhaustive_search(cfg, dep, alloc)
-    assert best.size == 2  # optimum uses both antennas here
-    final, traj = matching_activation(cfg, dep, alloc,
-                                      Matching(assignment=best.indices))
+    ev = SetEvaluator(cfg, dep, alloc)
+    best, _ = exhaustive_search(ev, cfg.k_antennas)
+    assert len(best) == 2  # optimum uses both antennas here
+    final, traj = matching_activation(ev, Matching(assignment=best))
     assert traj.moves == ()
     assert traj.cycles == 1
-    assert final.active_positions() == best.indices
+    assert final.active_positions() == best
 
 
 def test_single_user_moves_to_nearest_position():
@@ -134,10 +140,9 @@ def test_single_user_moves_to_nearest_position():
     dep = Deployment(users=((5.0, 0.0, 0.0),),
                      positions=waveguide_points((0.0, 5.0, 10.0), 3.0),
                      feed=(0.0, 0.0, 3.0), d1=10.0, d2=6.0)
-    alloc = PowerAllocation.equal(1)
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(1))
     for start in (0, 2):
-        final, traj = matching_activation(cfg, dep, alloc,
-                                          Matching(assignment=(start,)))
+        final, traj = matching_activation(ev, Matching(assignment=(start,)))
         assert final.assignment == (1,)
         assert traj.utilities[-1] > traj.utilities[0]
 
@@ -158,11 +163,11 @@ def test_batched_scan_equals_reference_scan():
             for antenna in range(drop % 3):  # 0, 1 or 2 antennas start inactive
                 assignment[antenna] = None
             init = Matching(assignment=tuple(assignment))
-            got = matching_activation(cfg, dep, alloc, init)
+            got = matching_activation(SetEvaluator(cfg, dep, alloc), init)
             want = reference_scan(cfg, dep, alloc, init)
             assert got == want
             moves = want[1].moves
-            assert check_stability(init, cfg, dep, alloc) == (
+            assert check_stability(SetEvaluator(cfg, dep, alloc), init) == (
                 (False, moves[0]) if moves else (True, None))
 
 
@@ -205,7 +210,7 @@ def test_scan_scores_each_candidate_set_once():
             alloc = PowerAllocation.equal(n)
             init = _scan_start(cfg, dep, rng, drop % 3)
             ev = _RecordingEvaluator(cfg, dep, alloc)
-            got = matching_activation(cfg, dep, alloc, init, evaluator=ev)
+            got = matching_activation(ev, init)
             assert len(set(ev.scored)) == len(ev.scored)
             assert got == reference_scan(cfg, dep, alloc, init)
 
@@ -223,7 +228,7 @@ def test_scan_memo_never_crosses_powers():
         for pt_dbm in spec.sweep.values():
             cfg = dataclasses.replace(spec.base, pt_dbm=pt_dbm)
             ev = SetEvaluator(cfg, dep, alloc, amp=amp)
-            assert (matching_activation(cfg, dep, alloc, init, evaluator=ev)
+            assert (matching_activation(ev, init)
                     == reference_scan(cfg, dep, alloc, init))
 
 
@@ -233,8 +238,8 @@ def test_stability_of_search_output():
         cfg, dep, alloc = small_instance(rng)
         ev = SetEvaluator(cfg, dep, alloc)
         init = random_matching(cfg, dep, rng)
-        final, _ = matching_activation(cfg, dep, alloc, init, evaluator=ev)
-        stable, certificate = check_stability(final, cfg, dep, alloc, evaluator=ev)
+        final, _ = matching_activation(ev, init)
+        stable, certificate = check_stability(ev, final)
         assert stable
         assert certificate is None
 
@@ -246,10 +251,10 @@ def test_instability_certificate_improves():
         cfg, dep, alloc = helpers.random_instance(rng, n_max=3, k_max=3, l_max=12)
         ev = SetEvaluator(cfg, dep, alloc)
         m = random_matching(cfg, dep, rng)
-        stable, cert = check_stability(m, cfg, dep, alloc, evaluator=ev)
+        stable, cert = check_stability(ev, m)
         if stable:
             # cross-check: the search accepts nothing from a stable start
-            _, traj = matching_activation(cfg, dep, alloc, m, evaluator=ev)
+            _, traj = matching_activation(ev, m)
             assert traj.moves == ()
             continue
         found_unstable += 1
@@ -273,8 +278,7 @@ def test_deactivation_never_improves_single_antenna():
     ev = SetEvaluator(cfg, dep, alloc)
     assert ev.utility(()) == 0.0
     assert ev.utility((0,)) == ev.utility((1,))  # mirror-symmetric gains
-    stable, cert = check_stability(Matching(assignment=(0,)), cfg, dep, alloc,
-                                   evaluator=ev)
+    stable, cert = check_stability(ev, Matching(assignment=(0,)))
     assert stable and cert is None
 
 
@@ -296,44 +300,41 @@ def test_exhaustive_evaluates_every_candidate_once():
     dep = make_deployment(cfg, stream_rng(3, 0, 0))
     alloc = PowerAllocation.equal(2)
     ev = SetEvaluator(cfg, dep, alloc)
-    exhaustive_search(cfg, dep, alloc, evaluator=ev)
+    exhaustive_search(ev, cfg.k_antennas)
     assert ev.calls == 10
     cfg2 = SystemConfig(d1=0.012, n_users=2, k_antennas=2, l_positions=2)
     dep2 = make_deployment(cfg2, stream_rng(3, 0, 0))
     ev2 = SetEvaluator(cfg2, dep2, alloc)
-    exhaustive_search(cfg2, dep2, alloc, evaluator=ev2)
+    exhaustive_search(ev2, cfg2.k_antennas)
     assert ev2.calls == 3
 
 
 def test_exhaustive_budget():
     cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=4)
     dep = make_deployment(cfg, stream_rng(3, 0, 0))
-    alloc = PowerAllocation.equal(2)
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(2))
     with pytest.raises(BudgetExceededError):
-        exhaustive_search(cfg, dep, alloc, budget=9)
-    exhaustive_search(cfg, dep, alloc, budget=10)
+        exhaustive_search(ev, cfg.k_antennas, budget=9)
+    exhaustive_search(ev, cfg.k_antennas, budget=10)
 
 
 class _Stub:
     """Utility stub with controllable values, for tie-break checks."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, n_positions):
         self.fn = fn
+        self.n_positions = n_positions
 
     def utility(self, sel):
         return self.fn(tuple(sel))
 
 
 def test_exhaustive_tie_break_is_lexicographic():
-    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=5)
-    dep = make_deployment(cfg, stream_rng(4, 0, 0))
-    alloc = PowerAllocation.equal(2)
-    flat, rate = exhaustive_search(cfg, dep, alloc, evaluator=_Stub(lambda s: 1.0))
-    assert flat.indices == (0,)
+    flat, rate = exhaustive_search(_Stub(lambda s: 1.0, 5), 2)
+    assert flat == (0,)
     assert rate == 1.0
-    by_size, _ = exhaustive_search(cfg, dep, alloc,
-                                   evaluator=_Stub(lambda s: float(len(s))))
-    assert by_size.indices == (0, 1)
+    by_size, _ = exhaustive_search(_Stub(lambda s: float(len(s)), 5), 2)
+    assert by_size == (0, 1)
 
 
 def test_lossless_guide_dominates_for_single_antennas():
@@ -349,9 +350,8 @@ def test_lossless_guide_dominates_for_single_antennas():
         ev_lossless = SetEvaluator(lossless, dep, alloc)
         for l in range(cfg.l_positions):
             assert ev_lossless.utility((l,)) >= ev_lossy.utility((l,))
-        _, best_lossy = exhaustive_search(cfg, dep, alloc, evaluator=ev_lossy)
-        _, best_lossless = exhaustive_search(lossless, dep, alloc,
-                                             evaluator=ev_lossless)
+        _, best_lossy = exhaustive_search(ev_lossy, cfg.k_antennas)
+        _, best_lossless = exhaustive_search(ev_lossless, cfg.k_antennas)
         assert best_lossless >= best_lossy
 
 
@@ -361,8 +361,8 @@ def test_matching_never_beats_exhaustive():
         cfg, dep, alloc = small_instance(rng)
         ev = SetEvaluator(cfg, dep, alloc)
         init = random_matching(cfg, dep, rng)
-        _, traj = matching_activation(cfg, dep, alloc, init, evaluator=ev)
-        _, optimum = exhaustive_search(cfg, dep, alloc, evaluator=ev)
+        _, traj = matching_activation(ev, init)
+        _, optimum = exhaustive_search(ev, cfg.k_antennas)
         assert traj.utilities[-1] <= optimum
 
 
@@ -397,7 +397,7 @@ def test_distance_based_on_grid_equals_grid_activation():
                        dep.feed)
     off_grid = rate_report(power_gains(terms, dbm_to_watts(cfg.pt_dbm)), alloc,
                            dbm_to_watts(cfg.noise_dbm))
-    on_grid = sum_rate(ActiveSet(indices=(2,)), dep, cfg, alloc)
+    on_grid = sum_rate((2,), dep, cfg, alloc)
     assert off_grid.sum_rate == on_grid.sum_rate
 
 

@@ -3,14 +3,16 @@ the power gains of effective channels."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 import helpers
-from pinchsim import (ActiveSet, SystemConfig, amplitudes,
+from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig, amplitudes,
                       dbm_to_watts, derived_rf, effective_channel,
-                      make_deployment, power_gains, stream_rng)
+                      make_deployment, power_gains, stream_rng, sum_rate)
+from pinchsim.channel import selection
 from pinchsim.scenario import waveguide_points
 
 CFG = SystemConfig()
@@ -100,11 +102,23 @@ def test_antenna_power_attenuated():
 
 
 def test_active_set_validation():
-    with pytest.raises(ValueError):
-        ActiveSet(indices=(1, 1))
-    with pytest.raises(ValueError):
-        ActiveSet(indices=(-1,))
-    assert ActiveSet(indices=(3, 1)).size == 2
+    # every path that takes grid indices runs the one check, and a bad
+    # activation fails there with the same message whichever path it took
+    dep = make_deployment(CFG, stream_rng(2, 0, 0))
+    alloc = PowerAllocation.equal(CFG.n_users)
+    ev = SetEvaluator(CFG, dep, alloc)
+    paths = (ev.utility, ev.gains,
+             lambda indices: effective_channel(indices, dep, CFG),
+             lambda indices: sum_rate(indices, dep, CFG, alloc))
+    table = (((1, 1), "position indices must be distinct"),
+             ((-1,), "position index out of range"),
+             ((CFG.l_positions,), "position index out of range"),
+             ((1.5,), "position indices must be integers"))
+    for indices, message in table:
+        for path in paths:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                path(indices)
+    assert selection((3, 1), CFG.l_positions).tolist() == [1, 3]
     # an off-grid antenna is a point handed to `amplitudes`, one term column
     off_grid = amplitudes(CFG, np.array([[2.0, 1.0, 0.0]]),
                           np.array([[1.0, 0.0, 3.0]]), FEED)
@@ -114,7 +128,7 @@ def test_active_set_validation():
 def test_empty_set_gives_zero_channels():
     cfg = SystemConfig()
     dep = make_deployment(cfg, stream_rng(2, 0, 0))
-    gains = effective_channel(dep.users, ActiveSet(), dep, cfg)
+    gains = effective_channel((), dep, cfg)
     assert gains.tolist() == [0.0, 0.0]
 
 
@@ -124,7 +138,7 @@ def test_single_antenna_at_feed_collapses():
     cfg = SystemConfig(kappa_db_per_m=0.0, pt_dbm=30.0)
     dep = make_deployment(cfg, stream_rng(3, 0, 0))
     assert dep.positions[0].tolist() == dep.feed.tolist()
-    gains = effective_channel(dep.users, ActiveSet(indices=(0,)), dep, cfg)
+    gains = effective_channel((0,), dep, cfg)
     for user, gain in zip(dep.users, gains):
         r = math.dist(user, dep.positions[0])
         assert math.isclose(gain, 1.0 * ETA ** 2 / r ** 2, rel_tol=1e-12)
@@ -152,7 +166,7 @@ def test_effective_channel_matches_reference():
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         points = dep.positions[list(sel)]
         pt = dbm_to_watts(cfg.pt_dbm)
-        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
+        gains = effective_channel(sel, dep, cfg)
         per_user = (amplitudes(cfg, dep.users, points, dep.feed).sum(axis=1)
                     * math.sqrt(pt / len(sel)))
         ref = helpers.reference.reference_user_channels(
@@ -167,7 +181,7 @@ def test_effective_channel_matches_reference():
 def test_gains_are_squared_magnitudes():
     cfg = SystemConfig()
     dep = make_deployment(cfg, stream_rng(5, 0, 0))
-    gains = effective_channel(dep.users, ActiveSet(indices=(2, 7)), dep, cfg)
+    gains = effective_channel((2, 7), dep, cfg)
     terms = amplitudes(cfg, dep.users, dep.positions[[2, 7]], dep.feed)
     per_user = terms.sum(axis=1) * math.sqrt(dbm_to_watts(cfg.pt_dbm) / 2)
     for h, g in zip(per_user, gains):

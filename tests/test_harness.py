@@ -95,6 +95,16 @@ def test_budget_error_names_the_offending_sweep_value():
                        exhaustive_budget=2 ** 21)
 
 
+def test_budget_error_is_the_same_for_runs_and_traces():
+    # 78 candidates at L=12, K=2: both entry points name the count alike
+    base = SystemConfig(n_users=2, k_antennas=2, l_positions=12)
+    message = "^exhaustive search needs 78 candidates$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentSpec(base=base, schemes=("exhaustive",), exhaustive_budget=77)
+    with pytest.raises(ConfigError, match=message):
+        convergence_trace(ExperimentSpec(base=base, exhaustive_budget=77))
+
+
 def test_matching_never_below_its_random_start():
     spec = ExperimentSpec(base=FAST, schemes=("random", "matching"), trials=8)
     rows = {r.scheme: r for r in run_experiment(spec)}
@@ -111,7 +121,8 @@ def test_row_matches_direct_recomputation():
     row = run_experiment(spec)[0]
     dep = make_deployment(FAST, stream_rng(FAST.seed, 0, 0))
     init = random_matching(FAST, dep, stream_rng(FAST.seed, 1, 0))
-    report = sum_rate(init.active_set(), dep, FAST, PowerAllocation.equal(2))
+    report = sum_rate(init.active_positions(), dep, FAST,
+                      PowerAllocation.equal(2))
     # rows are snapped to 9 significant digits for lossless CSV round trips
     assert math.isclose(row.mean_sum_rate, report.sum_rate, rel_tol=1e-8)
     assert math.isclose(row.mean_fairness, report.fairness, rel_tol=1e-8)
@@ -267,7 +278,7 @@ def test_block_terms_equal_per_trial_calls_exactly():
         assert t.initial == random_matching(
             cfg, dep, stream_rng(cfg.seed, 1, t.index))
         assert t.grid.tolist() == kernels.amplitude_matrix(cfg, dep).tolist()
-        points = t.initial.active_set().antenna_points(dep)
+        points = dep.positions[list(t.initial.active_positions())]
         assert (t.random_terms.tolist()
                 == amplitudes(cfg, dep.users, points, dep.feed).tolist())
         assert (t.placement.tolist()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from pinchsim import (ActiveSet, PowerAllocation, SetEvaluator, SystemConfig,
+from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig,
                       amplitude_matrix, amplitudes, effective_channel,
                       make_deployment, power_gains, stream_rng, sum_rate)
 
@@ -22,7 +22,7 @@ def test_amplitude_matrix_reproduces_channels():
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         terms = amplitudes(cfg, dep.users, dep.positions[list(sel)], dep.feed)
         assert amp[:, list(sel)].tolist() == terms.tolist()
-        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
+        gains = effective_channel(sel, dep, cfg)
         pt = 10.0 ** ((cfg.pt_dbm - 30.0) / 10.0)
         assert power_gains(amp[:, list(sel)], pt).tolist() == gains.tolist()
 
@@ -33,7 +33,7 @@ def test_evaluator_matches_contract_path():
         cfg, dep, alloc = helpers.random_instance(rng)
         ev = SetEvaluator(cfg, dep, alloc)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        report = sum_rate(ActiveSet(indices=sel), dep, cfg, alloc)
+        report = sum_rate(sel, dep, cfg, alloc)
         assert math.isclose(ev.utility(sel), report.sum_rate, rel_tol=1e-9)
 
 
@@ -158,7 +158,7 @@ def test_evaluator_gains_match_channel():
         cfg, dep, alloc = helpers.random_instance(rng)
         ev = SetEvaluator(cfg, dep, alloc)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        gains = effective_channel(dep.users, ActiveSet(indices=sel), dep, cfg)
+        gains = effective_channel(sel, dep, cfg)
         assert ev.gains(sel).tolist() == gains.tolist()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 import reference
-from pinchsim import (ActiveSet, PowerAllocation, SetEvaluator, SystemConfig,
+from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig,
                       dbm_to_watts, jain_fairness, make_deployment,
                       rate_report, sic_rates, stream_rng, sum_rate)
 
@@ -123,7 +123,7 @@ def test_jain_range_random():
 def test_empty_activation_rates():
     cfg = SystemConfig()
     dep = make_deployment(cfg, stream_rng(6, 0, 0))
-    report = sum_rate(ActiveSet(), dep, cfg, PowerAllocation.equal(cfg.n_users))
+    report = sum_rate((), dep, cfg, PowerAllocation.equal(cfg.n_users))
     assert report.sum_rate == 0.0
     assert report.rates == (0.0, 0.0)
     assert report.fairness == 1.0
@@ -146,7 +146,7 @@ def test_sum_rate_matches_reference_pipeline():
     for _ in range(200):
         cfg, dep, alloc = helpers.random_instance(rng)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        report = sum_rate(ActiveSet(indices=sel), dep, cfg, alloc)
+        report = sum_rate(sel, dep, cfg, alloc)
         want = helpers.oracle_sum_rate(cfg, dep, dep.positions[list(sel)],
                                        alloc)
         assert math.isclose(report.sum_rate, want, rel_tol=1e-12)
@@ -164,4 +164,4 @@ def test_report_sum_rate_is_the_searched_utility():
         utility = ev.utility(sel)
         noise = dbm_to_watts(cfg.noise_dbm)
         assert rate_report(ev.gains(sel), alloc, noise).sum_rate == utility
-        assert sum_rate(ActiveSet(indices=sel), dep, cfg, alloc).sum_rate == utility
+        assert sum_rate(sel, dep, cfg, alloc).sum_rate == utility

@@ -253,6 +253,27 @@ def test_config_integer_fields_reject_non_integers(name, value):
         SystemConfig(**{name: value})
 
 
+FLOAT_FIELDS = ["d1", "d2", "height", "carrier_hz", "n_eff", "kappa_db_per_m",
+                "pt_dbm", "noise_dbm"]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [True, "30", None])
+def test_config_float_fields_reject_non_reals(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        SystemConfig(**{name: value})
+
+
+def test_config_float_fields_store_reals_as_float():
+    cfg = SystemConfig(d1=np.float32(10.0), d2=6, height=np.int64(3),
+                       pt_dbm=np.float64(30.0), noise_dbm=-90)
+    assert [type(getattr(cfg, name)) for name in FLOAT_FIELDS] == [float] * 8
+    assert cfg == SystemConfig()
+    json.dumps(spec_to_dict(ExperimentSpec(base=cfg)))  # the sidecar takes them
+    with pytest.raises(ValueError, match="^d1 must be finite"):
+        SystemConfig(d1=10 ** 400)  # beyond the float range
+
+
 @pytest.mark.parametrize("name", ["trials", "exhaustive_budget"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
 def test_spec_integer_fields_reject_non_integers(name, value):
