@@ -11,14 +11,13 @@ change the active set, hence never the utility, and are not searched.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import amplitudes, power_gains
+from .channel import amplitudes, power_gains, selection
 from .kernels import SetEvaluator
 from .noma import PowerAllocation, RateReport, rate_report
 from .scenario import (Deployment, SystemConfig, dbm_to_watts, derived_rf,
@@ -105,93 +104,88 @@ def _mask(positions) -> int:
     return mask
 
 
-def _first_improvement(ev: SetEvaluator, assignment: Sequence[int | None],
-                       antenna: int, utility: float, start: int,
-                       memo: dict[int, float]
-                       ) -> tuple[int, Move | None, float]:
-    """Scan one antenna's candidate moves at positions >= start, in position
-    order, for the first with a utility above `utility`.
+def _walk(ev: SetEvaluator, assignment: list[int | None], antenna: int,
+          memo: dict[int, float], moves: list[Move], utilities: list[float]
+          ) -> int:
+    """Walk one antenna's candidate moves in position order, accepting each
+    that raises the utility; return the number of candidates examined.
 
     A free position is a relocation candidate (an activation when the antenna
     is inactive); the antenna's own position is its deactivation candidate;
-    positions held by other antennas are skipped.  `memo` maps every set
-    scored so far, as a `_mask`, to its utility: the relocations it lacks are
-    scored in one batch, the deactivation only once the scan reaches it, and
-    no set is scored twice while the memo lives.  Returns the number of
-    candidates up to and including the first improving one, that move and its
-    utility; or the number of candidates, None and the given utility when
-    none improves.  A candidate found in the memo still counts.
+    positions held by other antennas are skipped.  An accepted move updates
+    `assignment`, `moves` and `utilities`, and the walk goes on at the next
+    position.  The other antennas stay put, so every candidate is their set
+    plus one position, or their set alone for the deactivation.  `memo` maps
+    every set scored so far, as a `_mask`, to its utility: the walk scores
+    the relocation sets it lacks in one batch at its start, the current
+    state's among them if missing, and the deactivation only once it is
+    reached.  A candidate found in the memo still counts as examined.
     """
-    source = assignment[antenna]
-    others = [p for p in assignment if p is not None and p != source]
+    current = assignment[antenna]
+    others = [p for p in assignment if p is not None and p != current]
     base = _mask(others)
-    taken = set(assignment)
-    positions = [p for p in range(start, ev.n_positions) if p not in taken]
+    positions = [p for p in range(ev.n_positions) if not base >> p & 1]
     fresh = [p for p in positions if base | 1 << p not in memo]
     if fresh:
-        rows = np.empty((len(fresh), len(others) + 1), dtype=np.intp)
-        rows[:, :-1] = others
-        rows[:, -1] = fresh
-        for p, gain in zip(fresh, ev.utilities(rows).tolist()):
+        for p, gain in zip(fresh, ev.utilities(others, fresh).tolist()):
             memo[base | 1 << p] = gain
-    if source is not None and source >= start:
-        positions.insert(bisect_left(positions, source), source)
-    for i, pos in enumerate(positions):
-        if pos == source:
+    utility = memo[base if current is None else base | 1 << current]
+    for pos in positions:
+        if pos == current:
             if base not in memo:
                 memo[base] = ev.utility(others)
-            gain = memo[base]
+            gain, target = memo[base], None
         else:
-            gain = memo[base | 1 << pos]
+            gain, target = memo[base | 1 << pos], pos
         if gain > utility:
-            return i + 1, Move(antenna, source, None if pos == source else pos), gain
-    return len(positions), None, utility
+            moves.append(Move(antenna, current, target))
+            utilities.append(gain)
+            utility, current = gain, target
+    assignment[antenna] = current
+    return len(positions)
 
 
 def matching_activation(ev: SetEvaluator, initial: Matching
                         ) -> tuple[Matching, Trajectory]:
     """Run the strict-improvement scan until a full cycle accepts nothing.
 
-    Antennas are scanned in ascending index, positions likewise.  A free
-    position is a relocation candidate for the current antenna; the antenna's
-    own position is its deactivation candidate.  A cycle examines at most
-    K*L candidates.  After an accepted move the antenna's scan resumes at the
-    next position, from the new state.  The run keeps the utility of every
-    set it scores, so each candidate set costs one evaluation per run however
-    often it is examined; the memo dies with the run, as the evaluator is
-    bound to one transmit power.  The K antennas are those of `initial`.
+    Antennas are scanned in ascending index, positions likewise, one walk
+    per antenna and cycle (`_walk`).  A free position is a relocation
+    candidate for the current antenna; the antenna's own position is its
+    deactivation candidate.  A cycle examines at most K*L candidates.  After
+    an accepted move the antenna's walk goes on at the next position, from
+    the new state.  The run keeps the utility of every set it scores, so
+    each candidate set costs one evaluation per run however often it is
+    examined; the starting set is scored in antenna 0's first batch when
+    antenna 0 starts active.  The memo dies with the run, as the evaluator
+    is bound to one transmit power.  The K antennas are those of `initial`.
     """
     assignment = list(initial.assignment)
     active = initial.active_positions()
-    utility = ev.utility(active)
-    memo = {_mask(active): utility}
-    utilities = [utility]
+    start = _mask(active)
+    memo: dict[int, float] = {}
+    if assignment and assignment[0] is not None:
+        # The starting set rides in antenna 0's first batch, which scores
+        # grid positions only: check that it is on the grid.
+        selection(active, ev.n_positions)
+    else:
+        memo[start] = ev.utility(active)
+    utilities: list[float] = []
     moves: list[Move] = []
     move_cycles: list[int] = []
     evals_per_cycle: list[int] = []
     cycles = 0
     improved = True
     while improved:
-        improved = False
         cycles += 1
-        evals = 0
-        for antenna in range(initial.k_antennas):
-            start = 0
-            while True:
-                examined, move, utility = _first_improvement(
-                    ev, assignment, antenna, utility, start, memo)
-                evals += examined
-                if move is None:
-                    break
-                assignment[antenna] = move.target
-                utilities.append(utility)
-                moves.append(move)
-                move_cycles.append(cycles)
-                improved = True
-                start = (move.source if move.target is None else move.target) + 1
-        evals_per_cycle.append(evals)
+        accepted = len(moves)
+        evals_per_cycle.append(sum(
+            _walk(ev, assignment, antenna, memo, moves, utilities)
+            for antenna in range(initial.k_antennas)))
+        move_cycles += [cycles] * (len(moves) - accepted)
+        improved = len(moves) > accepted
     trajectory = Trajectory(
-        utilities=tuple(utilities),
+        utilities=(memo[start], *utilities),
         moves=tuple(moves),
         move_cycles=tuple(move_cycles),
         cycles=cycles,
@@ -208,14 +202,17 @@ def check_stability(ev: SetEvaluator, matching: Matching
 
     Stable means no single antenna can relocate to a free position or
     deactivate with a strict utility gain.  Swaps are outside the move set.
+    Each antenna takes the scan's walk from `matching`, with a memo seeded
+    with its utility, so that no set is scored twice; the first move the
+    walks accept is the certificate.
     """
-    utility = ev.utility(matching.active_positions())
-    memo: dict[int, float] = {}
+    active = matching.active_positions()
+    memo = {_mask(active): ev.utility(active)}
     for antenna in range(matching.k_antennas):
-        _, move, _ = _first_improvement(ev, matching.assignment, antenna,
-                                        utility, 0, memo)
-        if move is not None:
-            return False, move
+        moves: list[Move] = []
+        _walk(ev, list(matching.assignment), antenna, memo, moves, [])
+        if moves:
+            return False, moves[0]
     return True, None
 
 

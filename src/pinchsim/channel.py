@@ -14,6 +14,9 @@ import numpy as np
 from .scenario import Deployment, SystemConfig, dbm_to_watts, derived_rf
 
 
+_BOOLS = {bool, np.bool_}
+
+
 def selection(indices, n_positions: int) -> np.ndarray:
     """The sorted grid indices of one activation as an index array;
     ValueError unless they are distinct integers in [0, n_positions).
@@ -27,7 +30,10 @@ def selection(indices, n_positions: int) -> np.ndarray:
     if sel[0] < 0 or sel[-1] >= n_positions:
         raise ValueError("position index out of range")
     arr = np.asarray(sel)
-    if arr.dtype.kind not in "iu":
+    # numpy turns (True, 3) into [1, 3].  A bool is 0 or 1, so among sorted,
+    # distinct, non-negative indices only the first two can be one.
+    if arr.dtype.kind not in "iu" or (
+            sel[0] < 2 and not _BOOLS.isdisjoint(map(type, sel[:2]))):
         raise ValueError("position indices must be integers")
     return arr
 
@@ -91,9 +97,9 @@ def effective_channel(indices, deployment: Deployment, config: SystemConfig,
     of the grid `indices`.
 
     `amp`, the users' `amplitudes` at the active antennas, spares their
-    rebuild when the caller keeps them across transmit powers.  Empty active
-    set yields all-zero gains (the caller convention for a fully
-    deactivated system).
+    rebuild when the caller keeps them across transmit powers; it needs one
+    column per index.  Empty active set yields all-zero gains (the caller
+    convention for a fully deactivated system).
     """
     sel = selection(indices, len(deployment.positions))
     if sel.size == 0:
@@ -101,4 +107,7 @@ def effective_channel(indices, deployment: Deployment, config: SystemConfig,
     if amp is None:
         amp = amplitudes(config, deployment.users, deployment.positions[sel],
                          deployment.feed)
+    elif amp.shape[-1] != sel.size:
+        raise ValueError("amp must have one column per position index: "
+                         f"got {amp.shape[-1]} for {sel.size}")
     return power_gains(amp, dbm_to_watts(config.pt_dbm))

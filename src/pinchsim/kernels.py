@@ -1,10 +1,11 @@
 """The precomputed set evaluator and its sum-rate kernel.
 
-The evaluator exposes one operation, the sum rate of a candidate activation,
-for one set (`utility`) or a batch of sets of one size (`utilities`).  The
-exhaustive search scores every set once, one per call.  The matching search
-scores, in one batch, the relocations of one antenna that its run has not
-scored yet, and reuses the rest.
+The evaluator exposes one operation, the sum rate of a candidate activation:
+of one set (`utility`), or of a batch of sets that share all indices but one
+(`utilities`).  The exhaustive search scores every set once, one per call.
+The matching search walks each antenna once per cycle and scores, in one
+batch, the relocations of that walk that its run has not scored yet; it
+reuses the rest.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class SetEvaluator:
     """Fast sum-rate oracle for grid activations of one (config, drop) pair,
     and the searches' only input.
 
-    Counts the activations it scores so searches can report their evaluation
-    budget.
+    Scores one set (`utility`) or, in one kernel call, every set that adds
+    one position to a common base (`utilities`).  `calls` counts the sets it
+    scores, batched or not, so searches can report their evaluation budget.
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
@@ -82,24 +84,21 @@ class SetEvaluator:
         return float(set_sum_rate(self._amp, sel, self._pt_watts,
                                   self._noise_watts, self._alloc))
 
-    def utilities(self, rows) -> np.ndarray:
-        """Sum rates of a batch of activations of one size, one per row of
-        the (B, S) index array `rows`; equal, bit for bit, to `utility` of
-        each row.  Rows of size 0 score 0."""
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D index array")
-        if rows.size == 0:
-            return np.zeros(rows.shape[0])
-        if rows.dtype.kind not in "iu":
-            raise ValueError("position indices must be integers")
-        rows = np.sort(rows, axis=1)
-        if rows[:, 0].min() < 0 or rows[:, -1].max() >= self.n_positions:
-            raise ValueError("position index out of range")
-        # count_nonzero: a third of the cost of .any() on a few rows.
-        if np.count_nonzero(rows[:, 1:] == rows[:, :-1]):
-            raise ValueError("position indices must be distinct")
-        self.calls += rows.shape[0]
+    def utilities(self, others, positions) -> np.ndarray:
+        """Sum rates of the sets `others` + {p}, one for each p of
+        `positions`, as (B,) floats; equal, bit for bit, to `utility` of
+        each set.  The grid indices of both are checked together by
+        `channel.selection`: integers in range, none twice among them all."""
+        base = sorted(others)
+        positions = list(positions)
+        selection(base + positions, self.n_positions)
+        if not positions:
+            return np.zeros(0)
+        rows = np.empty((len(positions), len(base) + 1), dtype=np.intp)
+        rows[:, :-1] = base
+        rows[:, -1] = positions
+        rows.sort(axis=1)
+        self.calls += len(positions)
         return set_sum_rate(self._amp, rows, self._pt_watts,
                             self._noise_watts, self._alloc)
 

@@ -10,6 +10,7 @@ import pytest
 import helpers
 import reference
 from reference_scan import reference_scan
+from pinchsim import activation
 from pinchsim import (BudgetExceededError, Matching, Move,
                       PowerAllocation, SetEvaluator, SystemConfig, Trajectory,
                       amplitudes, candidate_count, check_stability,
@@ -79,6 +80,18 @@ def distinct_matchings(l_positions, k_antennas):
     # injective assignments of K antennas to L positions, inactive allowed
     return sum(math.comb(k_antennas, j) * math.perm(l_positions, j)
                for j in range(k_antennas + 1))
+
+
+def test_searches_reject_a_matching_off_the_grid():
+    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=20)
+    dep = make_deployment(cfg, stream_rng(1, 0, 0))
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(2))
+    for assignment in ((20, 3), (3, 20), (None, 20)):
+        for search in (matching_activation, check_stability):
+            with pytest.raises(ValueError,
+                               match="^position index out of range$"):
+                search(ev, Matching(assignment=assignment))
+    assert ev.calls == 0
 
 
 def test_trajectories_strictly_increase():
@@ -172,20 +185,26 @@ def test_batched_scan_equals_reference_scan():
 
 
 class _RecordingEvaluator(SetEvaluator):
-    """Records every set it scores: one per `utility` call and one per row
-    of a `utilities` batch."""
+    """Logs its scoring calls as ('utility', [set]) or ('batch', sets).
+    `scored` lists every set scored: one per `utility` call, bar the empty
+    set, which scores 0 without the kernel, and one per batch position."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.scored: list[tuple[int, ...]] = []
+        self.log: list[tuple[str, list[tuple[int, ...]]]] = []
 
     def utility(self, indices):
-        self.scored.append(tuple(sorted(indices)))
+        self.log.append(("utility", [tuple(sorted(indices))]))
         return super().utility(indices)
 
-    def utilities(self, rows):
-        self.scored.extend(tuple(sorted(r)) for r in np.asarray(rows).tolist())
-        return super().utilities(rows)
+    def utilities(self, others, positions):
+        self.log.append(("batch", [tuple(sorted([*others, p]))
+                                   for p in positions]))
+        return super().utilities(others, positions)
+
+    @property
+    def scored(self) -> list[tuple[int, ...]]:
+        return [s for _, sets in self.log for s in sets if s]
 
 
 def _scan_start(cfg, dep, rng, inactive):
@@ -211,8 +230,46 @@ def test_scan_scores_each_candidate_set_once():
             init = _scan_start(cfg, dep, rng, drop % 3)
             ev = _RecordingEvaluator(cfg, dep, alloc)
             got = matching_activation(ev, init)
+            # every set the evaluator counted went through a recorded path
+            assert len(ev.scored) == ev.calls > 0
             assert len(set(ev.scored)) == len(ev.scored)
             assert got == reference_scan(cfg, dep, alloc, init)
+
+
+def test_scan_call_structure(monkeypatch):
+    # from a start with every antenna active, the starting set is scored in
+    # antenna 0's first batch, never alone, and each antenna walk makes at
+    # most one batch call
+    def walk(ev, *args):
+        ev.log.append(("walk", []))
+        return real_walk(ev, *args)
+
+    real_walk = activation._walk
+    monkeypatch.setattr(activation, "_walk", walk)
+    spec = build_spec(PRESETS["power"])
+    rng = np.random.default_rng(511)
+    for _ in range(10):
+        dep = make_deployment(spec.base, rng)
+        amp = amplitude_matrix(spec.base, dep)
+        alloc = PowerAllocation.equal(spec.base.n_users)
+        init = random_matching(spec.base, dep, rng)
+        start = init.active_positions()
+        assert len(start) == spec.base.k_antennas
+        for pt_dbm in spec.sweep.values():
+            cfg = dataclasses.replace(spec.base, pt_dbm=pt_dbm)
+            ev = _RecordingEvaluator(cfg, dep, alloc, amp=amp)
+            _, traj = matching_activation(ev, init)
+            assert ev.log[0] == ("walk", []) and ev.log[1][0] == "batch"
+            assert start in ev.log[1][1]
+            assert ("utility", [start]) not in ev.log
+            batches_per_walk = []
+            for kind, _ in ev.log:
+                if kind == "walk":
+                    batches_per_walk.append(0)
+                elif kind == "batch":
+                    batches_per_walk[-1] += 1
+            assert len(batches_per_walk) == traj.cycles * cfg.k_antennas
+            assert max(batches_per_walk) == 1
 
 
 def test_scan_memo_never_crosses_powers():

@@ -108,12 +108,16 @@ def test_active_set_validation():
     alloc = PowerAllocation.equal(CFG.n_users)
     ev = SetEvaluator(CFG, dep, alloc)
     paths = (ev.utility, ev.gains,
+             lambda indices: ev.utilities(indices[:-1], indices[-1:]),
              lambda indices: effective_channel(indices, dep, CFG),
              lambda indices: sum_rate(indices, dep, CFG, alloc))
+    # a bool sorts and compares as 0 or 1, and numpy turns (True, 3) into
+    # [1, 3]; it is still not a position index
     table = (((1, 1), "position indices must be distinct"),
              ((-1,), "position index out of range"),
              ((CFG.l_positions,), "position index out of range"),
-             ((1.5,), "position indices must be integers"))
+             ((1.5,), "position indices must be integers"),
+             ((True, 3), "position indices must be integers"))
     for indices, message in table:
         for path in paths:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -176,6 +180,21 @@ def test_effective_channel_matches_reference():
         for h, g, h_ref in zip(per_user, gains, ref):
             assert cmath.isclose(h, h_ref, rel_tol=1e-12, abs_tol=1e-300)
             assert math.isclose(g, abs(h_ref) ** 2, rel_tol=1e-12)
+
+
+def test_effective_channel_rejects_amp_of_other_indices():
+    # terms built at (1, 3) used to stand in for (5,): the sum rate of (1, 3)
+    # came back, with P_t split over amp's two columns
+    dep = make_deployment(CFG, stream_rng(2, 0, 0))
+    alloc = PowerAllocation.equal(CFG.n_users)
+    amp = amplitudes(CFG, dep.users, dep.positions[[1, 3]], dep.feed)
+    for path in (lambda: effective_channel((5,), dep, CFG, amp),
+                 lambda: sum_rate((5,), dep, CFG, alloc, amp)):
+        with pytest.raises(ValueError, match="^amp must have one column per "
+                                             "position index: got 2 for 1$"):
+            path()
+    assert (sum_rate((1, 3), dep, CFG, alloc, amp).sum_rate
+            == sum_rate((1, 3), dep, CFG, alloc).sum_rate)
 
 
 def test_gains_are_squared_magnitudes():

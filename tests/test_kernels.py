@@ -47,37 +47,41 @@ def test_batch_equals_single_evaluations_exactly():
             dep = make_deployment(cfg, rng)
             ev = SetEvaluator(cfg, dep, PowerAllocation.equal(n))
             size = int(rng.integers(1, k + 1))
-            batch = int(rng.integers(1, l_positions + 1))
-            # rows in any order within themselves: the batch sorts them
-            rows = np.array([rng.choice(l_positions, size=size, replace=False)
-                             for _ in range(batch)])
-            got = ev.utilities(rows)
-            assert got.shape == (batch,)
-            assert got.tolist() == [ev.utility(r) for r in rows]
-    # the sizes and shapes the scan hands over, each row alone and batched
+            # a base and new positions in any order: the batch sorts each set
+            chosen = rng.permutation(l_positions).tolist()
+            others = chosen[:size - 1]
+            positions = chosen[size - 1:][:int(rng.integers(1, l_positions
+                                                            - size + 2))]
+            got = ev.utilities(others, positions)
+            assert got.shape == (len(positions),)
+            assert got.tolist() == [ev.utility([*others, p]) for p in positions]
+    # the sizes and shapes the scan hands over, each set alone and batched
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60)
     ev = SetEvaluator(cfg, make_deployment(cfg, rng), PowerAllocation.equal(8))
     for size in range(1, 9):
-        rows = [sorted(rng.choice(60, size=size, replace=False))
-                for _ in range(60 - size)]
-        assert ev.utilities(rows).tolist() == [ev.utility(r) for r in rows]
-        assert [ev.utilities([r])[0] for r in rows] == [ev.utility(r) for r in rows]
+        others = rng.choice(60, size=size - 1, replace=False).tolist()
+        positions = [p for p in range(60) if p not in others]
+        want = [ev.utility([*others, p]) for p in positions]
+        assert ev.utilities(others, positions).tolist() == want
+        assert [ev.utilities(others, [p])[0] for p in positions] == want
 
 
 def test_batch_edge_cases_and_validation():
     cfg = SystemConfig(l_positions=12)
     dep = make_deployment(cfg, stream_rng(7, 0, 0))
     ev = SetEvaluator(cfg, dep, PowerAllocation.equal(cfg.n_users))
-    assert ev.utilities(np.empty((0, 2), dtype=int)).shape == (0,)
-    assert ev.utilities(np.empty((3, 0), dtype=int)).tolist() == [0.0] * 3
+    assert ev.utilities([0, 1], []).shape == (0,)
     assert ev.calls == 0
-    ev.utilities([[0, 1], [2, 3], [5, 4]])
+    ev.utilities((4,), range(3))
     assert ev.calls == 3
-    for bad in ([[0, 12]], [[-1, 3]]):
-        with pytest.raises(ValueError):
-            ev.utilities(bad)
-    with pytest.raises(ValueError):
-        ev.utilities([0, 1])  # one activation is utility(), not a batch
+    for others, positions in (([0], [12]), ([-1], [3]), ([], [5, 12]),
+                              ([12], [])):
+        with pytest.raises(ValueError, match="out of range"):
+            ev.utilities(others, positions)
+    for others, positions in (([2], [2]), ([], [3, 3]), ([1, 1], [0])):
+        with pytest.raises(ValueError, match="distinct"):
+            ev.utilities(others, positions)
+    assert ev.calls == 3
 
 
 def test_evaluator_counts_calls():
@@ -121,21 +125,23 @@ def test_evaluator_rejects_duplicate_and_non_integer_indices():
         with pytest.raises(ValueError, match="distinct"):
             ev.gains(bad)
         with pytest.raises(ValueError, match="distinct"):
-            ev.utilities([bad, tuple(range(len(bad)))])
-    for bad in ((2.7,), (2.0, 5.0), (True,)):
+            ev.utilities(bad[:-1], bad[-1:])
+    for bad in ((2.7,), (2.0, 5.0), (True,), (True, 3), (3, False),
+                (np.float64(2.0),), (np.bool_(True), 3)):
         with pytest.raises(ValueError, match="integers"):
             ev.utility(bad)
         with pytest.raises(ValueError, match="integers"):
             ev.gains(bad)
         with pytest.raises(ValueError, match="integers"):
-            ev.utilities([bad])
-    with pytest.raises(ValueError, match="integers"):
-        ev.utilities(np.array([[2.7, 4.0]]))
+            ev.utilities(bad[:-1], bad[-1:])
+        with pytest.raises(ValueError, match="integers"):
+            ev.utilities(bad[1:], bad[:1])
     # rejected calls are not counted, valid ones score as before
     assert ev.calls == 1
     assert ev.utility((np.int64(3),)) == single
-    assert ev.utilities([[3]]).tolist() == [single]
-    assert ev.utility(()) == 0.0 and ev.utilities(np.empty((2, 0))).tolist() == [0.0, 0.0]
+    assert ev.utilities([], [3]).tolist() == [single]
+    assert ev.utilities([], [np.uint8(3)]).tolist() == [single]
+    assert ev.utility(()) == 0.0 and ev.utilities([3], []).tolist() == []
     assert ev.gains(()).tolist() == [0.0] * cfg.n_users
 
 def test_shared_amplitude_matrix_serves_every_power():
