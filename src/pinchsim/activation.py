@@ -277,15 +277,16 @@ def conventional_amplitudes(config: SystemConfig, users: np.ndarray
     return amplitudes(config, users, conventional_positions(config), None)
 
 
-def conventional_baseline(config: SystemConfig, deployment: Deployment,
+def conventional_baseline(config: SystemConfig, users: np.ndarray,
                           alloc: PowerAllocation,
                           amp: np.ndarray | None = None) -> RateReport:
-    """Fixed-antenna benchmark: no waveguide, so no phase shift and no
+    """Fixed-antenna benchmark for the (N, 3) users of one drop, or a
+    (T, N, 3) block of drops: no waveguide, so no phase shift and no
     dielectric loss; each of the K antennas radiates P_t/K.  Rates go through
-    the same SIC stack as the pinching schemes.  `amp` is the drop's
+    the same SIC stack as the pinching schemes.  `amp` is the users'
     `conventional_amplitudes`, if the caller already has them.
     """
     if amp is None:
-        amp = conventional_amplitudes(config, deployment.users)
+        amp = conventional_amplitudes(config, users)
     return rate_report(power_gains(amp, dbm_to_watts(config.pt_dbm)), alloc,
                        dbm_to_watts(config.noise_dbm))

@@ -80,8 +80,9 @@ def amplitudes(config: SystemConfig, users: np.ndarray, points: np.ndarray,
 
 def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     """Power gain P_t/S * |sum of terms|^2 of each user, from (N, S)
-    amplitude terms, or (N, B) gains from a (N, B, S) batch; P_t is split
-    equally over the S antennas.
+    amplitude terms, or (..., N) gains from (..., N, S) terms, such as a
+    (T, N, S) block of drops or the search kernel's (N, B, S) batch; P_t is
+    split equally over the S antennas.
 
     Each user's terms add in antenna order when users vary fastest in
     memory, as they do in `amplitudes` and in a gather `amp[:, sel]`; so a
@@ -94,20 +95,33 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
 def effective_channel(indices, deployment: Deployment, config: SystemConfig,
                       amp: np.ndarray | None = None) -> np.ndarray:
     """(N,) power gains |h_n|^2 of the deployment's users for the activation
-    of the grid `indices`.
+    of the grid `indices`, or (T, N) for a (T, S) integer array of T
+    activations.
 
     `amp`, the users' `amplitudes` at the active antennas, spares their
     rebuild when the caller keeps them across transmit powers; it needs one
-    column per index.  Empty active set yields all-zero gains (the caller
-    convention for a fully deactivated system).
+    column per index, (N, S) or (T, N, S).  The users are read only when
+    `amp` is None, so a batch's terms may come from other drops on the
+    deployment's grid and feed.  Empty active set yields all-zero gains (the
+    caller convention for a fully deactivated system).
     """
-    sel = selection(indices, len(deployment.positions))
+    n_positions = len(deployment.positions)
+    if isinstance(indices, np.ndarray) and indices.ndim == 2:
+        # Each row is checked as one activation; none changes its length.
+        sel = np.array([selection(row, n_positions) for row in indices],
+                       dtype=np.intp).reshape(indices.shape)
+    else:
+        sel = selection(indices, n_positions)
     if sel.size == 0:
-        return np.zeros(len(deployment.users))
+        return np.zeros((*sel.shape[:-1], len(deployment.users)))
     if amp is None:
         amp = amplitudes(config, deployment.users, deployment.positions[sel],
                          deployment.feed)
-    elif amp.shape[-1] != sel.size:
+    elif amp.shape[-1] != sel.shape[-1]:
         raise ValueError("amp must have one column per position index: "
-                         f"got {amp.shape[-1]} for {sel.size}")
+                         f"got {amp.shape[-1]} for {sel.shape[-1]}")
+    elif amp.shape[:-2] != sel.shape[:-1] or amp.ndim < 2:
+        raise ValueError("amp must hold one (N, S) block per activation: "
+                         f"got shape {amp.shape} for indices of shape "
+                         f"{sel.shape}")
     return power_gains(amp, dbm_to_watts(config.pt_dbm))

@@ -9,9 +9,9 @@ placement.  Per block, with one numpy call each: the users' coordinates, the
 search's grid matrices and the random, distance and conventional schemes'
 amplitude terms.  None of these depends on the transmit power, so a power
 sweep builds a block once and shares it across its values; any other sweep
-builds it afresh at each value.  Channel sums, SIC rates, the searches and
-the reports run per (sweep value, trial), and at most one block of drops is
-held at a time.
+builds it afresh at each value.  The searches run per (sweep value, trial);
+the reports per (sweep value, block, scheme), one `rate_report` of the
+block's (T, N) gains each.  At most one block of drops is held at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .activation import (Matching, candidate_count, conventional_amplitudes,
                          random_matching)
 from .channel import amplitudes, power_gains
 from .kernels import SetEvaluator
-from .noma import PowerAllocation, RateReport, rate_report, sum_rate
+from .noma import PowerAllocation, rate_report, sum_rate
 from .scenario import (MATCHING_STREAM, USER_STREAM, Deployment,
                        SystemConfig, config_field_names, dbm_to_watts, integer,
                        make_deployment, stream_rng)
@@ -200,23 +200,21 @@ def _drop_hash(deployment) -> str:
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
-def _report(gains, cfg, alloc) -> RateReport:
-    """Rates of one activation from its per-user power gains."""
-    return rate_report(gains, alloc, dbm_to_watts(cfg.noise_dbm))
+class _Block(NamedTuple):
+    """The power-independent objects of a block of T trials, as arrays or
+    lists in trial order; None where no scheme of the run asks for them."""
 
-
-class _Trial(NamedTuple):
-    """One trial's power-independent objects; None where no scheme of the
-    run asks for them."""
-
-    index: int
-    deployment: Deployment
-    grid: np.ndarray | None                   # (N, L) amplitude matrix
-    initial: Matching | None
-    random_terms: np.ndarray | None           # (N, K)
-    placement: np.ndarray | None              # (S, 3) distance-based points
-    distance_terms: np.ndarray | None         # (N, S)
-    conventional_terms: np.ndarray | None     # (N, K)
+    trials: range
+    drops: list[Deployment]
+    users: np.ndarray                         # (T, N, 3)
+    grid: np.ndarray | None                   # (T, N, L) amplitude matrices
+    initial: list[Matching] | None
+    random_active: np.ndarray | None          # (T, K) grid indices, ascending
+    random_terms: np.ndarray | None           # (T, N, K)
+    # Per distance-based placement size S: the trials' row indices and their
+    # (G, N, S) amplitude terms.
+    distance_terms: list[tuple[list[int], np.ndarray]] | None
+    conventional_terms: np.ndarray | None     # (T, N, K)
 
 
 def _blocks(trials: int) -> list[range]:
@@ -227,21 +225,20 @@ def _blocks(trials: int) -> list[range]:
 
 
 def _distance_terms(cfg: SystemConfig, feed: np.ndarray, users: np.ndarray,
-                    placements: list[np.ndarray]) -> list[np.ndarray]:
-    """Each trial's (N, S) amplitude terms at its distance-based placement.
-    Trials are batched by S, since coinciding users collapse placements."""
-    terms: list = [None] * len(placements)
+                    placements: list[np.ndarray]
+                    ) -> list[tuple[list[int], np.ndarray]]:
+    """The amplitude terms of each trial at its distance-based placement,
+    batched by placement size S, since coinciding users collapse placements:
+    per size, the trials' row indices and their (G, N, S) terms."""
     by_size: dict[int, list[int]] = {}
     for i, points in enumerate(placements):
         by_size.setdefault(len(points), []).append(i)
-    for idx in by_size.values():
-        points = np.stack([placements[i] for i in idx])
-        for i, amp in zip(idx, amplitudes(cfg, users[idx], points, feed)):
-            terms[i] = amp
-    return terms
+    return [(idx, amplitudes(cfg, users[idx],
+                             np.stack([placements[i] for i in idx]), feed))
+            for idx in by_size.values()]
 
 
-def _block(cfg: SystemConfig, trials: range, schemes) -> list[_Trial]:
+def _block(cfg: SystemConfig, trials: range, schemes) -> _Block:
     """Each trial's drop, and what `schemes` need of the grid matrix, the
     random initial matching, the distance-based placement and the amplitude
     terms.  Drops, matchings and placements come from one call per trial,
@@ -250,9 +247,8 @@ def _block(cfg: SystemConfig, trials: range, schemes) -> list[_Trial]:
     drops = [make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
              for trial in trials]
     users = np.stack([d.users for d in drops])
-    none = [None] * len(trials)
-    grid = initial = random_terms = none
-    placements = distance_terms = conventional_terms = none
+    grid = initial = random_active = random_terms = None
+    distance_terms = conventional_terms = None
     if "matching" in schemes or "exhaustive" in schemes:
         # Looked up on the module, so the traced benchmark (perfbench)
         # credits the matrix build to kernels.
@@ -263,69 +259,89 @@ def _block(cfg: SystemConfig, trials: range, schemes) -> list[_Trial]:
     if "random" in schemes:
         # Each trial's users at the grid points of its random matching, in
         # ascending position order.
-        active = np.array([m.active_positions() for m in initial], dtype=np.intp)
-        random_terms = amplitudes(cfg, users, drops[0].positions[active],
+        random_active = np.array([m.active_positions() for m in initial],
+                                 dtype=np.intp)
+        random_terms = amplitudes(cfg, users, drops[0].positions[random_active],
                                   drops[0].feed)
     if "distance" in schemes:
         placements = [distance_based_activation(cfg, d) for d in drops]
         distance_terms = _distance_terms(cfg, drops[0].feed, users, placements)
     if "conventional" in schemes:
         conventional_terms = conventional_amplitudes(cfg, users)
-    return [_Trial(*objects) for objects in zip(
-        trials, drops, grid, initial, random_terms, placements,
-        distance_terms, conventional_terms)]
+    return _Block(trials, drops, users, grid, initial, random_active,
+                  random_terms, distance_terms, conventional_terms)
 
 
-def _score_block(block: list[_Trial], value, cfg: SystemConfig,
+def _score_block(block: _Block, value, cfg: SystemConfig,
                  alloc: PowerAllocation, spec: ExperimentSpec, cells) -> None:
-    """Score every scheme on each trial of `block` at one sweep value and
-    append its metrics to the value's cells."""
+    """Score every scheme on the trials of `block` at one sweep value and
+    append each trial's metrics to the value's cells, in trial order.
+
+    The searches run per trial and keep the gains of the sets they find.
+    Each scheme's rates then come from one report of the whole block: the
+    (T, N) gains of its T activations, scored by one `rate_report`.
+    """
     schemes = spec.schemes
     pt_watts = dbm_to_watts(cfg.pt_dbm)
-    for trial in block:
-        deployment = trial.deployment
+    noise_watts = dbm_to_watts(cfg.noise_dbm)
+    shape = block.users.shape[:2]
+    k_all = np.full(shape[0], cfg.k_antennas)
+    # Per searched scheme: each trial's gains and active count.
+    searched = {s: (np.empty(shape), np.empty(shape[0]))
+                for s in ("exhaustive", "matching") if s in schemes}
+    cycles = np.empty(shape[0])
+    for i, (trial, deployment) in enumerate(zip(block.trials, block.drops)):
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("sweep=%s trial=%d drop=%s", value, trial.index,
+            log.debug("sweep=%s trial=%d drop=%s", value, trial,
                       _drop_hash(deployment))
-        evaluator = (SetEvaluator(cfg, deployment, alloc, amp=trial.grid)
-                     if trial.grid is not None else None)
-        exhaustive_rate: float | None = None
-        if "exhaustive" in schemes:
-            exh_set, _ = exhaustive_search(evaluator, cfg.k_antennas,
-                                           spec.exhaustive_budget)
-            exh_report = _report(evaluator.gains(exh_set), cfg, alloc)
-            exhaustive_rate = exh_report.sum_rate
-        for scheme in schemes:
-            cycles = None
-            if scheme == "matching":
-                final, trajectory = matching_activation(evaluator, trial.initial)
-                positions = final.active_positions()
-                report = _report(evaluator.gains(positions), cfg, alloc)
-                active_count = len(positions)
-                cycles = trajectory.cycles
-            elif scheme == "random":
-                positions = trial.initial.active_positions()
-                report = sum_rate(positions, deployment, cfg, alloc,
-                                  trial.random_terms)
-                active_count = len(positions)
-            elif scheme == "distance":
-                report = _report(power_gains(trial.distance_terms, pt_watts),
-                                 cfg, alloc)
-                active_count = len(trial.placement)
-            elif scheme == "exhaustive":
-                report = exh_report
-                active_count = len(exh_set)
+        if not searched:
+            continue
+        evaluator = SetEvaluator(cfg, deployment, alloc, amp=block.grid[i])
+        for scheme, (gains, active) in searched.items():
+            if scheme == "exhaustive":
+                positions, _ = exhaustive_search(evaluator, cfg.k_antennas,
+                                                 spec.exhaustive_budget)
             else:
-                report = conventional_baseline(cfg, deployment, alloc,
-                                               trial.conventional_terms)
-                active_count = cfg.k_antennas
-            ratio = (report.sum_rate / exhaustive_rate
-                     if exhaustive_rate is not None else None)
-            for column, x in zip(cells[scheme], (
-                    report.sum_rate, report.fairness, active_count, cycles,
-                    ratio)):
-                if x is not None:
-                    column.append(x)
+                final, trajectory = matching_activation(evaluator,
+                                                        block.initial[i])
+                positions = final.active_positions()
+                cycles[i] = trajectory.cycles
+            gains[i] = evaluator.gains(positions)
+            active[i] = len(positions)
+    exhaustive_rate = None
+    # The exhaustive scheme first: the others' ratios divide by its rates.
+    for scheme in sorted(schemes, key=lambda s: s != "exhaustive"):
+        if scheme in searched:
+            gains, active = searched[scheme]
+            report = rate_report(gains, alloc, noise_watts)
+        elif scheme == "random":
+            report = sum_rate(block.random_active, block.drops[0], cfg, alloc,
+                              block.random_terms)
+            active = k_all
+        elif scheme == "distance":
+            gains, active = np.empty(shape), np.empty(shape[0])
+            for idx, terms in block.distance_terms:
+                gains[idx] = power_gains(terms, pt_watts)
+                active[idx] = terms.shape[-1]
+            report = rate_report(gains, alloc, noise_watts)
+        else:
+            report = conventional_baseline(cfg, block.users, alloc,
+                                           block.conventional_terms)
+            active = k_all
+        if scheme == "exhaustive":
+            exhaustive_rate = report.sum_rate
+            if not exhaustive_rate.all():
+                trial = block.trials[np.flatnonzero(exhaustive_rate == 0)[0]]
+                raise ValueError(
+                    f"exhaustive sum rate is 0 at {cfg.pt_dbm} dBm transmit "
+                    f"power (trial {trial}): no ratio to exhaustive")
+        ratio = (report.sum_rate / exhaustive_rate
+                 if exhaustive_rate is not None else None)
+        for column, x in zip(cells[scheme], (
+                report.sum_rate, report.fairness, active,
+                cycles if scheme == "matching" else None, ratio)):
+            if x is not None:
+                column.extend(x.tolist())
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -337,9 +353,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     kept for the others when the sweep is over `pt_dbm`; any other sweep
     rebuilds them at each value.  The amplitude terms of the whole block come
     from one numpy call per kind, the drops and placements from one call per
-    trial.  Only the power-dependent work (channel sums, SIC rates, searches,
-    reports) runs per (sweep value, trial).  Cells collect their trials in
-    order, so the rows do not depend on the loop order.  Deterministic for a
+    trial.  The searches run per (sweep value, trial); each scheme's channel
+    sums, SIC rates and fairness come from one report per (sweep value,
+    block).  Cells collect their trials in order, so the rows do not depend
+    on the loop order.  Deterministic for a
     fixed spec: identical specs produce identical rows (and therefore
     byte-identical CSV files).
     """
@@ -383,18 +400,19 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     return rows
 
 
-def _trace_block(block: list[_Trial], cfg: SystemConfig,
-                 alloc: PowerAllocation, budget: int) -> list[TraceRow]:
+def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
+                 budget: int) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
-    for trial in block:
-        evaluator = SetEvaluator(cfg, trial.deployment, alloc, amp=trial.grid)
+    for trial, deployment, grid, initial in zip(
+            block.trials, block.drops, block.grid, block.initial):
+        evaluator = SetEvaluator(cfg, deployment, alloc, amp=grid)
         _, optimum = exhaustive_search(evaluator, cfg.k_antennas, budget)
-        _, trajectory = matching_activation(evaluator, trial.initial)
+        _, trajectory = matching_activation(evaluator, initial)
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]
             rows.append(TraceRow(
-                trial=trial.index,
+                trial=trial,
                 step=step,
                 cycle=cycle,
                 utility=_round9(utility),

@@ -4,7 +4,9 @@ Users are ordered by ascending effective channel gain.  The user of SIC rank m
 decodes ranks below m first, so its own signal sees only the power of ranks
 above m as interference; the top-ranked user decodes interference free.
 Rates are spectral efficiencies in bits/s/Hz.  `sic_rates` is the one rate
-formula: the search kernel sums it and every report reads it per user.
+formula: the search kernel sums it and every report reads it per user.  The
+reports take one activation's (N,) gains or a (..., N) batch, one activation
+per row, by the same code path; a run reports each block of trials at once.
 """
 
 from __future__ import annotations
@@ -48,15 +50,18 @@ class PowerAllocation:
         return alpha, np.concatenate(((0.0,), above[:-1]))[::-1].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateReport:
-    """Rates of one activation: SIC order, per-user rates, sum, fairness."""
+    """Rates of one activation, or of a batch of them: SIC order, per-user
+    rates, sum, fairness.  Arrays of shape (N,) per activation, or (..., N)
+    and (...) for a batch; a single activation's sum and fairness are numpy
+    floats."""
 
-    order: tuple[int, ...]        # user indices, ascending gain
-    rates: tuple[float, ...]      # bits/s/Hz, indexed by user
-    sum_rate: float               # bits/s/Hz
-    fairness: float               # Jain index, in [1/N, 1]
-    gains: tuple[float, ...]      # |h|^2 sorted ascending (rank order)
+    order: np.ndarray             # (..., N) user indices, ascending gain
+    rates: np.ndarray             # (..., N) bits/s/Hz, indexed by user
+    sum_rate: np.ndarray          # (...) bits/s/Hz
+    fairness: np.ndarray          # (...) Jain index, in [1/N, 1]
+    gains: np.ndarray             # (..., N) |h|^2 sorted ascending (rank order)
 
 
 def sic_rates(gains: np.ndarray, alloc: PowerAllocation,
@@ -75,52 +80,69 @@ def sic_rates(gains: np.ndarray, alloc: PowerAllocation,
     return np.log2(1.0 + alpha * gains / (gains * tails + noise_watts))
 
 
-def jain_fairness(rates) -> float:
-    """Jain's index (sum r)^2 / (N sum r^2) of a rate array; all-zero rates
-    count as equal."""
+def jain_fairness(rates):
+    """Jain's index (sum r)^2 / (N sum r^2) of an (N,) rate array, or (...)
+    indices of the rows of a (..., N) batch; all-zero rates count as equal.
+
+    ValueError unless there is at least one rate per row and every rate is
+    finite and >= 0.  Each row's sum of squares is a matmul, which gives
+    `rates @ rates` bit for bit at any batch shape.
+    """
     rates = np.asarray(rates, dtype=float)
-    if rates.min() < 0:
+    if rates.ndim == 0 or rates.shape[-1] == 0:
+        raise ValueError("need at least one rate per row")
+    if not np.isfinite(rates).all():
+        raise ValueError("rates must be finite")
+    if (rates < 0).any():
         raise ValueError("rates must be >= 0")
-    total = rates.sum()
-    if total == 0.0:
-        return 1.0
-    return float(total * total / (rates.size * (rates @ rates)))
+    total = rates.sum(axis=-1)
+    squares = (rates[..., None, :] @ rates[..., :, None])[..., 0, 0]
+    zero = total == 0.0
+    # An all-zero row divides by 1 instead of 0 and is then set to 1.
+    index = total * total / (rates.shape[-1] * np.where(zero, 1.0, squares))
+    return np.where(zero, 1.0, index)[()]
 
 
 def rate_report(gains, alloc: PowerAllocation, noise_watts: float) -> RateReport:
-    """Assemble a RateReport from per-user gains.
+    """Assemble a RateReport from (N,) per-user gains, or from a (..., N)
+    batch of them, one activation per row.
 
     Users take SIC ranks by a stable sort, so equal gains keep ascending
     user index.  Gains are continuous in practice so ties have probability
-    zero, but the tie rule makes runs reproducible bit for bit.
+    zero, but the tie rule makes runs reproducible bit for bit.  A row's
+    sum and fairness are the same, bit for bit, whether it is reported alone
+    or in a batch (the tests check it).
     """
     gains = np.asarray(gains, dtype=float)
-    order = gains.argsort(kind="stable")
-    ranked_gains = gains[order]
-    sorted_gains = ranked_gains.tolist()
-    # NaN sorts last, so the two ends bound every gain.
-    if not 0.0 <= sorted_gains[0] <= sorted_gains[-1] < math.inf:
+    if gains.ndim == 0 or gains.shape[-1] != len(alloc.alpha):
+        raise ValueError("allocation length must match number of users")
+    order = gains.argsort(axis=-1, kind="stable")
+    ranked_gains = np.take_along_axis(gains, order, axis=-1)
+    # NaN sorts last, so the two ends of each row bound its gains.
+    if not ((ranked_gains[..., 0] >= 0.0).all()
+            and (ranked_gains[..., -1] < math.inf).all()):
         raise ValueError("gains must be finite and >= 0")
     ranked = sic_rates(ranked_gains, alloc, noise_watts)
     rates = np.empty_like(ranked)
-    rates[order] = ranked
+    np.put_along_axis(rates, order, ranked, axis=-1)
     return RateReport(
-        order=tuple(order.tolist()),
-        rates=tuple(rates.tolist()),
-        sum_rate=float(ranked.sum()),
+        order=order,
+        rates=rates,
+        sum_rate=ranked.sum(axis=-1)[()],
         fairness=jain_fairness(ranked),
-        gains=tuple(sorted_gains),
+        gains=ranked_gains,
     )
 
 
 def sum_rate(indices, deployment: Deployment, config: SystemConfig,
              alloc: PowerAllocation, amp=None) -> RateReport:
-    """Rates for the activation of the grid `indices`: power gains -> SIC
-    order -> rates.
+    """Rates for the activation of the grid `indices`, or for a (T, S) batch
+    of activations: power gains -> SIC order -> rates.
 
     `amp` is the activation's (N, S) `channel.amplitudes` at its antenna
-    points, if the caller already has them.  An empty activation reports
-    zero rates for everyone.
+    points, or the batch's (T, N, S), if the caller already has them; see
+    `effective_channel`.  An empty activation reports zero rates for
+    everyone.
     """
     gains = effective_channel(indices, deployment, config, amp)
     return rate_report(gains, alloc, dbm_to_watts(config.noise_dbm))

@@ -74,6 +74,15 @@ class SystemConfig:
                 raise ValueError(f"{name} must be > 0")
         if not self.n_eff >= 1:
             raise ValueError("n_eff must be >= 1")
+        for name in ("pt_dbm", "noise_dbm"):
+            value = getattr(self, name)
+            try:
+                watts = dbm_to_watts(value)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ValueError(f"{name}={value!r} dBm is not a positive "
+                                 "finite power in watts")
         if self.kappa_db_per_m < 0:
             raise ValueError("kappa_db_per_m must be >= 0")
         if self.n_users < 1:

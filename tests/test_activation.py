@@ -474,7 +474,7 @@ def test_conventional_baseline_against_direct_computation():
     cfg = SystemConfig(n_users=3, k_antennas=2, pt_dbm=27.0)
     dep = make_deployment(cfg, stream_rng(9, 0, 0))
     alloc = PowerAllocation.equal(3)
-    report = conventional_baseline(cfg, dep, alloc)
+    report = conventional_baseline(cfg, dep.users, alloc)
     # no waveguide: no phase shift, no dielectric loss, power P_t/K each
     lam, _, eta = derived_rf(cfg)
     weight = math.sqrt(dbm_to_watts(cfg.pt_dbm) / cfg.k_antennas)

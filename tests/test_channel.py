@@ -239,3 +239,40 @@ def test_batched_amplitudes_keep_the_singular_check():
     users = np.array([[[1.0, 0.0, 0.0]], [[2.0, 0.0, 3.0]]])
     with pytest.raises(ValueError, match="coincide"):
         amplitudes(CFG, users, np.array([[2.0, 0.0, 3.0]]), FEED)
+
+
+def test_batch_of_activations_is_checked_row_by_row():
+    # a (T, S) integer array is T activations: the batch paths run the same
+    # check as one activation, on every row
+    dep = make_deployment(CFG, stream_rng(2, 0, 0))
+    alloc = PowerAllocation.equal(CFG.n_users)
+    paths = (lambda rows: effective_channel(rows, dep, CFG),
+             lambda rows: sum_rate(rows, dep, CFG, alloc))
+    table = ((((0, 2), (1, 1)), "position indices must be distinct"),
+             (((0, 2), (-1, 4)), "position index out of range"),
+             (((0, CFG.l_positions),), "position index out of range"),
+             (((0.0, 2.0),), "position indices must be integers"),
+             (((True, False),), "position indices must be integers"))
+    for rows, message in table:
+        for path in paths:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                path(np.array(rows))
+    rows = np.array([(3, 1), (0, 19), (7, 6)])
+    gains = effective_channel(rows, dep, CFG)
+    assert gains.shape == (3, CFG.n_users)
+    for got, sel in zip(gains, rows.tolist()):
+        assert got.tolist() == effective_channel(sel, dep, CFG).tolist()
+    assert effective_channel(np.empty((3, 0), dtype=int), dep, CFG).tolist() \
+        == [[0.0] * CFG.n_users] * 3
+    amp = amplitudes(CFG, dep.users, dep.positions[[1, 3]], dep.feed)
+    with pytest.raises(ValueError, match="got 2 for 3"):
+        effective_channel(np.array([(1, 3, 5)]), dep, CFG, amp[None])
+    # terms for another number of activations than the batch holds
+    five = np.array([(1, 3)] * 5)
+    for terms, indices in ((amp, five), (amp[None], five),
+                           (np.stack([amp] * 5), np.array([1, 3])),
+                           (amp[0], [1, 3])):
+        with pytest.raises(ValueError, match="^amp must hold one"):
+            effective_channel(indices, dep, CFG, terms)
+        with pytest.raises(ValueError, match="^amp must hold one"):
+            sum_rate(indices, dep, CFG, alloc, terms)

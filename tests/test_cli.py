@@ -228,3 +228,20 @@ def test_preset_results_are_pinned(preset, tmp_path):
     assert main([command, "--preset", preset, "--trials", "5",
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("flag, value", [("--pt-dbm", "4000"),
+                                         ("--pt-dbm", "-4000"),
+                                         ("--noise-dbm", "-4000")])
+def test_power_outside_the_float_range_is_a_clean_error(tmp_path, capsys,
+                                                         flag, value):
+    # these once gave an OverflowError traceback, a late noise error, and a
+    # silent sum rate of 0
+    out = tmp_path / "x.csv"
+    code = main(["run", flag, value, "--trials", "2", "--output", str(out)])
+    assert code == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"error: {name}={float(value)!r} dBm is not a positive finite power "
+        "in watts\n")
+    assert not out.exists()

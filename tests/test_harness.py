@@ -14,11 +14,13 @@ import pytest
 
 from pinchsim import (ConfigError, Deployment, ExperimentSpec,
                       PowerAllocation, SweepSpec, SystemConfig, amplitudes,
-                      build_spec, convergence_trace, distance_based_activation,
-                      make_deployment, parse_config_file, random_matching,
-                      read_results, run_experiment, stream_rng, sum_rate)
+                      build_spec, conventional_baseline, convergence_trace,
+                      dbm_to_watts, distance_based_activation,
+                      make_deployment, parse_config_file, power_gains,
+                      random_matching, read_results, run_experiment,
+                      stream_rng, sum_rate)
 from pinchsim.activation import conventional_amplitudes, conventional_positions
-from pinchsim import harness, kernels
+from pinchsim import activation, harness, kernels, noma
 from pinchsim.harness import SWEEP_PARAMS, apply_sweep_value, spec_to_dict
 
 FAST = SystemConfig(n_users=2, k_antennas=2, l_positions=12, seed=3)
@@ -70,6 +72,13 @@ def test_apply_sweep_value_coerces_counts():
     cfg = apply_sweep_value(FAST, "k_antennas", 3.0)
     assert cfg.k_antennas == 3 and isinstance(cfg.k_antennas, int)
     assert apply_sweep_value(FAST, "pt_dbm", 25.0).pt_dbm == 25.0
+
+
+def test_bad_power_sweep_value_is_a_config_error():
+    for param, value in (("pt_dbm", 4000.0), ("pt_dbm", -4000.0)):
+        with pytest.raises(ConfigError, match=f"^sweep value {param}={value}: "
+                                              f"{param}={value} dBm"):
+            apply_sweep_value(FAST, param, value)
 
 
 def test_spec_validation():
@@ -268,28 +277,35 @@ def test_block_terms_equal_per_trial_calls_exactly():
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
     assert harness._blocks(70) == [range(0, 64), range(64, 70)]
     block = harness._block(cfg, range(64, 70), ALL_SCHEMES)
-    assert [t.index for t in block] == list(range(64, 70))
-    for t in block:
-        dep = t.deployment
-        want = make_deployment(cfg, stream_rng(cfg.seed, 0, t.index))
+    assert block.trials == range(64, 70)
+    distance = {i: (terms, j) for idx, terms in block.distance_terms
+                for j, i in enumerate(idx)}
+    assert sorted(distance) == list(range(6))
+    for i, (trial, dep) in enumerate(zip(block.trials, block.drops)):
+        want = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
         for f in dataclasses.fields(Deployment):
             assert (np.asarray(getattr(dep, f.name)).tolist()
                     == np.asarray(getattr(want, f.name)).tolist())
-        assert t.initial == random_matching(
-            cfg, dep, stream_rng(cfg.seed, 1, t.index))
-        assert t.grid.tolist() == kernels.amplitude_matrix(cfg, dep).tolist()
-        points = dep.positions[list(t.initial.active_positions())]
-        assert (t.random_terms.tolist()
+        assert block.users[i].tolist() == dep.users.tolist()
+        initial = block.initial[i]
+        assert initial == random_matching(
+            cfg, dep, stream_rng(cfg.seed, 1, trial))
+        assert (block.grid[i].tolist()
+                == kernels.amplitude_matrix(cfg, dep).tolist())
+        assert (block.random_active[i].tolist()
+                == list(initial.active_positions()))
+        points = dep.positions[list(initial.active_positions())]
+        assert (block.random_terms[i].tolist()
                 == amplitudes(cfg, dep.users, points, dep.feed).tolist())
-        assert (t.placement.tolist()
-                == distance_based_activation(cfg, dep).tolist())
-        assert (t.distance_terms.tolist()
-                == amplitudes(cfg, dep.users, t.placement, dep.feed).tolist())
-        assert (t.conventional_terms.tolist()
+        placement = distance_based_activation(cfg, dep)
+        terms, j = distance[i]
+        assert (terms[j].tolist()
+                == amplitudes(cfg, dep.users, placement, dep.feed).tolist())
+        assert (block.conventional_terms[i].tolist()
                 == conventional_amplitudes(cfg, dep.users).tolist())
-        for terms in (t.grid, t.random_terms, t.distance_terms,
-                      t.conventional_terms):
-            assert terms.flags.f_contiguous  # users fastest, as per trial
+        for trial_terms in (block.grid[i], block.random_terms[i], terms[j],
+                            block.conventional_terms[i]):
+            assert trial_terms.flags.f_contiguous  # users fastest, as per trial
     # coinciding users collapse a placement: that trial is batched apart
     cfg = SystemConfig(n_users=2, k_antennas=2)
     grid = make_deployment(cfg, stream_rng(1, 0, 0))
@@ -300,10 +316,13 @@ def test_block_terms_equal_per_trial_calls_exactly():
     placements = [distance_based_activation(cfg, d) for d in drops]
     assert [len(p) for p in placements] == [2, 1, 2]
     users = np.stack([d.users for d in drops])
-    terms = harness._distance_terms(cfg, grid.feed, users, placements)
-    for d, p, got in zip(drops, placements, terms):
-        assert got.shape == (2, len(p))
-        assert got.tolist() == amplitudes(cfg, d.users, p, d.feed).tolist()
+    groups = harness._distance_terms(cfg, grid.feed, users, placements)
+    assert [idx for idx, _ in groups] == [[0, 2], [1]]
+    for idx, terms in groups:
+        assert terms.shape == (len(idx), 2, len(placements[idx[0]]))
+        for i, got in zip(idx, terms):
+            d, p = drops[i], placements[i]
+            assert got.tolist() == amplitudes(cfg, d.users, p, d.feed).tolist()
     block = conventional_amplitudes(cfg, users)
     assert block.shape == (3, 2, len(conventional_positions(cfg)))
     for d, got in zip(drops, block):
@@ -512,3 +531,60 @@ def test_unparseable_number_names_its_key(key, text):
     what = "an integer" if text == "2.0" else "a number"
     with pytest.raises(ConfigError, match=f"^{key} must be {what}, got '{text}'$"):
         build_spec(entries)
+
+
+def test_block_gains_and_reports_equal_per_trial_calls():
+    cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
+    block = harness._block(cfg, range(0, 70), ALL_SCHEMES)
+    alloc = PowerAllocation.equal(cfg.n_users)
+    pt = dbm_to_watts(cfg.pt_dbm)
+    terms = [block.random_terms, block.conventional_terms,
+             *(t for _, t in block.distance_terms)]
+    for batch in terms:
+        gains = power_gains(batch, pt)
+        assert gains.shape == batch.shape[:2]
+        for got, trial_terms in zip(gains, batch):
+            assert got.tolist() == power_gains(trial_terms, pt).tolist()
+    conventional = conventional_baseline(cfg, block.users, alloc,
+                                         block.conventional_terms)
+    random = sum_rate(block.random_active, block.drops[0], cfg, alloc,
+                      block.random_terms)
+    for i, dep in enumerate(block.drops):
+        one = conventional_baseline(cfg, dep.users, alloc)
+        assert conventional.sum_rate[i] == one.sum_rate
+        assert conventional.fairness[i] == one.fairness
+        one = sum_rate(block.initial[i].active_positions(), dep, cfg, alloc)
+        assert random.sum_rate[i] == one.sum_rate
+        assert random.fairness[i] == one.fairness
+
+
+def test_one_report_per_block_scheme_and_sweep_value(monkeypatch):
+    reports = []
+
+    def counted(original):
+        def report(gains, alloc, noise_watts):
+            reports.append(np.shape(gains))
+            return original(gains, alloc, noise_watts)
+        return report
+
+    for module in (harness, noma, activation):
+        monkeypatch.setattr(module, "rate_report",
+                            counted(module.rate_report))
+    spec = ExperimentSpec(base=FAST, schemes=ALL_SCHEMES, trials=70,
+                          sweep=SweepSpec("pt_dbm", 20.0, 30.0, 10.0))
+    run_experiment(spec)
+    # 2 blocks x 2 sweep values x 5 schemes, each of its block's trials
+    assert sorted(reports) == sorted([(64, 2)] * 10 + [(6, 2)] * 10)
+
+
+def test_zero_exhaustive_rate_fails_loudly():
+    # at -3000 dBm every rate rounds to 0, so no ratio to exhaustive exists
+    spec = ExperimentSpec(base=dataclasses.replace(FAST, pt_dbm=-3000.0),
+                          schemes=("exhaustive", "matching", "random"),
+                          trials=2)
+    with pytest.raises(ValueError, match=r"^exhaustive sum rate is 0 at "
+                                         r"-3000\.0 dBm .*\(trial 0\)"):
+        run_experiment(spec)
+    # without the exhaustive scheme the rates are reported as they are
+    spec = dataclasses.replace(spec, schemes=("random",))
+    assert run_experiment(spec)[0].mean_sum_rate == 0.0

@@ -14,7 +14,8 @@ from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig,
 
 def order(gains):
     """SIC order of the users with these gains, weakest first."""
-    return rate_report(gains, PowerAllocation.equal(len(gains)), 1.0).order
+    report = rate_report(gains, PowerAllocation.equal(len(gains)), 1.0)
+    return tuple(report.order.tolist())
 
 
 def test_equal_allocation():
@@ -93,8 +94,8 @@ def test_rates_match_reference_on_random_gains():
 
 def test_report_indexes_rates_by_user():
     report = rate_report((3.0, 1.0), PowerAllocation.equal(2), 1.0)
-    assert report.order == (1, 0)
-    assert report.gains == (1.0, 3.0)
+    assert report.order.tolist() == [1, 0]
+    assert report.gains.tolist() == [1.0, 3.0]
     # user 0 has the larger gain, so it holds the top (interference-free) rank
     assert math.isclose(report.rates[0], math.log2(2.5), rel_tol=1e-15)
     assert math.isclose(report.rates[1], math.log2(4.0 / 3.0), rel_tol=1e-15)
@@ -125,7 +126,7 @@ def test_empty_activation_rates():
     dep = make_deployment(cfg, stream_rng(6, 0, 0))
     report = sum_rate((), dep, cfg, PowerAllocation.equal(cfg.n_users))
     assert report.sum_rate == 0.0
-    assert report.rates == (0.0, 0.0)
+    assert report.rates.tolist() == [0.0, 0.0]
     assert report.fairness == 1.0
 
 
@@ -165,3 +166,94 @@ def test_report_sum_rate_is_the_searched_utility():
         noise = dbm_to_watts(cfg.noise_dbm)
         assert rate_report(ev.gains(sel), alloc, noise).sum_rate == utility
         assert sum_rate(sel, dep, cfg, alloc).sum_rate == utility
+
+
+def test_block_report_equals_per_row_reports():
+    rng = np.random.default_rng(131)
+    rows = 0
+    for n in range(1, 13):
+        alloc = PowerAllocation.equal(n)
+        for t in (1, 2, 7, 64, 70):
+            gains = rng.uniform(0.0, 5.0, (t, n)) * 10.0 ** rng.integers(
+                -12, 3, (t, 1))
+            gains[0] = 0.0                        # all-zero row
+            if t > 1 and n > 1:
+                gains[1, -1] = gains[1, 0]        # tied gains
+                gains[-1] = 2.5                   # all tied
+            block = rate_report(gains, alloc, 1e-9)
+            assert block.sum_rate.shape == block.fairness.shape == (t,)
+            for i, row in enumerate(gains):
+                one = rate_report(row, alloc, 1e-9)
+                assert block.sum_rate[i] == one.sum_rate
+                assert block.fairness[i] == one.fairness
+                assert block.order[i].tolist() == one.order.tolist()
+                assert block.rates[i].tolist() == one.rates.tolist()
+                assert block.gains[i].tolist() == one.gains.tolist()
+                rows += 1
+            assert block.fairness[0] == 1.0 and block.sum_rate[0] == 0.0
+    assert rows == 12 * (1 + 2 + 7 + 64 + 70)
+
+
+def test_report_sum_and_fairness_are_those_of_the_rank_ordered_rates():
+    rng = np.random.default_rng(132)
+    gains = rng.uniform(0.0, 3.0, (50, 6))
+    alloc = PowerAllocation.equal(6)
+    block = rate_report(gains, alloc, 0.1)
+    ranked = sic_rates(np.sort(gains, axis=-1), alloc, 0.1)
+    assert block.sum_rate.tolist() == ranked.sum(axis=-1).tolist()
+    for i, rates in enumerate(ranked):
+        total = rates.sum()
+        assert block.fairness[i] == total * total / (6 * (rates @ rates))
+
+
+def test_block_report_rejects_a_bad_row():
+    alloc = PowerAllocation.equal(3)
+    for bad in (math.nan, math.inf, -1.0):
+        gains = np.ones((4, 3))
+        gains[2, 1] = bad
+        with pytest.raises(ValueError, match="gains must be finite and >= 0"):
+            rate_report(gains, alloc, 1.0)
+    with pytest.raises(ValueError, match="allocation length"):
+        rate_report(np.ones((4, 2)), alloc, 1.0)
+    with pytest.raises(ValueError, match="allocation length"):
+        rate_report((), alloc, 1.0)
+
+
+def test_jain_rejects_non_finite_and_empty_rates():
+    for bad in ((math.nan, 1.0), (math.inf, 1.0), [[1.0, 2.0], [1.0, math.nan]]):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            jain_fairness(bad)
+    for empty in ((), np.empty((3, 0)), 2.0):
+        with pytest.raises(ValueError, match="at least one rate"):
+            jain_fairness(empty)
+    with pytest.raises(ValueError, match="rates must be >= 0"):
+        jain_fairness([[1.0, 2.0], [-1.0, 1.0]])
+
+
+def test_jain_batch_equals_per_row():
+    rng = np.random.default_rng(133)
+    rates = rng.uniform(0.0, 10.0, (200, 5))
+    rates[3] = 0.0
+    rates[7, 2:] = 0.0
+    batch = jain_fairness(rates)
+    assert batch.shape == (200,)
+    assert batch[3] == 1.0
+    assert batch.tolist() == [jain_fairness(row) for row in rates]
+    assert jain_fairness(rates.reshape(20, 10, 5)).ravel().tolist() == batch.tolist()
+    assert jain_fairness(np.zeros((2, 3))).tolist() == [1.0, 1.0]
+
+
+def test_batched_sum_rate_equals_per_activation():
+    cfg = SystemConfig(n_users=3, k_antennas=2, l_positions=10)
+    dep = make_deployment(cfg, stream_rng(4, 0, 0))
+    alloc = PowerAllocation.equal(3)
+    sets = np.array([(0, 4), (7, 2), (3, 9), (5, 6)])
+    batch = sum_rate(sets, dep, cfg, alloc)
+    for i, sel in enumerate(sets.tolist()):
+        one = sum_rate(sel, dep, cfg, alloc)
+        assert batch.sum_rate[i] == one.sum_rate
+        assert batch.fairness[i] == one.fairness
+        assert batch.rates[i].tolist() == one.rates.tolist()
+    empty = sum_rate(np.empty((2, 0), dtype=int), dep, cfg, alloc)
+    assert empty.sum_rate.tolist() == [0.0, 0.0]
+    assert empty.fairness.tolist() == [1.0, 1.0]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ def test_config_rejects_bad_parameters():
 def test_config_rejects_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         SystemConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("pt_dbm", 4000.0),
+                                         ("pt_dbm", -4000.0),
+                                         ("noise_dbm", -4000.0),
+                                         ("noise_dbm", 1e308)])
+def test_config_rejects_powers_outside_the_float_range(name, value):
+    # 10^((dBm - 30)/10) W overflows above about 3,100 dBm and underflows
+    # to 0 W below about -3,200 dBm
+    message = f"{name}={value!r} dBm is not a positive finite power in watts"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SystemConfig(**{name: value})
+    for edge in (3100.0, -3200.0):
+        watts = dbm_to_watts(getattr(SystemConfig(**{name: edge}), name))
+        assert 0.0 < watts < math.inf
 
 
 def test_config_rejects_subwavelength_spacing():
