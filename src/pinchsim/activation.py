@@ -246,17 +246,21 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
     return best, best_utility
 
 
-def distance_based_activation(config: SystemConfig,
-                              deployment: Deployment) -> np.ndarray:
+def distance_based_activation(config: SystemConfig, deployment: Deployment
+                              ) -> np.ndarray | list[np.ndarray]:
     """(S, 3) antenna points on the waveguide right above the users'
-    x-coordinates, off the candidate grid.
+    x-coordinates, off the candidate grid; for a block deployment, a list of
+    each drop's, in trial order.
 
     Pairs antenna k with user k for k up to min(K, N); the surplus side stays
     idle.  Coinciding placements collapse to a single antenna, the first.
     """
-    n_pairs = min(config.k_antennas, len(deployment.users))
-    xs = dict.fromkeys(deployment.users[:n_pairs, 0].tolist())
-    return waveguide_points(list(xs), config.height)
+    n_pairs = min(config.k_antennas, deployment.users.shape[-2])
+    xs = deployment.users[..., :n_pairs, 0].tolist()
+    if deployment.users.ndim == 2:
+        return waveguide_points(list(dict.fromkeys(xs)), config.height)
+    return [waveguide_points(list(dict.fromkeys(row)), config.height)
+            for row in xs]
 
 
 def conventional_positions(config: SystemConfig) -> np.ndarray:

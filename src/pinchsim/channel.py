@@ -96,7 +96,7 @@ def effective_channel(indices, deployment: Deployment, config: SystemConfig,
                       amp: np.ndarray | None = None) -> np.ndarray:
     """(N,) power gains |h_n|^2 of the deployment's users for the activation
     of the grid `indices`, or (T, N) for a (T, S) integer array of T
-    activations.
+    activations or for a block deployment of T drops.
 
     `amp`, the users' `amplitudes` at the active antennas, spares their
     rebuild when the caller keeps them across transmit powers; it needs one
@@ -113,7 +113,9 @@ def effective_channel(indices, deployment: Deployment, config: SystemConfig,
     else:
         sel = selection(indices, n_positions)
     if sel.size == 0:
-        return np.zeros((*sel.shape[:-1], len(deployment.users)))
+        shape = deployment.users.shape
+        return np.zeros((*np.broadcast_shapes(sel.shape[:-1], shape[:-2]),
+                         shape[-2]))
     if amp is None:
         amp = amplitudes(config, deployment.users, deployment.positions[sel],
                          deployment.feed)

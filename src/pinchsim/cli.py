@@ -60,7 +60,8 @@ _SWEEP_FLAGS = ("sweep_param", "sweep_from", "sweep_to", "sweep_step")
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
+def _add_spec_flags(parser: argparse.ArgumentParser, sweep: bool,
+                    schemes: bool = True) -> None:
     parser.add_argument("--config", type=Path, metavar="FILE",
                         help="key = value file; flags override it")
     parser.add_argument("--preset", choices=sorted(PRESETS),
@@ -69,8 +70,9 @@ def _add_spec_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             metavar="V", help=argparse.SUPPRESS)
     parser.add_argument("--trials", metavar="T", help="Monte-Carlo drops per point")
-    parser.add_argument("--schemes", metavar="S,S,...",
-                        help=f"comma list from: {', '.join(SCHEMES)}")
+    if schemes:
+        parser.add_argument("--schemes", metavar="S,S,...",
+                            help=f"comma list from: {', '.join(SCHEMES)}")
     parser.add_argument("--output", type=Path, metavar="CSV",
                         help="result file (a .spec.json sidecar is written too)")
     parser.add_argument("--exhaustive-budget", dest="exhaustive_budget",
@@ -216,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence",
                             help="per-trial utility trace vs exhaustive optimum")
-    _add_spec_flags(p_conv, sweep=False)
+    # The trace always compares the matching with the exhaustive search.
+    _add_spec_flags(p_conv, sweep=False, schemes=False)
     p_conv.set_defaults(func=_cmd_convergence)
 
     p_cmp = sub.add_parser("compare", help="tabulate existing result CSVs")

@@ -3,9 +3,10 @@
 Every trial index maps to one user drop shared by all schemes of that row
 (paired comparison), and drops depend only on (seed, trial, geometry).  A
 run loops over blocks of `BLOCK` consecutive trials, then over the sweep
-values, then over the trials of the block.  Per trial, with its own random
-stream: the drop, the random initial matching and the distance-based
-placement.  Per block, with one numpy call each: the users' coordinates, the
+values, then over the trials of the block.  Each trial draws its drop and
+its random initial matching from its own random streams.  Per block: one
+`Deployment` of the block's (T, N, 3) users, checked once; the trials'
+distance-based placements from one call; and, with one numpy call each, the
 search's grid matrices and the random, distance and conventional schemes'
 amplitude terms.  None of these depends on the transmit power, so a power
 sweep builds a block once and shares it across its values; any other sweep
@@ -118,8 +119,14 @@ class ExperimentSpec:
                                   f"{', '.join(SCHEMES)}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must be distinct")
-        if "exhaustive" in self.schemes:
-            _check_budget(self)
+        # The exhaustive search of every configuration must fit its budget.
+        for cfg in self.configs() if "exhaustive" in self.schemes else ():
+            count = candidate_count(cfg.l_positions, cfg.k_antennas)
+            if count > self.exhaustive_budget:
+                param = self.sweep and self.sweep.param
+                where = f" at {param}={getattr(cfg, param)}" if param else ""
+                raise ConfigError(
+                    f"exhaustive search needs {count} candidates{where}")
 
     def configs(self) -> tuple[SystemConfig, ...]:
         """The swept configurations (just the base when there is no sweep)."""
@@ -155,19 +162,6 @@ class TraceRow:
     ratio: float
 
 
-def _check_budget(spec: ExperimentSpec) -> None:
-    """ConfigError unless the exhaustive search of every configuration of
-    `spec` fits its budget; the message names the count and, in a sweep, the
-    value."""
-    for cfg in spec.configs():
-        count = candidate_count(cfg.l_positions, cfg.k_antennas)
-        if count > spec.exhaustive_budget:
-            param = spec.sweep and spec.sweep.param
-            where = f" at {param}={getattr(cfg, param)}" if param else ""
-            raise ConfigError(
-                f"exhaustive search needs {count} candidates{where}")
-
-
 def apply_sweep_value(base: SystemConfig, param: str, value: float) -> SystemConfig:
     """`base` with `param` set to `value`; a ConfigError naming both when
     that makes an invalid configuration."""
@@ -194,9 +188,10 @@ def _number(key: str, text: str, kind: type):
         raise ConfigError(f"{key} must be {what}, got {text!r}") from None
 
 
-def _drop_hash(deployment) -> str:
-    """A digest of the users' x and y, printed from Python floats."""
-    coords = ",".join(f"{x!r}:{y!r}" for x, y, _ in deployment.users.tolist())
+def _drop_hash(users: np.ndarray) -> str:
+    """A digest of one drop's (N, 3) users' x and y, printed from Python
+    floats."""
+    coords = ",".join(f"{x!r}:{y!r}" for x, y, _ in users.tolist())
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
@@ -205,8 +200,7 @@ class _Block(NamedTuple):
     lists in trial order; None where no scheme of the run asks for them."""
 
     trials: range
-    drops: list[Deployment]
-    users: np.ndarray                         # (T, N, 3)
+    deployment: Deployment                    # (T, N, 3) users
     grid: np.ndarray | None                   # (T, N, L) amplitude matrices
     initial: list[Matching] | None
     random_active: np.ndarray | None          # (T, K) grid indices, ascending
@@ -239,36 +233,37 @@ def _distance_terms(cfg: SystemConfig, feed: np.ndarray, users: np.ndarray,
 
 
 def _block(cfg: SystemConfig, trials: range, schemes) -> _Block:
-    """Each trial's drop, and what `schemes` need of the grid matrix, the
+    """The block's drops, and what `schemes` need of the grid matrix, the
     random initial matching, the distance-based placement and the amplitude
-    terms.  Drops, matchings and placements come from one call per trial,
-    each with its own stream; the amplitude terms of the whole block from one
-    numpy call per kind."""
-    drops = [make_deployment(cfg, stream_rng(cfg.seed, USER_STREAM, trial))
-             for trial in trials]
-    users = np.stack([d.users for d in drops])
+    terms.  Each trial's drop and matching come from its own streams; the
+    drops make one deployment, checked once, and the amplitude terms of the
+    whole block come from one numpy call per kind."""
+    deployment = make_deployment(
+        cfg, [stream_rng(cfg.seed, USER_STREAM, trial) for trial in trials])
+    users, points, feed = (deployment.users, deployment.positions,
+                           deployment.feed)
     grid = initial = random_active = random_terms = None
     distance_terms = conventional_terms = None
     if "matching" in schemes or "exhaustive" in schemes:
         # Looked up on the module, so the traced benchmark (perfbench)
         # credits the matrix build to kernels.
-        grid = kernels.amplitude_matrix(cfg, drops[0], users)
+        grid = kernels.amplitude_matrix(cfg, deployment)
     if "matching" in schemes or "random" in schemes:
-        initial = [random_matching(cfg, d, stream_rng(cfg.seed, MATCHING_STREAM, t))
-                   for t, d in zip(trials, drops)]
+        initial = [random_matching(cfg, deployment,
+                                   stream_rng(cfg.seed, MATCHING_STREAM, t))
+                   for t in trials]
     if "random" in schemes:
         # Each trial's users at the grid points of its random matching, in
         # ascending position order.
         random_active = np.array([m.active_positions() for m in initial],
                                  dtype=np.intp)
-        random_terms = amplitudes(cfg, users, drops[0].positions[random_active],
-                                  drops[0].feed)
+        random_terms = amplitudes(cfg, users, points[random_active], feed)
     if "distance" in schemes:
-        placements = [distance_based_activation(cfg, d) for d in drops]
-        distance_terms = _distance_terms(cfg, drops[0].feed, users, placements)
+        distance_terms = _distance_terms(
+            cfg, feed, users, distance_based_activation(cfg, deployment))
     if "conventional" in schemes:
         conventional_terms = conventional_amplitudes(cfg, users)
-    return _Block(trials, drops, users, grid, initial, random_active,
+    return _Block(trials, deployment, grid, initial, random_active,
                   random_terms, distance_terms, conventional_terms)
 
 
@@ -284,16 +279,17 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
     schemes = spec.schemes
     pt_watts = dbm_to_watts(cfg.pt_dbm)
     noise_watts = dbm_to_watts(cfg.noise_dbm)
-    shape = block.users.shape[:2]
+    shape = block.deployment.users.shape[:2]
     k_all = np.full(shape[0], cfg.k_antennas)
     # Per searched scheme: each trial's gains and active count.
     searched = {s: (np.empty(shape), np.empty(shape[0]))
                 for s in ("exhaustive", "matching") if s in schemes}
     cycles = np.empty(shape[0])
-    for i, (trial, deployment) in enumerate(zip(block.trials, block.drops)):
+    deployment = block.deployment
+    for i, trial in enumerate(block.trials):
         if log.isEnabledFor(logging.DEBUG):
             log.debug("sweep=%s trial=%d drop=%s", value, trial,
-                      _drop_hash(deployment))
+                      _drop_hash(deployment.users[i]))
         if not searched:
             continue
         evaluator = SetEvaluator(cfg, deployment, alloc, amp=block.grid[i])
@@ -315,7 +311,7 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
             gains, active = searched[scheme]
             report = rate_report(gains, alloc, noise_watts)
         elif scheme == "random":
-            report = sum_rate(block.random_active, block.drops[0], cfg, alloc,
+            report = sum_rate(block.random_active, deployment, cfg, alloc,
                               block.random_terms)
             active = k_all
         elif scheme == "distance":
@@ -325,7 +321,7 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
                 active[idx] = terms.shape[-1]
             report = rate_report(gains, alloc, noise_watts)
         else:
-            report = conventional_baseline(cfg, block.users, alloc,
+            report = conventional_baseline(cfg, deployment.users, alloc,
                                            block.conventional_terms)
             active = k_all
         if scheme == "exhaustive":
@@ -351,12 +347,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     one and the trials of the block the inner one.  A block's drops,
     placements and amplitude terms are built at the first sweep value and
     kept for the others when the sweep is over `pt_dbm`; any other sweep
-    rebuilds them at each value.  The amplitude terms of the whole block come
-    from one numpy call per kind, the drops and placements from one call per
-    trial.  The searches run per (sweep value, trial); each scheme's channel
-    sums, SIC rates and fairness come from one report per (sweep value,
-    block).  Cells collect their trials in order, so the rows do not depend
-    on the loop order.  Deterministic for a
+    rebuilds them at each value.  The drops of the whole block make one
+    deployment, its placements come from one call and its amplitude terms
+    from one numpy call per kind.  The searches run per (sweep value,
+    trial); each scheme's channel sums, SIC rates and fairness come from one
+    report per (sweep value, block).  Cells collect their trials in order,
+    so the rows do not depend on the loop order.  Deterministic for a
     fixed spec: identical specs produce identical rows (and therefore
     byte-identical CSV files).
     """
@@ -404,9 +400,8 @@ def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
                  budget: int) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
-    for trial, deployment, grid, initial in zip(
-            block.trials, block.drops, block.grid, block.initial):
-        evaluator = SetEvaluator(cfg, deployment, alloc, amp=grid)
+    for trial, grid, initial in zip(block.trials, block.grid, block.initial):
+        evaluator = SetEvaluator(cfg, block.deployment, alloc, amp=grid)
         _, optimum = exhaustive_search(evaluator, cfg.k_antennas, budget)
         _, trajectory = matching_activation(evaluator, initial)
         for step, utility in enumerate(trajectory.utilities):
@@ -426,16 +421,19 @@ def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
     """Per-trial utility trajectory normalized by the exhaustive optimum.
 
     Runs block by block like `run_experiment`, from the same drops, grid
-    matrices and random initial matchings."""
+    matrices and random initial matchings.  It runs the matching and the
+    exhaustive search whatever schemes `spec` names, and its sidecar records
+    those two."""
     if spec.sweep is not None:
         raise ConfigError("convergence traces take a single configuration")
-    _check_budget(spec)
+    # The spec checks the exhaustive budget.
+    spec = replace(spec, schemes=("matching", "exhaustive"))
     cfg = spec.base
     alloc = PowerAllocation.equal(cfg.n_users)
     rows: list[TraceRow] = []
     for trials in _blocks(spec.trials):
-        rows += _trace_block(_block(cfg, trials, ("matching", "exhaustive")),
-                             cfg, alloc, spec.exhaustive_budget)
+        rows += _trace_block(_block(cfg, trials, spec.schemes), cfg, alloc,
+                             spec.exhaustive_budget)
     if spec.output_path is not None:
         write_trace(spec.output_path, rows)
         write_spec_sidecar(spec.output_path, spec)

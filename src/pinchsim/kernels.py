@@ -39,13 +39,12 @@ def set_sum_rate(amp, sel, pt_watts, noise, alloc):
     return sic_rates(gains, alloc, noise).sum(axis=-1)
 
 
-def amplitude_matrix(config: SystemConfig, deployment: Deployment,
-                     users: np.ndarray | None = None) -> np.ndarray:
-    """(N, L) `channel.amplitudes` of the users at the grid positions; or
-    (T, N, L) of the (T, N, 3) coordinates `users`, a block of drops that
-    share the deployment's grid and feed."""
-    return amplitudes(config, deployment.users if users is None else users,
-                      deployment.positions, deployment.feed)
+def amplitude_matrix(config: SystemConfig, deployment: Deployment
+                     ) -> np.ndarray:
+    """(N, L) `channel.amplitudes` of a drop's users at the grid positions;
+    (T, N, L) of a block of T drops."""
+    return amplitudes(config, deployment.users, deployment.positions,
+                      deployment.feed)
 
 
 class SetEvaluator:
@@ -61,12 +60,17 @@ class SetEvaluator:
                  alloc: PowerAllocation, amp: np.ndarray | None = None):
         """`amp` is the drop's `amplitude_matrix`, if the caller already has
         it: it does not depend on the transmit power, so one matrix serves
-        evaluators at every power of a sweep."""
-        if len(alloc.alpha) != len(deployment.users):
+        evaluators at every power of a sweep.  A block deployment serves
+        the drop whose matrix `amp` is, which it must then be given."""
+        n_users = deployment.users.shape[-2]
+        if len(alloc.alpha) != n_users:
             raise ValueError("allocation length must match number of users")
         if amp is None:
+            if deployment.users.ndim != 2:
+                raise ValueError("a block deployment needs the drop's "
+                                 "amplitude matrix amp")
             amp = amplitude_matrix(config, deployment)
-        elif amp.shape != (len(deployment.users), len(deployment.positions)):
+        elif amp.shape != (n_users, len(deployment.positions)):
             raise ValueError("amplitude matrix must be (users, positions)")
         self._amp = amp
         self._alloc = alloc

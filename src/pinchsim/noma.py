@@ -20,6 +20,8 @@ import numpy as np
 from .channel import effective_channel
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -86,7 +88,10 @@ def jain_fairness(rates):
 
     ValueError unless there is at least one rate per row and every rate is
     finite and >= 0.  Each row's sum of squares is a matmul, which gives
-    `rates @ rates` bit for bit at any batch shape.
+    `rates @ rates` bit for bit at any batch shape.  A row whose squared sum
+    or sum of squares leaves the normal float range, by underflow or
+    overflow, is computed again divided by its largest rate, which leaves
+    its index unchanged; no other row is rescaled.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim == 0 or rates.shape[-1] == 0:
@@ -95,12 +100,20 @@ def jain_fairness(rates):
         raise ValueError("rates must be finite")
     if (rates < 0).any():
         raise ValueError("rates must be >= 0")
-    total = rates.sum(axis=-1)
-    squares = (rates[..., None, :] @ rates[..., :, None])[..., 0, 0]
-    zero = total == 0.0
-    # An all-zero row divides by 1 instead of 0 and is then set to 1.
-    index = total * total / (rates.shape[-1] * np.where(zero, 1.0, squares))
-    return np.where(zero, 1.0, index)[()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = rates.sum(axis=-1)
+        numerator = total * total
+        squares = (rates[..., None, :] @ rates[..., :, None])[..., 0, 0]
+        zero = total == 0.0
+        # An all-zero row divides by 1 instead of 0 and is then set to 1.
+        index = np.where(zero, 1.0, numerator / (
+            rates.shape[-1] * np.where(zero, 1.0, squares)))
+    rescale = ~zero & ((np.minimum(numerator, squares) < _TINY)
+                       | (np.maximum(numerator, squares) == math.inf))
+    if rescale.any():
+        rows = rates[rescale]
+        index[rescale] = jain_fairness(rows / rows.max(axis=-1, keepdims=True))
+    return index[()]
 
 
 def rate_report(gains, alloc: PowerAllocation, noise_watts: float) -> RateReport:

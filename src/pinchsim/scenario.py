@@ -3,13 +3,16 @@
 Coordinate convention: the waveguide runs along the x-axis at y=0, z=height,
 fed from the x=0 end; users live in the ground rectangle x in [0, d1],
 y in [-d2/2, d2/2], z=0.  Point sets are float arrays of shape (M, 3), one
-(x, y, z) row per point; a deployment's are read-only.
+(x, y, z) row per point; a deployment's are read-only.  A deployment holds
+one drop's (N, 3) users or a block's (T, N, 3), on one grid and feed, and is
+checked once when built.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -123,10 +126,14 @@ def _check_grid(xs: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Deployment:
-    """One realization: user drop, candidate antenna positions, feed point.
+    """One realization: user drop, candidate antenna positions, feed point;
+    or a block of drops that share the grid and feed.
 
-    `users` is (N, 3), `positions` (L, 3) and `feed` (3,): read-only float
-    copies of the given coordinates, in meters.
+    `users` is (N, 3) for one drop or (T, N, 3) for a block of T, `positions`
+    (L, 3) and `feed` (3,): read-only float copies of the given coordinates,
+    in meters.  A block is checked in one pass, by the same rules as each of
+    its drops alone; a bad user is named as its drop alone would name it,
+    the first in trial order.
     """
 
     users: np.ndarray
@@ -136,12 +143,13 @@ class Deployment:
     d2: float | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name, ndim in (("users", 2), ("positions", 2), ("feed", 1)):
+        for name, ndims, shape in (("users", (2, 3), "(M, 3) or (T, M, 3)"),
+                                   ("positions", (2,), "(M, 3)"),
+                                   ("feed", (1,), "(3,)")):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
-            if arr.ndim != ndim or arr.shape[-1] != 3:
-                raise ValueError(f"{name} must have shape "
-                                 f"{'(M, 3)' if ndim == 2 else '(3,)'}, "
+            if arr.ndim not in ndims or arr.shape[-1] != 3:
+                raise ValueError(f"{name} must have shape {shape}, "
                                  f"got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} coordinates must be finite")
@@ -150,12 +158,12 @@ class Deployment:
             raise ValueError("need at least two candidate positions")
         xs = self.positions[:, 0]
         _check_grid(xs)
-        x, y, z = self.users.T
-        if z.any():
+        if self.users[..., 2].any():
             raise ValueError("users must lie in the z=0 plane")
         d1 = self.d1 if self.d1 is not None else xs[-1] - xs[0]
         half = math.inf if self.d2 is None else self.d2 / 2
-        for axis, v, lo, hi in (("x", x, 0.0, d1), ("y", y, -half, half)):
+        for axis, v, lo, hi in (("x", self.users[..., 0], 0.0, d1),
+                                ("y", self.users[..., 1], -half, half)):
             outside = (v < lo * (1 + 1e-12)) | (v > hi * (1 + 1e-12))
             if outside.any():
                 raise ValueError(f"user {axis}={v[outside][0]} outside "
@@ -209,10 +217,19 @@ def sample_users(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return users
 
 
-def make_deployment(config: SystemConfig, rng: np.random.Generator) -> Deployment:
-    """Sample a user drop and assemble it with the fixed grid and feed."""
+def make_deployment(config: SystemConfig,
+                    rng: np.random.Generator | Sequence[np.random.Generator]
+                    ) -> Deployment:
+    """Sample a user drop from the generator `rng` and assemble it with the
+    fixed grid and feed; or, from a sequence of T generators, a block of T
+    drops, each drawn from its generator as it would be alone."""
+    if isinstance(rng, Sequence):
+        users = np.array([sample_users(config, r) for r in rng]
+                         ).reshape(-1, config.n_users, 3)
+    else:
+        users = sample_users(config, rng)
     return Deployment(
-        users=sample_users(config, rng),
+        users=users,
         positions=build_positions(config),
         feed=feed_point(config),
         d1=config.d1,

@@ -136,6 +136,17 @@ def test_empty_set_gives_zero_channels():
     assert gains.tolist() == [0.0, 0.0]
 
 
+def test_block_deployment_gives_each_drops_gains():
+    cfg = SystemConfig(n_users=3)
+    block = make_deployment(cfg, [stream_rng(2, 0, t) for t in range(4)])
+    gains = effective_channel((1, 6), block, cfg)
+    assert gains.shape == (4, 3)
+    for t in range(4):
+        dep = make_deployment(cfg, stream_rng(2, 0, t))
+        assert gains[t].tolist() == effective_channel((1, 6), dep, cfg).tolist()
+    assert effective_channel((), block, cfg).tolist() == [[0.0] * 3] * 4
+
+
 def test_single_antenna_at_feed_collapses():
     # position 0 coincides with the feed: theta = 0, no dielectric loss,
     # so |h|^2 = P_t * eta^2 / r^2

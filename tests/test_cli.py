@@ -62,6 +62,28 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert "mean final utility / optimum" in capsys.readouterr().out
 
 
+def test_convergence_sidecar_records_the_schemes_it_runs(tmp_path):
+    # the trace compares the matching with the exhaustive search whatever
+    # schemes a preset or config file names
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("schemes = random\n")
+    for source in (["--preset", "power"], ["--config", str(cfg)], []):
+        out = tmp_path / "t.csv"
+        assert main(["convergence", *source, *FAST_ARGS,
+                     "--output", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "t.spec.json").read_text())
+        assert sidecar["schemes"] == ["matching", "exhaustive"]
+
+
+def test_convergence_takes_no_schemes_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--trials", "2", "--schemes", "random",
+              "--output", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --schemes" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_compare_prints_table(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert main(["sweep", *FAST_ARGS, "--schemes", "matching,random",

@@ -216,33 +216,44 @@ def test_sweep_rows_equal_separate_runs(param):
     assert swept == separate
 
 
+def _count_builds(monkeypatch) -> dict:
+    """Patch the harness's drop and grid builders to count their calls, and
+    the trials whose drops they draw."""
+    built = {"drops": 0, "trials": 0, "grids": 0}
+    amplitude_matrix = kernels.amplitude_matrix
+
+    def drops(cfg, rngs):
+        built["drops"] += 1
+        built["trials"] += len(rngs)
+        return make_deployment(cfg, rngs)
+
+    def grids(*args, **kwargs):
+        built["grids"] += 1
+        return amplitude_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("pinchsim.harness.make_deployment", drops)
+    monkeypatch.setattr("pinchsim.kernels.amplitude_matrix", grids)
+    return built
+
+
 def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
-    # drops are built once per trial, grid matrices once per block of trials;
-    # a power sweep shares them across its values, any other sweep rebuilds
-    # them at each value; 70 trials are two blocks
+    # a block's drops are built in one call, drawing each trial's drop once,
+    # and its grid matrices in another; a power sweep shares them across its
+    # values, any other sweep rebuilds them at each value; 70 trials are two
+    # blocks
     assert harness.BLOCK == 64
-    built = {"drops": 0, "grids": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            built[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr("pinchsim.harness.make_deployment",
-                        counted("drops", harness.make_deployment))
-    monkeypatch.setattr("pinchsim.kernels.amplitude_matrix",
-                        counted("grids", kernels.amplitude_matrix))
-    for param, start, stop, step, drops, grids in (
-            ("pt_dbm", 20.0, 40.0, 10.0, 70, 2),        # nothing rebuilt
-            ("kappa_db_per_m", 0.0, 0.2, 0.1, 210, 6),  # rebuilt per value
-            ("k_antennas", 1.0, 2.0, 1.0, 140, 4),
-            ("d1", 8.0, 12.0, 2.0, 210, 6)):
-        built.update(drops=0, grids=0)
+    built = _count_builds(monkeypatch)
+    for param, start, stop, step, drops, trials, grids in (
+            ("pt_dbm", 20.0, 40.0, 10.0, 2, 70, 2),        # nothing rebuilt
+            ("kappa_db_per_m", 0.0, 0.2, 0.1, 6, 210, 6),  # rebuilt per value
+            ("k_antennas", 1.0, 2.0, 1.0, 4, 140, 4),
+            ("d1", 8.0, 12.0, 2.0, 6, 210, 6)):
+        built.update(drops=0, trials=0, grids=0)
         run_experiment(ExperimentSpec(
             base=FAST, schemes=("matching", "distance"), trials=70,
             sweep=SweepSpec(param, start, stop, step)))
-        assert (built["drops"], built["grids"]) == (drops, grids), param
+        assert (built["drops"], built["trials"], built["grids"]) == (
+            drops, trials, grids), param
 
 
 
@@ -278,15 +289,18 @@ def test_block_terms_equal_per_trial_calls_exactly():
     assert harness._blocks(70) == [range(0, 64), range(64, 70)]
     block = harness._block(cfg, range(64, 70), ALL_SCHEMES)
     assert block.trials == range(64, 70)
+    block_dep = block.deployment
+    assert block_dep.users.shape == (6, 8, 3)
     distance = {i: (terms, j) for idx, terms in block.distance_terms
                 for j, i in enumerate(idx)}
     assert sorted(distance) == list(range(6))
-    for i, (trial, dep) in enumerate(zip(block.trials, block.drops)):
-        want = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
+    for i, trial in enumerate(block.trials):
+        dep = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
+        assert block_dep.users[i].tolist() == dep.users.tolist()
         for f in dataclasses.fields(Deployment):
-            assert (np.asarray(getattr(dep, f.name)).tolist()
-                    == np.asarray(getattr(want, f.name)).tolist())
-        assert block.users[i].tolist() == dep.users.tolist()
+            if f.name != "users":
+                assert (np.asarray(getattr(block_dep, f.name)).tolist()
+                        == np.asarray(getattr(dep, f.name)).tolist())
         initial = block.initial[i]
         assert initial == random_matching(
             cfg, dep, stream_rng(cfg.seed, 1, trial))
@@ -309,13 +323,16 @@ def test_block_terms_equal_per_trial_calls_exactly():
     # coinciding users collapse a placement: that trial is batched apart
     cfg = SystemConfig(n_users=2, k_antennas=2)
     grid = make_deployment(cfg, stream_rng(1, 0, 0))
-    drops = [Deployment(users=users, positions=grid.positions, feed=grid.feed)
-             for users in (((2.0, 1.0, 0.0), (7.0, -1.0, 0.0)),
-                           ((4.0, 1.0, 0.0), (4.0, -2.0, 0.0)),
-                           ((9.0, 0.5, 0.0), (1.0, 2.0, 0.0)))]
-    placements = [distance_based_activation(cfg, d) for d in drops]
+    users = np.array([((2.0, 1.0, 0.0), (7.0, -1.0, 0.0)),
+                      ((4.0, 1.0, 0.0), (4.0, -2.0, 0.0)),
+                      ((9.0, 0.5, 0.0), (1.0, 2.0, 0.0))])
+    drops = [Deployment(users=u, positions=grid.positions, feed=grid.feed)
+             for u in users]
+    placements = distance_based_activation(
+        cfg, Deployment(users=users, positions=grid.positions, feed=grid.feed))
+    assert [p.tolist() for p in placements] == [
+        distance_based_activation(cfg, d).tolist() for d in drops]
     assert [len(p) for p in placements] == [2, 1, 2]
-    users = np.stack([d.users for d in drops])
     groups = harness._distance_terms(cfg, grid.feed, users, placements)
     assert [idx for idx, _ in groups] == [[0, 2], [1]]
     for idx, terms in groups:
@@ -330,24 +347,27 @@ def test_block_terms_equal_per_trial_calls_exactly():
 
 
 def test_at_most_one_block_of_drops_is_alive(monkeypatch):
+    # one deployment per block, and the last one is released before the next
+    # is built: the live deployments never hold more than BLOCK drops
     live = weakref.WeakSet()
     most = []
 
     def tracked(*args, **kwargs):
         deployment = make_deployment(*args, **kwargs)
         live.add(deployment)
-        most.append(len(live))
+        most.append((len(live), sum(len(d.users) for d in live)))
         return deployment
 
     monkeypatch.setattr("pinchsim.harness.make_deployment", tracked)
     run_experiment(ExperimentSpec(base=BLOCK_BASE, schemes=ALL_SCHEMES,
                                   trials=129,
                                   sweep=SweepSpec("d1", 8.0, 10.0, 2.0)))
-    assert len(most) == 2 * 129
-    assert max(most) == harness.BLOCK == 64
+    assert len(most) == 2 * 3  # 2 sweep values x 3 blocks
+    assert max(most) == (1, harness.BLOCK) == (1, 64)
+    assert sum(drops for _, drops in most) == 2 * 129
     most.clear()
     convergence_trace(ExperimentSpec(base=BLOCK_BASE, trials=129))
-    assert len(most) == 129 and max(most) == 64
+    assert most == [(1, 64), (1, 64), (1, 1)]
 
 def test_csv_round_trip_and_determinism(tmp_path):
     out_a = tmp_path / "a.csv"
@@ -423,22 +443,11 @@ def test_convergence_trace_shape():
 
 def test_convergence_trace_shares_the_trial_setup(monkeypatch):
     # each trial's trace starts from the drop and random matching that
-    # run_experiment scores, and builds each of them once; the grid matrices
-    # are built once per block of trials
-    built = {"drops": 0, "grids": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            built[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr("pinchsim.harness.make_deployment",
-                        counted("drops", harness.make_deployment))
-    monkeypatch.setattr("pinchsim.kernels.amplitude_matrix",
-                        counted("grids", kernels.amplitude_matrix))
+    # run_experiment scores, and draws each of them once; the drops and the
+    # grid matrices are built once per block of trials
+    built = _count_builds(monkeypatch)
     rows = convergence_trace(ExperimentSpec(base=FAST, trials=66))
-    assert (built["drops"], built["grids"]) == (66, 2)
+    assert (built["drops"], built["trials"], built["grids"]) == (2, 66, 2)
     starts = [r.utility for r in rows if r.step == 0]
     assert len(starts) == 66
     random_row = run_experiment(ExperimentSpec(base=FAST, schemes=("random",),
@@ -545,11 +554,13 @@ def test_block_gains_and_reports_equal_per_trial_calls():
         assert gains.shape == batch.shape[:2]
         for got, trial_terms in zip(gains, batch):
             assert got.tolist() == power_gains(trial_terms, pt).tolist()
-    conventional = conventional_baseline(cfg, block.users, alloc,
+    conventional = conventional_baseline(cfg, block.deployment.users, alloc,
                                          block.conventional_terms)
-    random = sum_rate(block.random_active, block.drops[0], cfg, alloc,
+    random = sum_rate(block.random_active, block.deployment, cfg, alloc,
                       block.random_terms)
-    for i, dep in enumerate(block.drops):
+    assert len(block.trials) == len(random.sum_rate) == 70
+    for i, trial in enumerate(block.trials):
+        dep = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
         one = conventional_baseline(cfg, dep.users, alloc)
         assert conventional.sum_rate[i] == one.sum_rate
         assert conventional.fairness[i] == one.fairness

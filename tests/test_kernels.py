@@ -112,6 +112,28 @@ def test_evaluator_rejects_bad_indices():
 
 
 
+def test_evaluator_serves_one_drop_of_a_block():
+    cfg = SystemConfig(n_users=3, l_positions=12)
+    alloc = PowerAllocation.equal(3)
+    block = make_deployment(cfg, [stream_rng(7, 0, t) for t in range(4)])
+    grid = amplitude_matrix(cfg, block)
+    assert grid.shape == (4, 3, 12)
+    with pytest.raises(ValueError, match="block deployment needs the drop's "
+                                         "amplitude matrix amp"):
+        SetEvaluator(cfg, block, alloc)
+    with pytest.raises(ValueError, match="amplitude matrix must be"):
+        SetEvaluator(cfg, block, alloc, amp=grid)
+    with pytest.raises(ValueError, match="allocation length"):
+        SetEvaluator(cfg, block, PowerAllocation.equal(4), amp=grid[0])
+    for t in range(4):
+        dep = make_deployment(cfg, stream_rng(7, 0, t))
+        assert grid[t].tolist() == amplitude_matrix(cfg, dep).tolist()
+        ev = SetEvaluator(cfg, block, alloc, amp=grid[t])
+        alone = SetEvaluator(cfg, dep, alloc)
+        assert ev.utility((2, 9)) == alone.utility((2, 9))
+        assert ev.gains((4,)).tolist() == alone.gains((4,)).tolist()
+
+
 def test_evaluator_rejects_duplicate_and_non_integer_indices():
     # a duplicate used to count its antenna twice (14.42 for (3, 3) against
     # 13.42 for (3,)), and 2.7 used to score position 2

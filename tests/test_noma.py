@@ -1,6 +1,7 @@
 """SIC ordering, per-rank rates, sum rate, and Jain fairness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,28 @@ def test_jain_batch_equals_per_row():
     assert batch.tolist() == [jain_fairness(row) for row in rates]
     assert jain_fairness(rates.reshape(20, 10, 5)).ravel().tolist() == batch.tolist()
     assert jain_fairness(np.zeros((2, 3))).tolist() == [1.0, 1.0]
+
+
+def test_jain_rescales_rows_that_underflow_or_overflow():
+    # the squares of these rates leave the normal float range: the index
+    # once came out NaN (0/0, inf/inf) or off by the lost subnormal digits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rates, index in (([1e-170, 1e-170], 1.0), ([1e300, 1e300], 1.0),
+                             ([1e-160, 2e-160], 0.9), ([1e155, 2e155], 0.9),
+                             ([1e308, 1e308, 1e308], 1.0),
+                             ([1e-320, 0.0, 0.0, 0.0], 0.25)):
+            assert jain_fairness(rates) == index
+            batch = jain_fairness([[1.0, 3.0], rates[:2], [0.0, 0.0],
+                                   rates[:2], [2.0, 2.0]])
+            assert batch.tolist() == [0.8, jain_fairness(rates[:2]), 1.0,
+                                      jain_fairness(rates[:2]), 1.0]
+    # an ordinary row keeps its bits beside them
+    rng = np.random.default_rng(5)
+    ordinary = rng.uniform(0.0, 10.0, (50, 4))
+    mixed = np.concatenate([ordinary, [[1e-170] * 4, [1e300] * 4]])
+    assert jain_fairness(mixed)[:50].tolist() == jain_fairness(ordinary).tolist()
+    assert jain_fairness(mixed)[50:].tolist() == [1.0, 1.0]
 
 
 def test_batched_sum_rate_equals_per_activation():

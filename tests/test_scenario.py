@@ -161,6 +161,75 @@ def test_deployment_validation():
                    feed=dep.feed)
 
 
+def test_block_of_drops_equals_the_single_draws():
+    cfg = SystemConfig(n_users=3)
+    block = make_deployment(cfg, [stream_rng(1, 0, t) for t in range(5)])
+    single = [make_deployment(cfg, stream_rng(1, 0, t)) for t in range(5)]
+    assert block.users.shape == (5, 3, 3)
+    assert (block.users == np.stack([d.users for d in single])).all()
+    for name in ("positions", "feed", "d1", "d2"):
+        assert np.array_equal(getattr(block, name), getattr(single[0], name))
+    # each drop is drawn exactly as it would be alone: the generators end in
+    # the same state
+    rngs = [stream_rng(2, 0, t) for t in range(3)]
+    make_deployment(cfg, rngs)
+    for t, rng in enumerate(rngs):
+        alone = stream_rng(2, 0, t)
+        make_deployment(cfg, alone)
+        assert rng.uniform() == alone.uniform()
+    assert make_deployment(cfg, []).users.shape == (0, 3, 3)
+    assert (make_deployment(cfg, (stream_rng(1, 0, 4),)).users
+            == single[4].users).all()
+    # any generator with `uniform` still draws one drop
+    assert make_deployment(cfg, np.random.RandomState(0)).users.shape == (3, 3)
+
+
+# The user cases of `test_deployment_validation` and
+# `test_deployment_rejects_non_finite_coordinates`: one drop's users, with
+# the rectangle bounds its check needs.
+BAD_DROPS = [
+    (((1.0, 0.0, 1.0), (2.0, 0.0, 0.0)), {}),               # z != 0
+    (((50.0, 0.0, 0.0), (2.0, 0.0, 0.0)), {"d1": 10.0}),    # beyond d1
+    (((2.0, 0.0, 0.0), (-1.0, 0.0, 0.0)), {}),              # before the feed
+    (((2.0, 3.0, 0.0), (2.0, -3.5, 0.0)), {"d2": 6.0}),     # beyond d2
+    (((99.0, 0.0, 0.0), (2.0, 0.0, 0.0)), {}),              # beyond the grid
+    (((2.0, 0.0, 0.0), (2.0, math.nan, 0.0)), {}),          # not finite
+    (((2.0, math.inf, 0.0), (2.0, 0.0, 0.0)), {}),
+    (((2.0, 0.0, 0.0), (2.0, 0.0, -math.inf)), {}),
+]
+
+
+@pytest.mark.parametrize("bad, bounds", BAD_DROPS)
+def test_block_with_one_bad_drop_raises_the_drops_message(bad, bounds):
+    grid = make_deployment(SystemConfig(), stream_rng(1, 0, 0))
+    fields = {"positions": grid.positions, "feed": grid.feed, **bounds}
+    with pytest.raises(ValueError) as alone:
+        Deployment(users=bad, **fields)
+    good = ((1.0, 0.5, 0.0), (9.0, -2.0, 0.0))
+    Deployment(users=[good] * 3, **fields)
+    for trial in range(3):
+        users = [good] * 3
+        users[trial] = bad
+        with pytest.raises(ValueError) as block:
+            Deployment(users=users, **fields)
+        assert str(block.value) == str(alone.value)
+
+
+def test_block_names_the_first_bad_user_in_trial_order():
+    grid = make_deployment(SystemConfig(), stream_rng(1, 0, 0))
+    users = [((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)),
+             ((2.0, 0.0, 0.0), (50.0, 0.0, 0.0)),
+             ((40.0, 0.0, 0.0), (2.0, 0.0, 0.0))]
+    with pytest.raises(ValueError, match=r"^user x=50.0 outside \[0.0, 10.0\]$"):
+        Deployment(users=users, positions=grid.positions, feed=grid.feed)
+    with pytest.raises(ValueError, match="^users must have shape"):
+        Deployment(users=np.zeros((2, 3, 2)), positions=grid.positions,
+                   feed=grid.feed)
+    with pytest.raises(ValueError, match="^users must have shape"):
+        Deployment(users=np.zeros((1, 2, 3, 3)), positions=grid.positions,
+                   feed=grid.feed)
+
+
 def _scalar_grid_error(xs):
     """The per-gap `math.isclose` check the grid validation replaces."""
     span = xs[-1] - xs[0]
@@ -193,6 +262,30 @@ def test_deployment_rejects_uneven_or_descending_grids():
         with pytest.raises(ValueError, match=message):
             Deployment(users=NO_USERS, positions=_grid(xs), feed=feed)
     Deployment(users=NO_USERS, positions=_grid((0.0, 1.0, 2.0, 3.0)), feed=feed)
+
+
+_GRID, _FEED = build_positions(SystemConfig()), feed_point(SystemConfig())
+# The shared-geometry cases of the neighbouring tests, each bad in one way.
+BAD_GRIDS = {
+    "uneven": (_grid((0.0, 1.0, 2.5, 3.0)), _FEED),
+    "descending": (_grid((4.0, 3.0, 2.0, 1.0, 0.0)), _FEED),
+    "one position": (_GRID[:1], _FEED),
+    "nan position": (np.where(np.arange(3) == 2, math.nan, _GRID), _FEED),
+    "inf feed": (_GRID, (0.0, math.inf, 3.0)),
+    "positions shape": (np.zeros((4, 3, 1)), _FEED),
+    "feed shape": (_GRID, np.zeros((1, 3))),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GRIDS)
+def test_block_with_a_bad_grid_or_feed_raises_the_drops_message(case):
+    positions, feed = BAD_GRIDS[case]
+    drop = ((1.0, 0.5, 0.0), (3.0, -2.0, 0.0))
+    with pytest.raises(ValueError) as alone:
+        Deployment(users=drop, positions=positions, feed=feed)
+    with pytest.raises(ValueError) as block:
+        Deployment(users=[drop] * 3, positions=positions, feed=feed)
+    assert str(block.value) == str(alone.value)
 
 
 @st.composite
@@ -260,6 +353,25 @@ def test_deployment_fields_are_read_only_float_arrays():
     dep = Deployment(users=users, positions=dep.positions, feed=dep.feed)
     users[0, 0] = 2
     assert dep.users.tolist() == [[1.0, 0.0, 0.0]] and users.flags.writeable
+
+
+def test_block_deployment_is_read_only():
+    cfg = SystemConfig(n_users=3)
+    users = np.stack([sample_users(cfg, stream_rng(1, 0, t)) for t in range(4)])
+    block = make_deployment(cfg, [stream_rng(1, 0, t) for t in range(4)])
+    for name, shape in (("users", (4, 3, 3)), ("positions", (20, 3)),
+                        ("feed", (3,))):
+        arr = getattr(block, name)
+        assert arr.shape == shape and arr.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        block.users[1, 2, 0] = 1.0
+    # the input is copied, as for a single drop
+    copy = Deployment(users=users, positions=block.positions, feed=block.feed)
+    users[0, 0, 0] = 2.0
+    assert copy.users.tolist() == block.users.tolist()
+    assert users.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["n_users", "k_antennas", "l_positions", "seed"])
