@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: run, sweep, convergence, compare.  Flags mirror the config-file
-keys; precedence is built-in defaults < preset < config file < flags.
+keys (`--output` is `output_path`), and one function merges them: built-in
+defaults < preset < config file < flags.  A subcommand's own keys are parser
+defaults: its output name and, for convergence, its two schemes.
 `--log-level`, given before the subcommand, logs to stderr.
 Relative output paths resolve under PINCHSIM_OUTPUT_DIR when that is set.
 """
@@ -16,9 +18,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (SCHEMES, SWEEP_PARAMS, ConfigError, ExperimentSpec,
-                      build_spec, convergence_trace, parse_config_file,
-                      read_results, run_experiment)
+from .harness import (SCHEMES, SPEC_KEYS, SWEEP_KEYS, SWEEP_PARAMS,
+                      ConfigError, ExperimentSpec, build_spec,
+                      convergence_trace, parse_config_file, read_results,
+                      run_experiment)
 from .scenario import config_field_names
 
 # Named parameter bundles for the studies the package is built around.  Trial
@@ -56,90 +59,62 @@ PRESETS = {
     },
 }
 
-_SWEEP_FLAGS = ("sweep_param", "sweep_from", "sweep_to", "sweep_step")
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser, sweep: bool,
                     schemes: bool = True) -> None:
+    """The config-file keys as flags; each flag's dest is its key."""
     parser.add_argument("--config", type=Path, metavar="FILE",
                         help="key = value file; flags override it")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter bundle to start from")
     for key in config_field_names():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            metavar="V", help=argparse.SUPPRESS)
+        parser.add_argument(_flag(key), metavar="V", help=argparse.SUPPRESS)
     parser.add_argument("--trials", metavar="T", help="Monte-Carlo drops per point")
     if schemes:
         parser.add_argument("--schemes", metavar="S,S,...",
                             help=f"comma list from: {', '.join(SCHEMES)}")
-    parser.add_argument("--output", type=Path, metavar="CSV",
+    parser.add_argument("--output", dest="output_path", type=Path, metavar="CSV",
                         help="result file (a .spec.json sidecar is written too)")
-    parser.add_argument("--exhaustive-budget", dest="exhaustive_budget",
-                        metavar="N", help="most candidate sets the exhaustive "
-                        "search may evaluate per drop")
+    parser.add_argument("--exhaustive-budget", metavar="N",
+                        help="most candidate sets the exhaustive search may "
+                             "evaluate per drop")
     if sweep:
-        parser.add_argument("--sweep-param", dest="sweep_param",
-                            choices=SWEEP_PARAMS)
-        parser.add_argument("--sweep-from", dest="sweep_from", metavar="V")
-        parser.add_argument("--sweep-to", dest="sweep_to", metavar="V")
-        parser.add_argument("--sweep-step", dest="sweep_step", metavar="V")
+        param, *bounds = SWEEP_KEYS
+        parser.add_argument(_flag(param), choices=SWEEP_PARAMS)
+        for key in bounds:
+            parser.add_argument(_flag(key), metavar="V")
 
 
-def _collect_entries(args: argparse.Namespace, sweep: bool) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    if args.preset:
-        entries.update(PRESETS[args.preset])
+def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
+    """The spec of a run, trace or sweep: built-in defaults < preset <
+    config file < flags (and the subcommand's fixed keys), with relative
+    output paths under PINCHSIM_OUTPUT_DIR when that is set."""
+    entries = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
         entries.update(parse_config_file(args.config))
-    flag_keys = config_field_names() + ("trials", "schemes", "exhaustive_budget")
-    if sweep:
-        flag_keys += _SWEEP_FLAGS
-    for key in flag_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            entries[key] = str(value)
-    if not sweep:
-        dropped = [k for k in _SWEEP_FLAGS if k in entries]
-        for k in dropped:
-            del entries[k]
-    return entries
-
-
-def _resolve_output(path: Path | None, default_name: str) -> Path:
-    if path is None:
-        path = Path(default_name)
-    if not path.is_absolute():
-        root = os.environ.get("PINCHSIM_OUTPUT_DIR")
-        if root:
-            path = Path(root) / path
-    return path
-
-
-def _build_spec(args: argparse.Namespace, sweep: bool, default_name: str
-                ) -> ExperimentSpec:
-    entries = _collect_entries(args, sweep)
-    if "output_path" in entries and args.output is None:
-        args.output = Path(entries.pop("output_path"))
-    elif "output_path" in entries:
-        del entries["output_path"]
-    spec = build_spec(entries, output_default=None)
-    return replace(spec, output_path=_resolve_output(args.output, default_name))
+    entries.update((key, str(value)) for key, value in vars(args).items()
+                   if key in SPEC_KEYS and value is not None)
+    if args.command != "sweep":
+        for key in SWEEP_KEYS:
+            entries.pop(key, None)
+    spec = build_spec(entries, output_default=Path(args.default_output))
+    root = os.environ.get("PINCHSIM_OUTPUT_DIR")
+    if root and not spec.output_path.is_absolute():
+        spec = replace(spec, output_path=Path(root) / spec.output_path)
+    return spec
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _build_spec(args, sweep=False, default_name="results.csv")
-    rows = run_experiment(spec)
-    _print_rows(rows)
-    print(f"wrote {len(rows)} rows to {spec.output_path}")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_spec(args, sweep=True, default_name="sweep.csv")
-    if spec.sweep is None:
-        raise ConfigError("sweep needs --sweep-param/--sweep-from/--sweep-to/"
-                          "--sweep-step (or a preset/config that sets them)")
+    spec = _build_spec(args)
+    if args.command == "sweep" and spec.sweep is None:
+        raise ConfigError(f"sweep needs {'/'.join(map(_flag, SWEEP_KEYS))} "
+                          "(or a preset/config that sets them)")
     rows = run_experiment(spec)
     _print_rows(rows)
     print(f"wrote {len(rows)} rows to {spec.output_path}")
@@ -147,7 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    spec = _build_spec(args, sweep=False, default_name="trace.csv")
+    spec = _build_spec(args)
     rows = convergence_trace(spec)
     last: dict[int, float] = {}
     for r in rows:
@@ -210,17 +185,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one configuration, no sweep")
     _add_spec_flags(p_run, sweep=False)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, default_output="results.csv")
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     _add_spec_flags(p_sweep, sweep=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_run, default_output="sweep.csv")
 
     p_conv = sub.add_parser("convergence",
                             help="per-trial utility trace vs exhaustive optimum")
-    # The trace always compares the matching with the exhaustive search.
+    # The trace always compares the matching with the exhaustive search:
+    # its schemes are a fixed key, not a flag, and beat a preset's or file's.
     _add_spec_flags(p_conv, sweep=False, schemes=False)
-    p_conv.set_defaults(func=_cmd_convergence)
+    p_conv.set_defaults(func=_cmd_convergence, default_output="trace.csv",
+                        schemes="matching,exhaustive")
 
     p_cmp = sub.add_parser("compare", help="tabulate existing result CSVs")
     p_cmp.add_argument("csv", nargs="+", type=Path)

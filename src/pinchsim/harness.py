@@ -195,6 +195,12 @@ def _drop_hash(users: np.ndarray) -> str:
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
 
+def _log_drop(value, trial: int, users: np.ndarray) -> None:
+    """Log a trial's drop hash at DEBUG; the hash is computed only then."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("sweep=%s trial=%d drop=%s", value, trial, _drop_hash(users))
+
+
 class _Block(NamedTuple):
     """The power-independent objects of a block of T trials, as arrays or
     lists in trial order; None where no scheme of the run asks for them."""
@@ -287,9 +293,7 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
     cycles = np.empty(shape[0])
     deployment = block.deployment
     for i, trial in enumerate(block.trials):
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("sweep=%s trial=%d drop=%s", value, trial,
-                      _drop_hash(deployment.users[i]))
+        _log_drop(value, trial, deployment.users[i])
         if not searched:
             continue
         evaluator = SetEvaluator(cfg, deployment, alloc, amp=block.grid[i])
@@ -400,7 +404,9 @@ def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
                  budget: int) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
-    for trial, grid, initial in zip(block.trials, block.grid, block.initial):
+    for trial, users, grid, initial in zip(block.trials, block.deployment.users,
+                                           block.grid, block.initial):
+        _log_drop(None, trial, users)
         evaluator = SetEvaluator(cfg, block.deployment, alloc, amp=grid)
         _, optimum = exhaustive_search(evaluator, cfg.k_antennas, budget)
         _, trajectory = matching_activation(evaluator, initial)
@@ -524,10 +530,9 @@ def write_spec_sidecar(output_path: Path | str, spec: ExperimentSpec) -> Path:
 # ---------------------------------------------------------------------------
 # flat key-value config files
 
+SWEEP_KEYS = ("sweep_param", "sweep_from", "sweep_to", "sweep_step")
 SPEC_KEYS = config_field_names() + (
-    "trials", "schemes", "output_path", "exhaustive_budget",
-    "sweep_param", "sweep_from", "sweep_to", "sweep_step",
-)
+    "trials", "schemes", "output_path", "exhaustive_budget") + SWEEP_KEYS
 _INT_KEYS = COUNT_PARAMS + ("seed", "trials", "exhaustive_budget")
 
 
@@ -553,7 +558,8 @@ def build_spec(entries: dict[str, str], output_default: Path | None = None
     """Assemble an ExperimentSpec from string-valued entries.
 
     Entries use the same keys as the config file; later sources (CLI flags)
-    should be merged into `entries` before calling.
+    should be merged into `entries` before calling.  `output_default` is the
+    output path when the entries name none.
     """
     unknown = set(entries) - set(SPEC_KEYS)
     if unknown:
@@ -567,10 +573,9 @@ def build_spec(entries: dict[str, str], output_default: Path | None = None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sweep = None
-    sweep_keys = {"sweep_param", "sweep_from", "sweep_to", "sweep_step"}
-    present = sweep_keys & set(entries)
+    present = set(SWEEP_KEYS) & set(entries)
     if present:
-        missing = sweep_keys - present
+        missing = set(SWEEP_KEYS) - present
         if missing:
             raise ConfigError(f"incomplete sweep: missing {', '.join(sorted(missing))}")
         sweep = SweepSpec(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,17 +63,23 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert "mean final utility / optimum" in capsys.readouterr().out
 
 
-def test_convergence_sidecar_records_the_schemes_it_runs(tmp_path):
+def test_convergence_sidecar_records_the_schemes_it_runs(tmp_path, capsys):
     # the trace compares the matching with the exhaustive search whatever
-    # schemes a preset or config file names
-    cfg = tmp_path / "e.cfg"
+    # schemes a preset or config file names, even ones no other command takes
+    cfg, bogus = tmp_path / "e.cfg", tmp_path / "bogus.cfg"
     cfg.write_text("schemes = random\n")
-    for source in (["--preset", "power"], ["--config", str(cfg)], []):
+    bogus.write_text("schemes = bogus\n")
+    for source in (["--preset", "power"], ["--config", str(cfg)],
+                   ["--config", str(bogus)], []):
         out = tmp_path / "t.csv"
         assert main(["convergence", *source, *FAST_ARGS,
                      "--output", str(out)]) == 0
         sidecar = json.loads((tmp_path / "t.spec.json").read_text())
         assert sidecar["schemes"] == ["matching", "exhaustive"]
+    capsys.readouterr()
+    assert main(["run", "--config", str(bogus), *FAST_ARGS,
+                 "--output", str(tmp_path / "r.csv")]) == 2
+    assert "unknown scheme 'bogus'" in capsys.readouterr().err
 
 
 def test_convergence_takes_no_schemes_flag(tmp_path, capsys):
@@ -158,13 +165,37 @@ def test_bad_scheme_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_output_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("PINCHSIM_OUTPUT_DIR", str(tmp_path / "results"))
-    code = main(["run", *FAST_ARGS, "--schemes", "random",
-                 "--output", "run.csv"])
-    assert code == 0
-    assert (tmp_path / "results" / "run.csv").exists()
-    assert (tmp_path / "results" / "run.spec.json").exists()
+def test_output_dir_env_var(tmp_path, monkeypatch, capsys):
+    # the flag beats the config file, the file beats the command's default
+    # name, and PINCHSIM_OUTPUT_DIR roots each relative path
+    monkeypatch.chdir(tmp_path)
+    commands = {
+        "run": (["--schemes", "random"], "results.csv"),
+        "sweep": (["--schemes", "random", "--sweep-param", "pt_dbm",
+                   "--sweep-from", "25", "--sweep-to", "30",
+                   "--sweep-step", "5"], "sweep.csv"),
+        "convergence": ([], "trace.csv"),
+    }
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("output_path = file.csv\n")
+    absolute = tmp_path / "abs" / "flag.csv"
+    sources = [([], None), (["--config", str(cfg)], "file.csv"),
+               (["--config", str(cfg), "--output", "flag.csv"], "flag.csv"),
+               (["--output", str(absolute)], absolute)]
+    for command, (extra, default) in commands.items():
+        for root in (None, tmp_path / "results"):
+            if root is None:
+                monkeypatch.delenv("PINCHSIM_OUTPUT_DIR", raising=False)
+            else:
+                monkeypatch.setenv("PINCHSIM_OUTPUT_DIR", str(root))
+            for source, name in sources:
+                path = Path(root or "") / (name or default)
+                assert main([command, *FAST_ARGS, *extra, *source]) == 0, path
+                assert capsys.readouterr().out.endswith(f" to {path}\n")
+                sidecar = (tmp_path / path).with_suffix(".spec.json")
+                assert json.loads(sidecar.read_text())["output_path"] == str(path)
+                (tmp_path / path).unlink()
+                sidecar.unlink()
 
 
 def test_presets_are_runnable(tmp_path):
@@ -214,6 +245,23 @@ def test_log_level_flag_logs_drop_hashes_and_leaves_the_csv(tmp_path, capsys,
     # the handler is gone again: a later run without the flag logs nothing
     assert main([*sweep, "--output", str(plain)]) == 0
     assert "drop=" not in capsys.readouterr().err
+    # the trace logs one line per trial, without a sweep value
+    trace = ["convergence", *FAST_ARGS]
+    with monkeypatch.context() as patch:
+        patch.setattr("pinchsim.harness._drop_hash", refuse)
+        assert main([*trace, "--output", str(plain)]) == 0
+    assert "drop=" not in capsys.readouterr().err
+    assert main(["--log-level", "DEBUG", *trace, "--output", str(logged)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if "drop=" in line]
+    assert len(lines) == 2
+    assert logged.read_bytes() == plain.read_bytes()
+    # the same lines as a run without a sweep, from the same drops
+    assert main(["--log-level", "DEBUG", "run", *FAST_ARGS, "--schemes",
+                 "random", "--output", str(tmp_path / "run.csv")]) == 0
+    assert lines == [line for line in capsys.readouterr().err.splitlines()
+                     if "drop=" in line]
+    assert lines[1].startswith("DEBUG pinchsim.harness: sweep=None trial=1 drop=")
 
 
 def test_exhaustive_budget_flag_and_key_reach_the_sidecar(tmp_path, capsys):
