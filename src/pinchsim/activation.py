@@ -116,27 +116,36 @@ def _walk(ev: SetEvaluator, assignment: list[int | None], antenna: int,
     `assignment`, `moves` and `utilities`, and the walk goes on at the next
     position.  The other antennas stay put, so every candidate is their set
     plus one position, or their set alone for the deactivation.  `memo` maps
-    every set scored so far, as a `_mask`, to its utility: the walk scores
-    the relocation sets it lacks in one batch at its start, the current
-    state's among them if missing, and the deactivation only once it is
-    reached.  A candidate found in the memo still counts as examined.
+    every set scored so far, as a `_mask`, to its utility.  The walk reads
+    the memo once for all its relocation sets, scores those it lacks in one
+    batch at its start, the current state's among them if missing, and the
+    deactivation only once it is reached.  A candidate found in the memo
+    still counts as examined.
+
+    The batch skips the evaluator's index check: the free positions are
+    `range(ev.n_positions)` less the other antennas', whose positions the
+    caller has checked to be distinct grid indices.
     """
     current = assignment[antenna]
-    others = [p for p in assignment if p is not None and p != current]
+    others = sorted(p for p in assignment if p is not None and p != current)
     base = _mask(others)
-    positions = [p for p in range(ev.n_positions) if not base >> p & 1]
-    fresh = [p for p in positions if base | 1 << p not in memo]
+    positions = list(range(ev.n_positions))
+    for p in reversed(others):
+        del positions[p]
+    masks = [base | 1 << p for p in positions]
+    gains = list(map(memo.get, masks))
+    fresh = [i for i, gain in enumerate(gains) if gain is None]
     if fresh:
-        for p, gain in zip(fresh, ev.utilities(others, fresh).tolist()):
-            memo[base | 1 << p] = gain
+        scored = ev.unchecked_utilities(others, [positions[i] for i in fresh])
+        for i, gain in zip(fresh, scored.tolist()):
+            memo[masks[i]] = gains[i] = gain
     utility = memo[base if current is None else base | 1 << current]
-    for pos in positions:
+    for pos, gain in zip(positions, gains):
+        target = pos
         if pos == current:
             if base not in memo:
                 memo[base] = ev.utility(others)
             gain, target = memo[base], None
-        else:
-            gain, target = memo[base | 1 << pos], pos
         if gain > utility:
             moves.append(Move(antenna, current, target))
             utilities.append(gain)
@@ -162,13 +171,13 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     """
     assignment = list(initial.assignment)
     active = initial.active_positions()
+    # The walks' batches do not check their indices: check the start, before
+    # its mask, which an index far off the grid would make huge.
+    selection(active, ev.n_positions)
     start = _mask(active)
     memo: dict[int, float] = {}
-    if assignment and assignment[0] is not None:
-        # The starting set rides in antenna 0's first batch, which scores
-        # grid positions only: check that it is on the grid.
-        selection(active, ev.n_positions)
-    else:
+    if not assignment or assignment[0] is None:
+        # Otherwise the starting set rides in antenna 0's first batch.
         memo[start] = ev.utility(active)
     utilities: list[float] = []
     moves: list[Move] = []
@@ -207,7 +216,8 @@ def check_stability(ev: SetEvaluator, matching: Matching
     walks accept is the certificate.
     """
     active = matching.active_positions()
-    memo = {_mask(active): ev.utility(active)}
+    utility = ev.utility(active)  # checks the indices before their mask
+    memo = {_mask(active): utility}
     for antenna in range(matching.k_antennas):
         moves: list[Move] = []
         _walk(ev, list(matching.assignment), antenna, memo, moves, [])

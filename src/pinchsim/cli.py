@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (SCHEMES, SPEC_KEYS, SWEEP_KEYS, SWEEP_PARAMS,
@@ -103,11 +102,11 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.command != "sweep":
         for key in SWEEP_KEYS:
             entries.pop(key, None)
-    spec = build_spec(entries, output_default=Path(args.default_output))
-    root = os.environ.get("PINCHSIM_OUTPUT_DIR")
-    if root and not spec.output_path.is_absolute():
-        spec = replace(spec, output_path=Path(root) / spec.output_path)
-    return spec
+    # Rooted before the spec is built, which checks the path it will write.
+    root = Path(os.environ.get("PINCHSIM_OUTPUT_DIR", ""))
+    if entries.get("output_path"):
+        entries["output_path"] = str(root / entries["output_path"])
+    return build_spec(entries, output_default=root / args.default_output)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -91,6 +91,19 @@ class SweepSpec:
         return tuple(self.start + i * self.step for i in range(count))
 
 
+def _check_output_path(path: Path) -> None:
+    """ConfigError unless `path` can name a file to write: not a directory,
+    and no file where a directory above it is to be.  Checked when the spec
+    is built, not when the rows are written after every trial."""
+    if path.is_dir():
+        raise ConfigError(f"output_path {str(path)!r} is a directory: "
+                          "name a file")
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise ConfigError(f"output_path {str(path)!r} lies under the file "
+                          f"{str(parent)!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: base scenario, schemes to run, trials, optional sweep."""
@@ -111,6 +124,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
         if self.output_path is not None:
             object.__setattr__(self, "output_path", Path(self.output_path))
+            _check_output_path(self.output_path)
         if not self.schemes:
             raise ConfigError("need at least one scheme")
         for s in self.schemes:
@@ -273,6 +287,13 @@ def _block(cfg: SystemConfig, trials: range, schemes) -> _Block:
                   random_terms, distance_terms, conventional_terms)
 
 
+def _zero_optimum(cfg: SystemConfig, trial: int) -> ValueError:
+    """The error for a trial whose exhaustive sum rate, the denominator of
+    every ratio to exhaustive, is 0."""
+    return ValueError(f"exhaustive sum rate is 0 at {cfg.pt_dbm} dBm transmit "
+                      f"power (trial {trial}): no ratio to exhaustive")
+
+
 def _score_block(block: _Block, value, cfg: SystemConfig,
                  alloc: PowerAllocation, spec: ExperimentSpec, cells) -> None:
     """Score every scheme on the trials of `block` at one sweep value and
@@ -331,10 +352,8 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
         if scheme == "exhaustive":
             exhaustive_rate = report.sum_rate
             if not exhaustive_rate.all():
-                trial = block.trials[np.flatnonzero(exhaustive_rate == 0)[0]]
-                raise ValueError(
-                    f"exhaustive sum rate is 0 at {cfg.pt_dbm} dBm transmit "
-                    f"power (trial {trial}): no ratio to exhaustive")
+                raise _zero_optimum(
+                    cfg, block.trials[np.flatnonzero(exhaustive_rate == 0)[0]])
         ratio = (report.sum_rate / exhaustive_rate
                  if exhaustive_rate is not None else None)
         for column, x in zip(cells[scheme], (
@@ -380,6 +399,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 block = _block(cfg, trials, schemes)
             _score_block(block, value, cfg, alloc, spec, metrics[point])
     rows: list[ResultRow] = []
+    for cfg, cells in zip(configs, metrics):
+        # Every stored sum rate exactly 0: the power is too low to rate.
+        if not any(any(cells[scheme][0]) for scheme in schemes):
+            raise ValueError(f"every trial of every scheme rates 0 at "
+                             f"pt_dbm={cfg.pt_dbm} dBm: no rate to report")
     for value, cells in zip(sweep_values, metrics):
         for scheme in schemes:
             rates, fairness, active, cycles, ratios = cells[scheme]
@@ -409,6 +433,8 @@ def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
         _log_drop(None, trial, users)
         evaluator = SetEvaluator(cfg, block.deployment, alloc, amp=grid)
         _, optimum = exhaustive_search(evaluator, cfg.k_antennas, budget)
+        if optimum == 0:
+            raise _zero_optimum(cfg, trial)
         _, trajectory = matching_activation(evaluator, initial)
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]

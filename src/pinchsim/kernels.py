@@ -6,6 +6,11 @@ of one set (`utility`), or of a batch of sets that share all indices but one
 The matching search walks each antenna once per cycle and scores, in one
 batch, the relocations of that walk that its run has not scored yet; it
 reuses the rest.
+
+`utility`, `utilities` and `gains` check the grid indices they are given
+(`channel.selection`).  The scan's walk builds its indices from the grid and
+from a start that its search has checked, so it scores its batches through
+`unchecked_utilities`, which skips that check.
 """
 
 from __future__ import annotations
@@ -96,6 +101,14 @@ class SetEvaluator:
         base = sorted(others)
         positions = list(positions)
         selection(base + positions, self.n_positions)
+        return self.unchecked_utilities(base, positions)
+
+    def unchecked_utilities(self, base: list[int], positions: list[int]
+                            ) -> np.ndarray:
+        """`utilities` of a sorted `base` list and a list of `positions`,
+        without the index check: the caller vouches that they are distinct
+        grid indices.  The matching scan's walk builds them from the grid
+        and from a start its search has checked."""
         if not positions:
             return np.zeros(0)
         rows = np.empty((len(positions), len(base) + 1), dtype=np.intp)

@@ -10,7 +10,7 @@ import pytest
 import helpers
 import reference
 from reference_scan import reference_scan
-from pinchsim import activation
+from pinchsim import activation, harness
 from pinchsim import (BudgetExceededError, Matching, Move,
                       PowerAllocation, SetEvaluator, SystemConfig, Trajectory,
                       amplitudes, candidate_count, check_stability,
@@ -20,7 +20,7 @@ from pinchsim import (BudgetExceededError, Matching, Move,
                       power_gains, random_matching, rate_report, stream_rng,
                       sum_rate)
 from pinchsim.cli import PRESETS
-from pinchsim.harness import build_spec
+from pinchsim.harness import build_spec, run_experiment
 from pinchsim.kernels import amplitude_matrix
 from pinchsim.scenario import Deployment, waveguide_points
 
@@ -92,6 +92,24 @@ def test_searches_reject_a_matching_off_the_grid():
                                match="^position index out of range$"):
                 search(ev, Matching(assignment=assignment))
     assert ev.calls == 0
+
+
+def test_searches_check_a_start_before_building_its_mask(monkeypatch):
+    # a position far off the grid once built its bitmask, 10**12 bits here,
+    # before the grid check rejected it
+    def mask(positions):
+        assert max(positions) < 20, "mask built before the check"
+        return real_mask(positions)
+
+    real_mask = activation._mask
+    monkeypatch.setattr(activation, "_mask", mask)
+    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=20)
+    ev = SetEvaluator(cfg, make_deployment(cfg, stream_rng(1, 0, 0)),
+                      PowerAllocation.equal(2))
+    for assignment in ((10 ** 12, 3), (None, 10 ** 12)):
+        for search in (matching_activation, check_stability):
+            with pytest.raises(ValueError, match="out of range"):
+                search(ev, Matching(assignment=assignment))
 
 
 def test_trajectories_strictly_increase():
@@ -187,7 +205,9 @@ def test_batched_scan_equals_reference_scan():
 class _RecordingEvaluator(SetEvaluator):
     """Logs its scoring calls as ('utility', [set]) or ('batch', sets).
     `scored` lists every set scored: one per `utility` call, bar the empty
-    set, which scores 0 without the kernel, and one per batch position."""
+    set, which scores 0 without the kernel, and one per batch position.
+    Batches are logged where the walk scores them, in `unchecked_utilities`,
+    which `utilities` calls too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -197,10 +217,10 @@ class _RecordingEvaluator(SetEvaluator):
         self.log.append(("utility", [tuple(sorted(indices))]))
         return super().utility(indices)
 
-    def utilities(self, others, positions):
-        self.log.append(("batch", [tuple(sorted([*others, p]))
+    def unchecked_utilities(self, base, positions):
+        self.log.append(("batch", [tuple(sorted([*base, p]))
                                    for p in positions]))
-        return super().utilities(others, positions)
+        return super().unchecked_utilities(base, positions)
 
     @property
     def scored(self) -> list[tuple[int, ...]]:
@@ -270,6 +290,31 @@ def test_scan_call_structure(monkeypatch):
                     batches_per_walk[-1] += 1
             assert len(batches_per_walk) == traj.cycles * cfg.k_antennas
             assert max(batches_per_walk) == 1
+
+
+# Per seed: kernel rows, evaluations, accepted moves and cycles summed over
+# the 600 scans of the power preset at 120 trials (the `scan` benchmark
+# workload).  A faster scan must still do this work, no more and no less.
+SCAN_WORK = {3: (32447, 49856, 2984, 1312), 1: (33120, 50654, 2903, 1333)}
+
+
+def test_scan_work_counts_are_pinned(monkeypatch):
+    def counted(ev, initial):
+        calls = ev.calls
+        final, trajectory = real(ev, initial)
+        work.append((ev.calls - calls, trajectory.evaluations,
+                     len(trajectory.moves), trajectory.cycles))
+        return final, trajectory
+
+    real = harness.matching_activation
+    monkeypatch.setattr(harness, "matching_activation", counted)
+    for seed, want in SCAN_WORK.items():
+        work: list[tuple[int, int, int, int]] = []
+        run_experiment(build_spec({**PRESETS["power"], "trials": "120",
+                                   "seed": str(seed),
+                                   "schemes": "matching"}))
+        assert len(work) == 600
+        assert tuple(map(sum, zip(*work))) == want
 
 
 def test_scan_memo_never_crosses_powers():

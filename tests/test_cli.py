@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pinchsim import read_results
+from pinchsim import cli, read_results, run_experiment
 from pinchsim.cli import PRESETS, main
 
 FAST_ARGS = ["--n-users", "2", "--k-antennas", "2", "--l-positions", "12",
@@ -314,4 +314,44 @@ def test_power_outside_the_float_range_is_a_clean_error(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: {name}={float(value)!r} dBm is not a positive finite power "
         "in watts\n")
+    assert not out.exists()
+
+
+def test_an_unwritable_output_fails_before_any_trial(tmp_path, monkeypatch,
+                                                     capsys):
+    # an existing directory, or the empty name (the working directory), once
+    # failed with "[Errno 21] Is a directory" after every trial had run
+    def no_work(spec):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "convergence_trace", no_work)
+    monkeypatch.chdir(tmp_path)
+    for command in ("run", "sweep --preset power", "convergence"):
+        for output in (str(tmp_path), ""):
+            code = main([*command.split(), "--trials", "3",
+                         "--output", output])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: output_path ")
+    # with PINCHSIM_OUTPUT_DIR the empty name is that directory, and a
+    # relative name is checked where it will be written, under it
+    root = tmp_path / "results"
+    monkeypatch.setenv("PINCHSIM_OUTPUT_DIR", str(root))
+    root.mkdir()
+    assert main(["run", "--trials", "3", "--output", ""]) == 2
+    assert f"output_path {str(root)!r}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    (tmp_path / "r.csv").mkdir()
+    assert main(["run", *FAST_ARGS, "--output", "r.csv"]) == 0
+    assert (root / "r.csv").is_file()
+
+
+def test_a_power_at_which_every_rate_is_0_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["run", "--trials", "2", "--pt-dbm", "-3000",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: every trial of every scheme rates 0 at pt_dbm=-3000.0 dBm: "
+        "no rate to report\n")
     assert not out.exists()

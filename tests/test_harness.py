@@ -8,6 +8,7 @@ import math
 import re
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,6 +597,58 @@ def test_zero_exhaustive_rate_fails_loudly():
     with pytest.raises(ValueError, match=r"^exhaustive sum rate is 0 at "
                                          r"-3000\.0 dBm .*\(trial 0\)"):
         run_experiment(spec)
-    # without the exhaustive scheme the rates are reported as they are
+    # without the exhaustive scheme the run stops too, naming the power
     spec = dataclasses.replace(spec, schemes=("random",))
-    assert run_experiment(spec)[0].mean_sum_rate == 0.0
+    with pytest.raises(ValueError, match=r"^every trial of every scheme rates "
+                                         r"0 at pt_dbm=-3000\.0 dBm"):
+        run_experiment(spec)
+
+
+def test_a_power_at_which_every_rate_is_0_stops_by_name():
+    # at -3000 dBm the run once wrote sum rate 0 and fairness 1 for every
+    # scheme but the exhaustive one
+    low = dataclasses.replace(FAST, pt_dbm=-3000.0)
+    for scheme in ("matching", "random", "distance", "conventional"):
+        with pytest.raises(ValueError, match=r"rates 0 at pt_dbm=-3000\.0 "):
+            run_experiment(ExperimentSpec(base=low, schemes=(scheme,),
+                                          trials=70))
+    # in a sweep, the value at which everything rates 0 is the one named,
+    # whatever the swept parameter
+    sweeps = [(FAST, SweepSpec("pt_dbm", -3000.0, 30.0, 3030.0), -3000.0),
+              (low, SweepSpec("d1", 10.0, 20.0, 10.0), -3000.0)]
+    for base, sweep, named in sweeps:
+        spec = ExperimentSpec(base=base, schemes=("matching", "random"),
+                              trials=3, sweep=sweep)
+        with pytest.raises(ValueError, match=rf"at pt_dbm={named} dBm"):
+            run_experiment(spec)
+    # a trace stops by name too, not with a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^exhaustive sum rate is 0 at "
+                                         r"-3000\.0 dBm .*\(trial 0\)"):
+        convergence_trace(ExperimentSpec(base=low, trials=2))
+    # a scheme that rates 0 beside one that does not is reported as it is
+    rows = run_experiment(ExperimentSpec(base=FAST, trials=3,
+                                         schemes=("matching", "random")))
+    assert all(row.mean_sum_rate > 0 for row in rows)
+
+
+def test_an_output_path_that_is_a_directory_is_refused(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path, Path(""), Path(".")):
+        with pytest.raises(ConfigError, match=r"^output_path .* is a "
+                                              r"directory: name a file$"):
+            ExperimentSpec(base=FAST, trials=2, output_path=path)
+    spec = ExperimentSpec(base=FAST, trials=2, output_path=tmp_path / "r.csv")
+    with pytest.raises(ConfigError, match="^output_path"):
+        replace(spec, output_path=tmp_path)
+    # a file where a directory of the path is to be
+    (tmp_path / "f").write_text("")
+    for path in (tmp_path / "f" / "r.csv", Path("f/a/r.csv")):
+        with pytest.raises(ConfigError, match=r"^output_path .* lies under "
+                                              r"the file .*f'$"):
+            ExperimentSpec(base=FAST, trials=2, output_path=path)
+    # directories still to be made are fine; the writer makes them
+    spec = ExperimentSpec(base=FAST, trials=2, schemes=("random",),
+                          output_path=Path("new/dirs/r.csv"))
+    run_experiment(spec)
+    assert (tmp_path / "new" / "dirs" / "r.spec.json").is_file()

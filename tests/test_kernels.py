@@ -84,6 +84,28 @@ def test_batch_edge_cases_and_validation():
     assert ev.calls == 3
 
 
+def test_unchecked_utilities_equal_utilities_bit_for_bit():
+    # the scan's walk scores through the unchecked method; `utilities`
+    # checks its indices and then calls it, so the two agree on every set
+    rng = np.random.default_rng(61)
+    for n, k, l_positions in [(2, 2, 20), (4, 4, 30), (8, 8, 60)]:
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        ev = SetEvaluator(cfg, make_deployment(cfg, rng),
+                          PowerAllocation.equal(n))
+        for size in range(1, k + 1):
+            others = sorted(rng.choice(l_positions, size=size - 1,
+                                       replace=False).tolist())
+            positions = [p for p in range(l_positions) if p not in others]
+            calls = ev.calls
+            checked = ev.utilities(others, positions).tolist()
+            assert ev.calls - calls == len(positions)
+            assert ev.unchecked_utilities(others, positions).tolist() == checked
+            assert ev.calls - calls == 2 * len(positions)
+            assert checked == [ev.utility([*others, p]) for p in positions]
+    assert ev.unchecked_utilities([1, 2], []).shape == (0,)
+
+
 def test_evaluator_counts_calls():
     cfg = SystemConfig(l_positions=12)
     dep = make_deployment(cfg, stream_rng(7, 0, 0))
