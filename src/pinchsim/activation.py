@@ -238,8 +238,11 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
     utility.
 
     Ties go to the lexicographically smallest index tuple.  Refuses to start
-    when the candidate count exceeds the budget.
+    when `k_antennas` is not an integer >= 1, or when the candidate count
+    exceeds the budget.
     """
+    if integer("k_antennas", k_antennas) < 1:
+        raise ValueError(f"k_antennas must be >= 1, got {k_antennas!r}")
     count = candidate_count(ev.n_positions, k_antennas)
     if count > budget:
         raise BudgetExceededError(

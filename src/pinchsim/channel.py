@@ -74,22 +74,29 @@ def amplitudes(config: SystemConfig, users: np.ndarray, points: np.ndarray,
         amp.imag = amp.real * col.imag + amp.imag * col.real
         amp.real = re
     # Built point-major, so that in each drop's (N, S) slice users vary
-    # fastest in memory, as in a gather amp[:, sel]: see `power_gains`.
+    # fastest in memory, as in the kernel's rows taken from the
+    # position-major view amp.T: see `power_gains`.
     return np.swapaxes(amp, -1, -2)
 
 
 def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     """Power gain P_t/S * |sum of terms|^2 of each user, from (N, S)
     amplitude terms, or (..., N) gains from (..., N, S) terms, such as a
-    (T, N, S) block of drops or the search kernel's (N, B, S) batch; P_t is
+    (T, N, S) block of drops or the search kernel's (B, N, S) batch; P_t is
     split equally over the S antennas.
 
     Each user's terms add in antenna order when users vary fastest in
-    memory, as they do in `amplitudes` and in a gather `amp[:, sel]`; so a
-    gain is the same bit for bit whichever of them it comes from.
+    memory, as they do in `amplitudes` and in the search kernel's rows,
+    taken along axis 0 of the position-major view `amp.T` and then swapped
+    to (..., N, S); so a gain is the same bit for bit whichever of them it
+    comes from.  The gain is formed in one buffer, by the operations of
+    P_t/S * (re*re + im*im) in the same order.
     """
-    z = terms.sum(axis=-1)
-    return (pt_watts / terms.shape[-1]) * (z.real * z.real + z.imag * z.imag)
+    z = np.add.reduce(terms, axis=-1)
+    g = z.real * z.real
+    g += z.imag * z.imag
+    g *= pt_watts / terms.shape[-1]
+    return g
 
 
 def effective_channel(indices, deployment: Deployment, config: SystemConfig,
@@ -108,7 +115,7 @@ def effective_channel(indices, deployment: Deployment, config: SystemConfig,
     n_positions = len(deployment.positions)
     if isinstance(indices, np.ndarray) and indices.ndim == 2:
         # Each row is checked as one activation; none changes its length.
-        sel = np.array([selection(row, n_positions) for row in indices],
+        sel = np.array([selection(r, n_positions) for r in indices.tolist()],
                        dtype=np.intp).reshape(indices.shape)
     else:
         sel = selection(indices, n_positions)

@@ -35,13 +35,17 @@ def set_sum_rate(amp, sel, pt_watts, noise, alloc):
 
     Returns a 0-d float for one activation and (B,) floats for a batch.  A
     row's result is bit-identical either way (the tests check it), and to
-    the sum rate of `noma.rate_report` on its `power_gains`: each user's
-    columns add in antenna order and the log2 terms along a contiguous last
-    axis, so every addition happens in the same order.
+    the sum rate of `noma.rate_report` on its `power_gains`.  One `take`
+    along axis 0 of the position-major view `amp.T` gathers the (S, N) or
+    (B, S, N) rows of the active positions, whatever `amp`'s storage order;
+    with the last two axes swapped, users vary fastest, so each user's terms
+    add in antenna order and the (B, N) gains come out C-contiguous, their
+    log2 terms adding along a contiguous last axis.  Every addition happens
+    in the same order either way.
     """
-    gains = np.ascontiguousarray(power_gains(amp[:, sel], pt_watts).T)
+    gains = power_gains(amp.T.take(sel, axis=0).swapaxes(-1, -2), pt_watts)
     gains.sort(axis=-1)
-    return sic_rates(gains, alloc, noise).sum(axis=-1)
+    return np.add.reduce(sic_rates(gains, alloc, noise), axis=-1)
 
 
 def amplitude_matrix(config: SystemConfig, deployment: Deployment
@@ -125,4 +129,5 @@ class SetEvaluator:
         sel = selection(indices, self.n_positions)
         if sel.size == 0:
             return np.zeros(self._amp.shape[0])
-        return power_gains(self._amp[:, sel], self._pt_watts)
+        return power_gains(self._amp.T.take(sel, axis=0).swapaxes(-1, -2),
+                           self._pt_watts)

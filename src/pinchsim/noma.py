@@ -72,14 +72,19 @@ def sic_rates(gains: np.ndarray, alloc: PowerAllocation,
     the last axis, (N,) or a (B, N) batch.
 
     Rank m gets log2(1 + a_m g_m / (g_m * sum_{i>m} a_i + sigma^2)); the
-    interference term vanishes for the top rank.
+    interference term vanishes for the top rank.  The rates are formed in
+    one buffer, by the formula's operations in the same order.
     """
     alpha, tails = alloc.ranks
     if gains.shape[-1] != alpha.size:
         raise ValueError("allocation length must match number of users")
     if not noise_watts > 0:
         raise ValueError("noise power must be positive")
-    return np.log2(1.0 + alpha * gains / (gains * tails + noise_watts))
+    x = gains * tails
+    x += noise_watts
+    np.divide(alpha * gains, x, out=x)
+    x += 1.0
+    return np.log2(x, out=x)
 
 
 def jain_fairness(rates):

@@ -420,6 +420,19 @@ def test_exhaustive_budget():
     exhaustive_search(ev, cfg.k_antennas, budget=10)
 
 
+def test_exhaustive_search_refuses_a_bad_k_antennas_before_scoring():
+    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=4)
+    dep = make_deployment(cfg, stream_rng(3, 0, 0))
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(2))
+    for k in (0, -1, True, False, 2.5, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="k_antennas"):
+            exhaustive_search(ev, k)
+    assert ev.calls == 0
+    best, _ = exhaustive_search(ev, np.int64(2))
+    assert ev.calls == 10
+    assert best == exhaustive_search(ev, 2)[0]
+
+
 class _Stub:
     """Utility stub with controllable values, for tie-break checks."""
 

@@ -8,8 +8,10 @@ import pytest
 
 import helpers
 from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig,
-                      amplitude_matrix, amplitudes, effective_channel,
-                      make_deployment, power_gains, stream_rng, sum_rate)
+                      amplitude_matrix, amplitudes, dbm_to_watts,
+                      effective_channel, make_deployment, power_gains,
+                      stream_rng, sum_rate)
+from pinchsim.kernels import set_sum_rate
 
 
 def test_amplitude_matrix_reproduces_channels():
@@ -210,6 +212,44 @@ def test_evaluator_gains_match_channel():
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         gains = effective_channel(sel, dep, cfg)
         assert ev.gains(sel).tolist() == gains.tolist()
+
+
+def test_power_gains_are_the_formula_bit_for_bit():
+    # formed in one buffer, a gain keeps the formula's operations in order
+    rng = np.random.default_rng(304)
+    for n in (1, 4):
+        for s in range(1, 9):
+            shape = (int(rng.integers(1, 20)), n, s)
+            terms = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            terms[rng.uniform(size=shape[:-1]) < 0.2] = 0.0  # zero gains
+            pt = 10.0 ** rng.uniform(-3.0, 1.0)
+            z = terms.sum(axis=-1)
+            want = (pt / s) * (z.real * z.real + z.imag * z.imag)
+            assert (power_gains(terms, pt) == want).all()
+            assert (power_gains(terms[0], pt) == want[0]).all()
+
+
+def test_kernel_is_the_same_for_an_amplitude_matrix_in_c_or_f_order():
+    # the kernel's row take gathers the same terms from either storage order
+    rng = np.random.default_rng(305)
+    for _ in range(40):
+        cfg, dep, alloc = helpers.random_instance(rng, n_max=8, k_max=8,
+                                                  l_max=30)
+        amp_f = amplitude_matrix(cfg, dep)
+        amp_c = np.ascontiguousarray(amp_f)
+        assert amp_f.flags.f_contiguous and amp_c.flags.c_contiguous
+        ev_f, ev_c = (SetEvaluator(cfg, dep, alloc, amp=amp)
+                      for amp in (amp_f, amp_c))
+        pt, noise = dbm_to_watts(cfg.pt_dbm), dbm_to_watts(cfg.noise_dbm)
+        for size in range(1, min(cfg.k_antennas, cfg.l_positions) + 1):
+            rows = np.sort([rng.choice(cfg.l_positions, size, replace=False)
+                            for _ in range(5)], axis=1)
+            batch = [set_sum_rate(amp, rows, pt, noise, alloc)
+                     for amp in (amp_f, amp_c)]
+            assert batch[0].tolist() == batch[1].tolist()
+            for row, rate in zip(rows.tolist(), batch[0].tolist()):
+                assert ev_f.utility(row) == ev_c.utility(row) == rate
+                assert ev_f.gains(row).tolist() == ev_c.gains(row).tolist()
 
 
 def test_utility_is_deterministic():

@@ -93,6 +93,23 @@ def test_rates_match_reference_on_random_gains():
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
+def test_sic_rates_are_the_formula_bit_for_bit():
+    # formed in one buffer, the rates keep the formula's operations in order
+    rng = np.random.default_rng(78)
+    for n in (1, 4):
+        for _ in range(50):
+            alloc = PowerAllocation(alpha=tuple(rng.dirichlet(np.ones(n))))
+            alpha, tails = alloc.ranks
+            noise = 10.0 ** rng.uniform(-14.0, 0.0)
+            gains = rng.uniform(0.0, 1.0, (int(rng.integers(1, 40)), n))
+            gains *= 10.0 ** rng.uniform(-12.0, 2.0)
+            gains[rng.uniform(size=gains.shape) < 0.2] = 0.0
+            gains.sort(axis=-1)
+            want = np.log2(1.0 + alpha * gains / (gains * tails + noise))
+            assert (sic_rates(gains, alloc, noise) == want).all()
+            assert (sic_rates(gains[0], alloc, noise) == want[0]).all()
+
+
 def test_report_indexes_rates_by_user():
     report = rate_report((3.0, 1.0), PowerAllocation.equal(2), 1.0)
     assert report.order.tolist() == [1, 0]
