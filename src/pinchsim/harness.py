@@ -5,14 +5,17 @@ Every trial index maps to one user drop shared by all schemes of that row
 run loops over blocks of `BLOCK` consecutive trials, then over the sweep
 values, then over the trials of the block.  Each trial draws its drop and
 its random initial matching from its own random streams.  Per block: one
-`Deployment` of the block's (T, N, 3) users, checked once; the trials'
-distance-based placements from one call; and, with one numpy call each, the
-search's grid matrices and the random, distance and conventional schemes'
-amplitude terms.  None of these depends on the transmit power, so a power
-sweep builds a block once and shares it across its values; any other sweep
-builds it afresh at each value.  The searches run per (sweep value, trial);
-the reports per (sweep value, block, scheme), one `rate_report` of the
-block's (T, N) gains each.  At most one block of drops is held at a time.
+`Deployment` of the block's (T, N, 3) users, checked once; with one numpy
+call each, the searches' grid matrices and each baseline scheme's amplitude
+terms.  None of these depends on the transmit power, so a power sweep
+builds a block once and shares it across its values; any other sweep builds
+it afresh at each value.  One per-trial loop, `_search_block`, runs the
+searches per (sweep value, trial), for the run and the convergence trace
+alike.  The reports run per (sweep value, block, scheme), one `rate_report`
+of the block's (T, N) gains each.  Each baseline scheme (random, distance,
+conventional) is one `BASELINES` entry: how it builds its block's terms and
+how it reports them at one power.  At most one block of drops is held at a
+time.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import fmean
@@ -216,19 +220,14 @@ def _log_drop(value, trial: int, users: np.ndarray) -> None:
 
 
 class _Block(NamedTuple):
-    """The power-independent objects of a block of T trials, as arrays or
-    lists in trial order; None where no scheme of the run asks for them."""
+    """The power-independent objects of a block of T trials, in trial
+    order; None where no scheme of the run asks for them."""
 
     trials: range
     deployment: Deployment                    # (T, N, 3) users
     grid: np.ndarray | None                   # (T, N, L) amplitude matrices
     initial: list[Matching] | None
-    random_active: np.ndarray | None          # (T, K) grid indices, ascending
-    random_terms: np.ndarray | None           # (T, N, K)
-    # Per distance-based placement size S: the trials' row indices and their
-    # (G, N, S) amplitude terms.
-    distance_terms: list[tuple[list[int], np.ndarray]] | None
-    conventional_terms: np.ndarray | None     # (T, N, K)
+    terms: dict[str, object]                  # per baseline scheme of the run
 
 
 def _blocks(trials: int) -> list[range]:
@@ -238,32 +237,80 @@ def _blocks(trials: int) -> list[range]:
             for first in range(0, trials, BLOCK)]
 
 
-def _distance_terms(cfg: SystemConfig, feed: np.ndarray, users: np.ndarray,
-                    placements: list[np.ndarray]
-                    ) -> list[tuple[list[int], np.ndarray]]:
+class _Baseline(NamedTuple):
+    """A scheme that runs no search.  `terms(cfg, deployment, initial)`
+    builds a block's power-independent terms from its deployment and random
+    initial matchings; `report(terms, deployment, cfg, alloc)` gives the
+    block's RateReport and (T,) active counts at one power."""
+
+    terms: Callable
+    report: Callable
+
+
+def _random_terms(cfg, deployment, initial):
+    """Each trial's random matching as its (T, K) grid indices, ascending,
+    and the (T, N, K) amplitude terms of its users at those points."""
+    active = np.array([m.active_positions() for m in initial], dtype=np.intp)
+    return active, amplitudes(cfg, deployment.users,
+                              deployment.positions[active], deployment.feed)
+
+
+def _random_report(terms, deployment, cfg, alloc):
+    active, amp = terms
+    return (sum_rate(active, deployment, cfg, alloc, amp),
+            np.full(len(active), cfg.k_antennas))
+
+
+def _distance_terms(cfg, deployment, initial):
     """The amplitude terms of each trial at its distance-based placement,
     batched by placement size S, since coinciding users collapse placements:
     per size, the trials' row indices and their (G, N, S) terms."""
+    placements = distance_based_activation(cfg, deployment)
     by_size: dict[int, list[int]] = {}
     for i, points in enumerate(placements):
         by_size.setdefault(len(points), []).append(i)
-    return [(idx, amplitudes(cfg, users[idx],
-                             np.stack([placements[i] for i in idx]), feed))
+    return [(idx, amplitudes(cfg, deployment.users[idx],
+                             np.stack([placements[i] for i in idx]),
+                             deployment.feed))
             for idx in by_size.values()]
+
+
+def _distance_report(terms, deployment, cfg, alloc):
+    shape = deployment.users.shape[:2]
+    gains, active = np.empty(shape), np.empty(shape[0])
+    for idx, amp in terms:
+        gains[idx] = power_gains(amp, dbm_to_watts(cfg.pt_dbm))
+        active[idx] = amp.shape[-1]
+    return rate_report(gains, alloc, dbm_to_watts(cfg.noise_dbm)), active
+
+
+def _conventional_terms(cfg, deployment, initial):
+    return conventional_amplitudes(cfg, deployment.users)
+
+
+def _conventional_report(terms, deployment, cfg, alloc):
+    return (conventional_baseline(cfg, deployment.users, alloc, terms),
+            np.full(len(terms), cfg.k_antennas))
+
+
+# The report functions look `sum_rate` and `conventional_baseline` up on this
+# module when they run, so the traced benchmark (perfbench) wraps them here.
+BASELINES = {
+    "random": _Baseline(_random_terms, _random_report),
+    "distance": _Baseline(_distance_terms, _distance_report),
+    "conventional": _Baseline(_conventional_terms, _conventional_report),
+}
 
 
 def _block(cfg: SystemConfig, trials: range, schemes) -> _Block:
     """The block's drops, and what `schemes` need of the grid matrix, the
-    random initial matching, the distance-based placement and the amplitude
-    terms.  Each trial's drop and matching come from its own streams; the
-    drops make one deployment, checked once, and the amplitude terms of the
-    whole block come from one numpy call per kind."""
+    random initial matching and the baseline schemes' terms.  Each trial's
+    drop and matching come from its own streams; the drops make one
+    deployment, checked once, and the amplitude terms of the whole block
+    come from one numpy call per kind."""
     deployment = make_deployment(
         cfg, [stream_rng(cfg.seed, USER_STREAM, trial) for trial in trials])
-    users, points, feed = (deployment.users, deployment.positions,
-                           deployment.feed)
-    grid = initial = random_active = random_terms = None
-    distance_terms = conventional_terms = None
+    grid = initial = None
     if "matching" in schemes or "exhaustive" in schemes:
         # Looked up on the module, so the traced benchmark (perfbench)
         # credits the matrix build to kernels.
@@ -272,19 +319,9 @@ def _block(cfg: SystemConfig, trials: range, schemes) -> _Block:
         initial = [random_matching(cfg, deployment,
                                    stream_rng(cfg.seed, MATCHING_STREAM, t))
                    for t in trials]
-    if "random" in schemes:
-        # Each trial's users at the grid points of its random matching, in
-        # ascending position order.
-        random_active = np.array([m.active_positions() for m in initial],
-                                 dtype=np.intp)
-        random_terms = amplitudes(cfg, users, points[random_active], feed)
-    if "distance" in schemes:
-        distance_terms = _distance_terms(
-            cfg, feed, users, distance_based_activation(cfg, deployment))
-    if "conventional" in schemes:
-        conventional_terms = conventional_amplitudes(cfg, users)
-    return _Block(trials, deployment, grid, initial, random_active,
-                  random_terms, distance_terms, conventional_terms)
+    return _Block(trials, deployment, grid, initial,
+                  {s: BASELINES[s].terms(cfg, deployment, initial)
+                   for s in schemes if s in BASELINES})
 
 
 def _zero_optimum(cfg: SystemConfig, trial: int) -> ValueError:
@@ -294,68 +331,69 @@ def _zero_optimum(cfg: SystemConfig, trial: int) -> ValueError:
                       f"power (trial {trial}): no ratio to exhaustive")
 
 
+def _search_block(block: _Block, value, cfg: SystemConfig,
+                  alloc: PowerAllocation, schemes, budget: int):
+    """Per trial of `block`, in order: log its drop, run the searches that
+    `schemes` names on one evaluator of its grid matrix, and yield (trial,
+    found, optimum, trajectory).  `found` maps each searched scheme to the
+    (N,) gains and the size of the set it found; `optimum` is the exhaustive
+    sum rate and `trajectory` the matching's, None where that scheme is not
+    searched.  The exhaustive search runs first: a trial whose optimum is 0
+    stops with `_zero_optimum` before its matching runs.  When `schemes`
+    names no search, the block has no grid matrices: its drops are logged
+    and nothing is yielded."""
+    for i, trial in enumerate(block.trials):
+        _log_drop(value, trial, block.deployment.users[i])
+        if block.grid is None:
+            continue
+        evaluator = SetEvaluator(cfg, block.deployment, alloc,
+                                 amp=block.grid[i])
+        found, optimum, trajectory = {}, None, None
+        if "exhaustive" in schemes:
+            found["exhaustive"], optimum = exhaustive_search(
+                evaluator, cfg.k_antennas, budget)
+            if optimum == 0:
+                raise _zero_optimum(cfg, trial)
+        if "matching" in schemes:
+            final, trajectory = matching_activation(evaluator,
+                                                    block.initial[i])
+            found["matching"] = final.active_positions()
+        yield (trial, {s: (evaluator.gains(p), len(p))
+                       for s, p in found.items()}, optimum, trajectory)
+
+
 def _score_block(block: _Block, value, cfg: SystemConfig,
                  alloc: PowerAllocation, spec: ExperimentSpec, cells) -> None:
     """Score every scheme on the trials of `block` at one sweep value and
     append each trial's metrics to the value's cells, in trial order.
 
     The searches run per trial and keep the gains of the sets they find.
-    Each scheme's rates then come from one report of the whole block: the
-    (T, N) gains of its T activations, scored by one `rate_report`.
+    Each scheme's rates then come from one report of the whole block: a
+    searched scheme's from one `rate_report` of its trials' (T, N) gains, a
+    baseline scheme's from its `BASELINES` entry.
     """
-    schemes = spec.schemes
-    pt_watts = dbm_to_watts(cfg.pt_dbm)
-    noise_watts = dbm_to_watts(cfg.noise_dbm)
     shape = block.deployment.users.shape[:2]
-    k_all = np.full(shape[0], cfg.k_antennas)
     # Per searched scheme: each trial's gains and active count.
     searched = {s: (np.empty(shape), np.empty(shape[0]))
-                for s in ("exhaustive", "matching") if s in schemes}
+                for s in ("exhaustive", "matching") if s in spec.schemes}
     cycles = np.empty(shape[0])
-    deployment = block.deployment
-    for i, trial in enumerate(block.trials):
-        _log_drop(value, trial, deployment.users[i])
-        if not searched:
-            continue
-        evaluator = SetEvaluator(cfg, deployment, alloc, amp=block.grid[i])
-        for scheme, (gains, active) in searched.items():
-            if scheme == "exhaustive":
-                positions, _ = exhaustive_search(evaluator, cfg.k_antennas,
-                                                 spec.exhaustive_budget)
-            else:
-                final, trajectory = matching_activation(evaluator,
-                                                        block.initial[i])
-                positions = final.active_positions()
-                cycles[i] = trajectory.cycles
-            gains[i] = evaluator.gains(positions)
-            active[i] = len(positions)
-    exhaustive_rate = None
-    # The exhaustive scheme first: the others' ratios divide by its rates.
-    for scheme in sorted(schemes, key=lambda s: s != "exhaustive"):
-        if scheme in searched:
-            gains, active = searched[scheme]
-            report = rate_report(gains, alloc, noise_watts)
-        elif scheme == "random":
-            report = sum_rate(block.random_active, deployment, cfg, alloc,
-                              block.random_terms)
-            active = k_all
-        elif scheme == "distance":
-            gains, active = np.empty(shape), np.empty(shape[0])
-            for idx, terms in block.distance_terms:
-                gains[idx] = power_gains(terms, pt_watts)
-                active[idx] = terms.shape[-1]
-            report = rate_report(gains, alloc, noise_watts)
-        else:
-            report = conventional_baseline(cfg, deployment.users, alloc,
-                                           block.conventional_terms)
-            active = k_all
-        if scheme == "exhaustive":
-            exhaustive_rate = report.sum_rate
-            if not exhaustive_rate.all():
-                raise _zero_optimum(
-                    cfg, block.trials[np.flatnonzero(exhaustive_rate == 0)[0]])
-        ratio = (report.sum_rate / exhaustive_rate
-                 if exhaustive_rate is not None else None)
+    for i, (_, found, _, trajectory) in enumerate(_search_block(
+            block, value, cfg, alloc, spec.schemes, spec.exhaustive_budget)):
+        for scheme, (gains, active) in found.items():
+            searched[scheme][0][i] = gains
+            searched[scheme][1][i] = active
+        if trajectory is not None:
+            cycles[i] = trajectory.cycles
+    noise_watts = dbm_to_watts(cfg.noise_dbm)
+    reports = {s: (rate_report(gains, alloc, noise_watts), active)
+               for s, (gains, active) in searched.items()}
+    reports |= {s: BASELINES[s].report(terms, block.deployment, cfg, alloc)
+                for s, terms in block.terms.items()}
+    optimum = (reports["exhaustive"][0].sum_rate if "exhaustive" in reports
+               else None)
+    for scheme in spec.schemes:
+        report, active = reports[scheme]
+        ratio = None if optimum is None else report.sum_rate / optimum
         for column, x in zip(cells[scheme], (
                 report.sum_rate, report.fairness, active,
                 cycles if scheme == "matching" else None, ratio)):
@@ -428,14 +466,8 @@ def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
                  budget: int) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
-    for trial, users, grid, initial in zip(block.trials, block.deployment.users,
-                                           block.grid, block.initial):
-        _log_drop(None, trial, users)
-        evaluator = SetEvaluator(cfg, block.deployment, alloc, amp=grid)
-        _, optimum = exhaustive_search(evaluator, cfg.k_antennas, budget)
-        if optimum == 0:
-            raise _zero_optimum(cfg, trial)
-        _, trajectory = matching_activation(evaluator, initial)
+    for trial, _, optimum, trajectory in _search_block(
+            block, None, cfg, alloc, ("matching", "exhaustive"), budget):
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]
             rows.append(TraceRow(

@@ -11,7 +11,6 @@ checked once when built.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -107,17 +106,12 @@ class SystemConfig:
 
 def _check_grid(xs: np.ndarray) -> None:
     """ValueError unless every gap of the candidate x-coordinates is
-    `math.isclose` to the mean step and positive; the first gap that is not
-    decides the message."""
+    `math.isclose` to the mean step and positive; the first gap that is not,
+    in order, decides the message."""
     span = xs[-1] - xs[0]
     step = span / (len(xs) - 1)
-    gaps = xs[1:] - xs[:-1]
     abs_tol = 1e-12 * max(1.0, span)
-    # Gaps within isclose's step-relative or absolute tolerance (capped, so
-    # an infinite gap or step never passes) are close; the rest go through
-    # isclose itself, in order.
-    bound = min(max(1e-12 * abs(step), abs_tol), sys.float_info.max)
-    for gap in gaps[(np.abs(gaps - step) > bound) | (gaps <= 0.0)].tolist():
+    for gap in (xs[1:] - xs[:-1]).tolist():
         if not math.isclose(gap, step, rel_tol=1e-12, abs_tol=abs_tol):
             raise ValueError("candidate positions must be uniformly spaced")
         if gap <= 0.0:

@@ -292,7 +292,9 @@ def test_block_terms_equal_per_trial_calls_exactly():
     assert block.trials == range(64, 70)
     block_dep = block.deployment
     assert block_dep.users.shape == (6, 8, 3)
-    distance = {i: (terms, j) for idx, terms in block.distance_terms
+    random_active, random_terms = block.terms["random"]
+    conventional_terms = block.terms["conventional"]
+    distance = {i: (terms, j) for idx, terms in block.terms["distance"]
                 for j, i in enumerate(idx)}
     assert sorted(distance) == list(range(6))
     for i, trial in enumerate(block.trials):
@@ -307,19 +309,19 @@ def test_block_terms_equal_per_trial_calls_exactly():
             cfg, dep, stream_rng(cfg.seed, 1, trial))
         assert (block.grid[i].tolist()
                 == kernels.amplitude_matrix(cfg, dep).tolist())
-        assert (block.random_active[i].tolist()
+        assert (random_active[i].tolist()
                 == list(initial.active_positions()))
         points = dep.positions[list(initial.active_positions())]
-        assert (block.random_terms[i].tolist()
+        assert (random_terms[i].tolist()
                 == amplitudes(cfg, dep.users, points, dep.feed).tolist())
         placement = distance_based_activation(cfg, dep)
         terms, j = distance[i]
         assert (terms[j].tolist()
                 == amplitudes(cfg, dep.users, placement, dep.feed).tolist())
-        assert (block.conventional_terms[i].tolist()
+        assert (conventional_terms[i].tolist()
                 == conventional_amplitudes(cfg, dep.users).tolist())
-        for trial_terms in (block.grid[i], block.random_terms[i], terms[j],
-                            block.conventional_terms[i]):
+        for trial_terms in (block.grid[i], random_terms[i], terms[j],
+                            conventional_terms[i]):
             assert trial_terms.flags.f_contiguous  # users fastest, as per trial
     # coinciding users collapse a placement: that trial is batched apart
     cfg = SystemConfig(n_users=2, k_antennas=2)
@@ -329,12 +331,13 @@ def test_block_terms_equal_per_trial_calls_exactly():
                       ((9.0, 0.5, 0.0), (1.0, 2.0, 0.0))])
     drops = [Deployment(users=u, positions=grid.positions, feed=grid.feed)
              for u in users]
-    placements = distance_based_activation(
-        cfg, Deployment(users=users, positions=grid.positions, feed=grid.feed))
+    block_dep = Deployment(users=users, positions=grid.positions,
+                           feed=grid.feed)
+    placements = distance_based_activation(cfg, block_dep)
     assert [p.tolist() for p in placements] == [
         distance_based_activation(cfg, d).tolist() for d in drops]
     assert [len(p) for p in placements] == [2, 1, 2]
-    groups = harness._distance_terms(cfg, grid.feed, users, placements)
+    groups = harness.BASELINES["distance"].terms(cfg, block_dep, None)
     assert [idx for idx, _ in groups] == [[0, 2], [1]]
     for idx, terms in groups:
         assert terms.shape == (len(idx), 2, len(placements[idx[0]]))
@@ -457,6 +460,25 @@ def test_convergence_trace_shares_the_trial_setup(monkeypatch):
                         rel_tol=1e-8)
 
 
+def test_run_and_trace_agree_trial_for_trial():
+    # over two blocks, each trial's optimum and last matching state in the
+    # trace are the exhaustive and matching results the run averages; trace
+    # rows store 9 digits, hence the tolerance
+    rows = convergence_trace(ExperimentSpec(base=FAST, trials=66))
+    last = {r.trial: r for r in rows}
+    optimum = {r.trial: r.optimum for r in rows if r.step == 0}
+    assert sorted(last) == sorted(optimum) == list(range(66))
+    run = {r.scheme: r for r in run_experiment(ExperimentSpec(
+        base=FAST, schemes=("matching", "exhaustive"), trials=66))}
+    for got, want in (
+            (sum(optimum.values()), run["exhaustive"].mean_sum_rate),
+            (sum(r.utility for r in last.values()),
+             run["matching"].mean_sum_rate),
+            (sum(r.ratio for r in last.values()),
+             run["matching"].mean_ratio_to_exhaustive)):
+        assert math.isclose(got / 66, want, rel_tol=1e-8)
+
+
 def test_convergence_rejects_sweeps():
     spec = ExperimentSpec(base=FAST, trials=2,
                           sweep=SweepSpec("pt_dbm", 20.0, 25.0, 5.0))
@@ -548,17 +570,19 @@ def test_block_gains_and_reports_equal_per_trial_calls():
     block = harness._block(cfg, range(0, 70), ALL_SCHEMES)
     alloc = PowerAllocation.equal(cfg.n_users)
     pt = dbm_to_watts(cfg.pt_dbm)
-    terms = [block.random_terms, block.conventional_terms,
-             *(t for _, t in block.distance_terms)]
+    random_active, random_terms = block.terms["random"]
+    conventional_terms = block.terms["conventional"]
+    terms = [random_terms, conventional_terms,
+             *(t for _, t in block.terms["distance"])]
     for batch in terms:
         gains = power_gains(batch, pt)
         assert gains.shape == batch.shape[:2]
         for got, trial_terms in zip(gains, batch):
             assert got.tolist() == power_gains(trial_terms, pt).tolist()
     conventional = conventional_baseline(cfg, block.deployment.users, alloc,
-                                         block.conventional_terms)
-    random = sum_rate(block.random_active, block.deployment, cfg, alloc,
-                      block.random_terms)
+                                         conventional_terms)
+    random = sum_rate(random_active, block.deployment, cfg, alloc,
+                      random_terms)
     assert len(block.trials) == len(random.sum_rate) == 70
     for i, trial in enumerate(block.trials):
         dep = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))

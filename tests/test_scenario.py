@@ -231,7 +231,8 @@ def test_block_names_the_first_bad_user_in_trial_order():
 
 
 def _scalar_grid_error(xs):
-    """The per-gap `math.isclose` check the grid validation replaces."""
+    """The per-gap `math.isclose` rule of the grid validation, over Python
+    floats."""
     span = xs[-1] - xs[0]
     step = span / (len(xs) - 1)
     for i in range(1, len(xs)):
