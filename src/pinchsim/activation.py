@@ -136,7 +136,7 @@ def _walk(ev: SetEvaluator, assignment: list[int | None], antenna: int,
     gains = list(map(memo.get, masks))
     fresh = [i for i, gain in enumerate(gains) if gain is None]
     if fresh:
-        scored = ev.unchecked_utilities(others, [positions[i] for i in fresh])
+        scored = ev._utilities(others, [positions[i] for i in fresh])
         for i, gain in zip(fresh, scored.tolist()):
             memo[masks[i]] = gains[i] = gain
     utility = memo[base if current is None else base | 1 << current]

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import csv
 from array import array
-import hashlib
 import json
 import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from statistics import fmean
 from typing import NamedTuple
 
 import numpy as np
@@ -197,6 +195,13 @@ def _round9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
+def _mean(column) -> float | None:
+    """The mean of a float column at the CSV's 9 digits, as
+    `statistics.fmean` computes it (`fsum` over the count); None if it is
+    empty."""
+    return _round9(math.fsum(column) / len(column)) if column else None
+
+
 def _number(key: str, text: str, kind: type):
     """`text` as an int or a float, or a ConfigError naming `key`."""
     try:
@@ -209,6 +214,8 @@ def _number(key: str, text: str, kind: type):
 def _drop_hash(users: np.ndarray) -> str:
     """A digest of one drop's (N, 3) users' x and y, printed from Python
     floats."""
+    import hashlib  # only a DEBUG run needs it, so only it loads it
+
     coords = ",".join(f"{x!r}:{y!r}" for x, y, _ in users.tolist())
     return hashlib.blake2s(coords.encode(), digest_size=8).hexdigest()
 
@@ -335,8 +342,8 @@ def _search_block(block: _Block, value, cfg: SystemConfig,
                   alloc: PowerAllocation, schemes, budget: int):
     """Per trial of `block`, in order: log its drop, run the searches that
     `schemes` names on one evaluator of its grid matrix, and yield (trial,
-    found, optimum, trajectory).  `found` maps each searched scheme to the
-    (N,) gains and the size of the set it found; `optimum` is the exhaustive
+    evaluator, found, optimum, trajectory).  `found` maps each searched
+    scheme to the set it found, as grid indices; `optimum` is the exhaustive
     sum rate and `trajectory` the matching's, None where that scheme is not
     searched.  The exhaustive search runs first: a trial whose optimum is 0
     stops with `_zero_optimum` before its matching runs.  When `schemes`
@@ -358,8 +365,7 @@ def _search_block(block: _Block, value, cfg: SystemConfig,
             final, trajectory = matching_activation(evaluator,
                                                     block.initial[i])
             found["matching"] = final.active_positions()
-        yield (trial, {s: (evaluator.gains(p), len(p))
-                       for s, p in found.items()}, optimum, trajectory)
+        yield trial, evaluator, found, optimum, trajectory
 
 
 def _score_block(block: _Block, value, cfg: SystemConfig,
@@ -367,21 +373,21 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
     """Score every scheme on the trials of `block` at one sweep value and
     append each trial's metrics to the value's cells, in trial order.
 
-    The searches run per trial and keep the gains of the sets they find.
-    Each scheme's rates then come from one report of the whole block: a
-    searched scheme's from one `rate_report` of its trials' (T, N) gains, a
-    baseline scheme's from its `BASELINES` entry.
+    The searches run per trial; the gains of the sets they find come from
+    each trial's evaluator.  Each scheme's rates then come from one report of
+    the whole block: a searched scheme's from one `rate_report` of its
+    trials' (T, N) gains, a baseline scheme's from its `BASELINES` entry.
     """
     shape = block.deployment.users.shape[:2]
     # Per searched scheme: each trial's gains and active count.
     searched = {s: (np.empty(shape), np.empty(shape[0]))
                 for s in ("exhaustive", "matching") if s in spec.schemes}
     cycles = np.empty(shape[0])
-    for i, (_, found, _, trajectory) in enumerate(_search_block(
+    for i, (_, evaluator, found, _, trajectory) in enumerate(_search_block(
             block, value, cfg, alloc, spec.schemes, spec.exhaustive_budget)):
-        for scheme, (gains, active) in found.items():
-            searched[scheme][0][i] = gains
-            searched[scheme][1][i] = active
+        for scheme, positions in found.items():
+            searched[scheme][0][i] = evaluator.gains(positions)
+            searched[scheme][1][i] = len(positions)
         if trajectory is not None:
             cycles[i] = trajectory.cycles
     noise_watts = dbm_to_watts(cfg.noise_dbm)
@@ -444,16 +450,15 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                              f"pt_dbm={cfg.pt_dbm} dBm: no rate to report")
     for value, cells in zip(sweep_values, metrics):
         for scheme in schemes:
-            rates, fairness, active, cycles, ratios = cells[scheme]
+            rates, fairness, active, cycles, ratios = map(_mean, cells[scheme])
             rows.append(ResultRow(
                 sweep_value=value if value is None else _round9(value),
                 scheme=scheme,
-                mean_sum_rate=_round9(fmean(rates)),
-                mean_fairness=_round9(fmean(fairness)),
-                mean_active_count=_round9(fmean(active)),
-                mean_cycles=_round9(fmean(cycles)) if cycles else None,
-                mean_ratio_to_exhaustive=(_round9(fmean(ratios))
-                                          if ratios else None),
+                mean_sum_rate=rates,
+                mean_fairness=fairness,
+                mean_active_count=active,
+                mean_cycles=cycles,
+                mean_ratio_to_exhaustive=ratios,
                 trials=spec.trials,
             ))
     if spec.output_path is not None:
@@ -466,7 +471,7 @@ def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
                  budget: int) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
-    for trial, _, optimum, trajectory in _search_block(
+    for trial, _, _, optimum, trajectory in _search_block(
             block, None, cfg, alloc, ("matching", "exhaustive"), budget):
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]

@@ -1,16 +1,14 @@
 """The precomputed set evaluator and its sum-rate kernel.
 
-The evaluator exposes one operation, the sum rate of a candidate activation:
-of one set (`utility`), or of a batch of sets that share all indices but one
-(`utilities`).  The exhaustive search scores every set once, one per call.
-The matching search walks each antenna once per cycle and scores, in one
-batch, the relocations of that walk that its run has not scored yet; it
-reuses the rest.
-
-`utility`, `utilities` and `gains` check the grid indices they are given
-(`channel.selection`).  The scan's walk builds its indices from the grid and
-from a start that its search has checked, so it scores its batches through
-`unchecked_utilities`, which skips that check.
+The evaluator scores candidate activations by their sum rate.  Its public
+scoring, `utility` (the sum rate of one set) and `gains` (the per-user gains
+of one set), checks the grid indices it is given (`channel.selection`).  The
+exhaustive search scores every set once, one `utility` call each.  The
+matching search walks each antenna once per cycle and scores, in one batch
+of the private `_utilities`, the relocations of that walk that its run has
+not scored yet; it reuses the rest.  The batch skips the index check: the
+walk builds its indices from the grid and from a start that its search has
+checked.
 """
 
 from __future__ import annotations
@@ -60,9 +58,10 @@ class SetEvaluator:
     """Fast sum-rate oracle for grid activations of one (config, drop) pair,
     and the searches' only input.
 
-    Scores one set (`utility`) or, in one kernel call, every set that adds
-    one position to a common base (`utilities`).  `calls` counts the sets it
-    scores, batched or not, so searches can report their evaluation budget.
+    Scores one set (`utility`), or, for the matching scan's walk, every set
+    that adds one position to a common base in one kernel call
+    (`_utilities`).  `calls` counts the sets it scores, batched or not, so
+    searches can report their evaluation budget.
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
@@ -97,24 +96,12 @@ class SetEvaluator:
         return float(set_sum_rate(self._amp, sel, self._pt_watts,
                                   self._noise_watts, self._alloc))
 
-    def utilities(self, others, positions) -> np.ndarray:
-        """Sum rates of the sets `others` + {p}, one for each p of
-        `positions`, as (B,) floats; equal, bit for bit, to `utility` of
-        each set.  The grid indices of both are checked together by
-        `channel.selection`: integers in range, none twice among them all."""
-        base = sorted(others)
-        positions = list(positions)
-        selection(base + positions, self.n_positions)
-        return self.unchecked_utilities(base, positions)
-
-    def unchecked_utilities(self, base: list[int], positions: list[int]
-                            ) -> np.ndarray:
-        """`utilities` of a sorted `base` list and a list of `positions`,
-        without the index check: the caller vouches that they are distinct
-        grid indices.  The matching scan's walk builds them from the grid
-        and from a start its search has checked."""
-        if not positions:
-            return np.zeros(0)
+    def _utilities(self, base: list[int], positions: list[int]
+                   ) -> np.ndarray:
+        """Sum rates of the sets `base` + {p}, one for each p of `positions`,
+        as (B,) floats; equal, bit for bit, to `utility` of each set.  No
+        index is checked: the caller, the matching scan's walk, vouches that
+        the sorted `base` and the `positions` are distinct grid indices."""
         rows = np.empty((len(positions), len(base) + 1), dtype=np.intp)
         rows[:, :-1] = base
         rows[:, -1] = positions

@@ -206,8 +206,7 @@ class _RecordingEvaluator(SetEvaluator):
     """Logs its scoring calls as ('utility', [set]) or ('batch', sets).
     `scored` lists every set scored: one per `utility` call, bar the empty
     set, which scores 0 without the kernel, and one per batch position.
-    Batches are logged where the walk scores them, in `unchecked_utilities`,
-    which `utilities` calls too."""
+    Batches are logged where the walk scores them, in `_utilities`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -217,10 +216,10 @@ class _RecordingEvaluator(SetEvaluator):
         self.log.append(("utility", [tuple(sorted(indices))]))
         return super().utility(indices)
 
-    def unchecked_utilities(self, base, positions):
+    def _utilities(self, base, positions):
         self.log.append(("batch", [tuple(sorted([*base, p]))
                                    for p in positions]))
-        return super().unchecked_utilities(base, positions)
+        return super()._utilities(base, positions)
 
     @property
     def scored(self) -> list[tuple[int, ...]]:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -355,3 +358,15 @@ def test_a_power_at_which_every_rate_is_0_is_a_clean_error(tmp_path, capsys):
         "error: every trial of every scheme rates 0 at pt_dbm=-3000.0 dBm: "
         "no rate to report\n")
     assert not out.exists()
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_statistics():
+    # only a DEBUG run hashes its drops, and the means need no statistics
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, pinchsim.cli; pinchsim.cli.build_parser(); "
+            "print(sorted({'hashlib', 'statistics'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

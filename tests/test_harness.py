@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import (ConfigError, Deployment, ExperimentSpec,
                       PowerAllocation, SweepSpec, SystemConfig, amplitudes,
@@ -23,6 +25,7 @@ from pinchsim import (ConfigError, Deployment, ExperimentSpec,
 from pinchsim.activation import conventional_amplitudes, conventional_positions
 from pinchsim import activation, harness, kernels, noma
 from pinchsim.harness import SWEEP_PARAMS, apply_sweep_value, spec_to_dict
+from pinchsim.scenario import SPEED_OF_LIGHT
 
 FAST = SystemConfig(n_users=2, k_antennas=2, l_positions=12, seed=3)
 
@@ -562,6 +565,119 @@ def test_unparseable_number_names_its_key(key, text):
                "sweep_step": "5", key: text}
     what = "an integer" if text == "2.0" else "a number"
     with pytest.raises(ConfigError, match=f"^{key} must be {what}, got '{text}'$"):
+        build_spec(entries)
+
+
+@st.composite
+def _valid_entries(draw):
+    """String entries that `build_spec` accepts, as a config file or the
+    flags give them; each key present or left to its default.  Floats are
+    printed by `repr`, so each parses back to the same float."""
+    def real(lo, hi):
+        return repr(draw(st.floats(lo, hi)))
+
+    l_positions = draw(st.integers(2, 40))
+    carrier = draw(st.floats(1e9, 1e11))
+    # spacing at least half a wavelength, as SystemConfig requires
+    d1 = (l_positions - 1) * SPEED_OF_LIGHT / carrier / 2 * draw(
+        st.floats(1.01, 100.0))
+    schemes = draw(st.lists(st.sampled_from(harness.SCHEMES), min_size=1,
+                            unique=True))
+    k_antennas = draw(st.integers(1, min(l_positions, 4)))
+    count = harness.candidate_count(l_positions, k_antennas)
+    entries = {
+        "d1": repr(d1), "d2": real(0.1, 100.0), "height": real(0.1, 50.0),
+        "carrier_hz": repr(carrier), "n_eff": real(1.0, 4.0),
+        "kappa_db_per_m": real(0.0, 2.0), "pt_dbm": real(-50.0, 60.0),
+        "noise_dbm": real(-150.0, -50.0),
+        "n_users": str(draw(st.integers(1, 8))),
+        "k_antennas": str(k_antennas), "l_positions": str(l_positions),
+        "seed": str(draw(st.integers(0, 2 ** 64 - 1))),
+        "trials": str(draw(st.integers(1, 10 ** 6))),
+        "schemes": ",".join(schemes),
+        "output_path": draw(st.sampled_from(["out.csv", "runs/a b.csv"])),
+        "exhaustive_budget": str(draw(st.integers(count, 10 ** 7))),
+    }
+    # the keys that SystemConfig checks together stay in or out together
+    together = ("d1", "carrier_hz", "k_antennas", "l_positions")
+    kept = {key: text for key, text in entries.items()
+            if key in together or draw(st.booleans())}
+    if not draw(st.booleans()):
+        kept = {key: text for key, text in kept.items()
+                if key not in together}
+        if "exhaustive" in schemes:
+            kept["exhaustive_budget"] = str(10 ** 6)
+    if draw(st.booleans()):
+        start = draw(st.floats(0.1, 50.0))
+        kept |= {"sweep_param": draw(st.sampled_from(
+                     ["pt_dbm", "d2", "kappa_db_per_m"])),
+                 "sweep_from": repr(start),
+                 "sweep_to": repr(start + draw(st.floats(0.0, 10.0))),
+                 "sweep_step": real(0.5, 5.0)}
+    return kept
+
+
+def _entries_of(spec_dict: dict) -> dict[str, str]:
+    """A `spec_to_dict` dict as the string entries that built it: every key
+    that has a value, printed as its entry is."""
+    flat = {**spec_dict["base"], "schemes": ",".join(spec_dict["schemes"])}
+    flat |= {key: spec_dict[key] for key in ("trials", "output_path",
+                                             "exhaustive_budget")}
+    if spec_dict["sweep"] is not None:
+        sweep = spec_dict["sweep"]
+        flat |= {"sweep_param": sweep["param"], "sweep_from": sweep["start"],
+                 "sweep_to": sweep["stop"], "sweep_step": sweep["step"]}
+    return {key: repr(value) if isinstance(value, float) else str(value)
+            for key, value in flat.items() if value is not None}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_entries())
+def test_spec_entries_come_back_unchanged_from_spec_to_dict(entries):
+    spec = build_spec(entries)
+    back = _entries_of(spec_to_dict(spec))
+    assert {key: back[key] for key in entries} == entries
+    # the keys left out come back as their defaults, and every entry
+    # together builds the same spec again
+    defaults = _entries_of(spec_to_dict(build_spec({})))
+    assert all(back[key] == defaults[key] for key in defaults
+               if key not in entries)
+    assert build_spec(back) == spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5000, 5000), st.integers(1, 500), st.integers(0, 100),
+       st.integers(0, 4))
+def test_sweep_values_keep_both_endpoints_whatever_the_signs(a, b, m, digits):
+    # a decimal grid as a user writes it: start a/10^d, step b/10^d and
+    # stop (a + m*b)/10^d, which start + m*step may miss by a rounding
+    scale = 10 ** digits
+    sweep = SweepSpec("pt_dbm", a / scale, (a + m * b) / scale, b / scale)
+    values = sweep.values()
+    assert len(values) == m + 1
+    assert values[0] == sweep.start
+    assert math.isclose(values[-1], sweep.stop, rel_tol=0.0,
+                        abs_tol=1e-12 * max(abs(sweep.stop), 1.0))
+
+
+NUMBER_KEYS = [key for key in harness.SPEC_KEYS
+               if key not in ("schemes", "output_path", "sweep_param")]
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NUMBER_KEYS), st.text().filter(_not_a_number))
+def test_a_non_numeric_value_is_a_config_error_naming_its_key(key, text):
+    entries = {"sweep_param": "pt_dbm", "sweep_from": "20", "sweep_to": "30",
+               "sweep_step": "5", key: text}
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
         build_spec(entries)
 
 

@@ -49,46 +49,39 @@ def test_batch_equals_single_evaluations_exactly():
             dep = make_deployment(cfg, rng)
             ev = SetEvaluator(cfg, dep, PowerAllocation.equal(n))
             size = int(rng.integers(1, k + 1))
-            # a base and new positions in any order: the batch sorts each set
+            # a sorted base and new positions in any order: the batch sorts each set
             chosen = rng.permutation(l_positions).tolist()
             others = chosen[:size - 1]
             positions = chosen[size - 1:][:int(rng.integers(1, l_positions
                                                             - size + 2))]
-            got = ev.utilities(others, positions)
+            got = ev._utilities(sorted(others), positions)
             assert got.shape == (len(positions),)
             assert got.tolist() == [ev.utility([*others, p]) for p in positions]
     # the sizes and shapes the scan hands over, each set alone and batched
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60)
     ev = SetEvaluator(cfg, make_deployment(cfg, rng), PowerAllocation.equal(8))
     for size in range(1, 9):
-        others = rng.choice(60, size=size - 1, replace=False).tolist()
+        others = sorted(rng.choice(60, size=size - 1, replace=False).tolist())
         positions = [p for p in range(60) if p not in others]
         want = [ev.utility([*others, p]) for p in positions]
-        assert ev.utilities(others, positions).tolist() == want
-        assert [ev.utilities(others, [p])[0] for p in positions] == want
+        assert ev._utilities(others, positions).tolist() == want
+        assert [ev._utilities(others, [p])[0] for p in positions] == want
 
 
-def test_batch_edge_cases_and_validation():
+def test_batch_edge_cases():
     cfg = SystemConfig(l_positions=12)
     dep = make_deployment(cfg, stream_rng(7, 0, 0))
     ev = SetEvaluator(cfg, dep, PowerAllocation.equal(cfg.n_users))
-    assert ev.utilities([0, 1], []).shape == (0,)
+    assert ev._utilities([0, 1], []).shape == (0,)
     assert ev.calls == 0
-    ev.utilities((4,), range(3))
-    assert ev.calls == 3
-    for others, positions in (([0], [12]), ([-1], [3]), ([], [5, 12]),
-                              ([12], [])):
-        with pytest.raises(ValueError, match="out of range"):
-            ev.utilities(others, positions)
-    for others, positions in (([2], [2]), ([], [3, 3]), ([1, 1], [0])):
-        with pytest.raises(ValueError, match="distinct"):
-            ev.utilities(others, positions)
+    ev._utilities([4], [0, 1, 2])
     assert ev.calls == 3
 
 
-def test_unchecked_utilities_equal_utilities_bit_for_bit():
-    # the scan's walk scores through the unchecked method; `utilities`
-    # checks its indices and then calls it, so the two agree on every set
+def test_private_batch_equals_utility_bit_for_bit():
+    # the scan's walk scores through the private batch, which checks no
+    # index; it agrees with the checked `utility` on every set and counts
+    # one call per row
     rng = np.random.default_rng(61)
     for n, k, l_positions in [(2, 2, 20), (4, 4, 30), (8, 8, 60)]:
         cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
@@ -100,12 +93,9 @@ def test_unchecked_utilities_equal_utilities_bit_for_bit():
                                        replace=False).tolist())
             positions = [p for p in range(l_positions) if p not in others]
             calls = ev.calls
-            checked = ev.utilities(others, positions).tolist()
+            batch = ev._utilities(others, positions).tolist()
             assert ev.calls - calls == len(positions)
-            assert ev.unchecked_utilities(others, positions).tolist() == checked
-            assert ev.calls - calls == 2 * len(positions)
-            assert checked == [ev.utility([*others, p]) for p in positions]
-    assert ev.unchecked_utilities([1, 2], []).shape == (0,)
+            assert batch == [ev.utility([*others, p]) for p in positions]
 
 
 def test_evaluator_counts_calls():
@@ -170,24 +160,17 @@ def test_evaluator_rejects_duplicate_and_non_integer_indices():
             ev.utility(bad)
         with pytest.raises(ValueError, match="distinct"):
             ev.gains(bad)
-        with pytest.raises(ValueError, match="distinct"):
-            ev.utilities(bad[:-1], bad[-1:])
     for bad in ((2.7,), (2.0, 5.0), (True,), (True, 3), (3, False),
                 (np.float64(2.0),), (np.bool_(True), 3)):
         with pytest.raises(ValueError, match="integers"):
             ev.utility(bad)
         with pytest.raises(ValueError, match="integers"):
             ev.gains(bad)
-        with pytest.raises(ValueError, match="integers"):
-            ev.utilities(bad[:-1], bad[-1:])
-        with pytest.raises(ValueError, match="integers"):
-            ev.utilities(bad[1:], bad[:1])
     # rejected calls are not counted, valid ones score as before
     assert ev.calls == 1
     assert ev.utility((np.int64(3),)) == single
-    assert ev.utilities([], [3]).tolist() == [single]
-    assert ev.utilities([], [np.uint8(3)]).tolist() == [single]
-    assert ev.utility(()) == 0.0 and ev.utilities([3], []).tolist() == []
+    assert ev.utility((np.uint8(3),)) == single
+    assert ev.utility(()) == 0.0
     assert ev.gains(()).tolist() == [0.0] * cfg.n_users
 
 def test_shared_amplitude_matrix_serves_every_power():
