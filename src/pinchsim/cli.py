@@ -104,9 +104,9 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
             entries.pop(key, None)
     # Rooted before the spec is built, which checks the path it will write.
     root = Path(os.environ.get("PINCHSIM_OUTPUT_DIR", ""))
-    if entries.get("output_path"):
-        entries["output_path"] = str(root / entries["output_path"])
-    return build_spec(entries, output_default=root / args.default_output)
+    entries["output_path"] = str(root / (entries.get("output_path")
+                                         or args.default_output))
+    return build_spec(entries)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

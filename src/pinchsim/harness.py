@@ -25,8 +25,9 @@ from array import array
 import json
 import logging
 import math
+import os
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ from .kernels import SetEvaluator
 from .noma import PowerAllocation, rate_report, sum_rate
 from .scenario import (MATCHING_STREAM, USER_STREAM, Deployment,
                        SystemConfig, config_field_names, dbm_to_watts, integer,
-                       make_deployment, stream_rng)
+                       make_deployment, real, stream_rng)
 
 log = logging.getLogger(__name__)
 
@@ -73,12 +74,11 @@ class SweepSpec:
             raise ConfigError(f"cannot sweep {self.param!r}; choose one of "
                               f"{', '.join(SWEEP_PARAMS)}")
         for name in ("start", "stop", "step"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"sweep {name} must be finite")
+            value = real(f"sweep {name}", getattr(self, name), ConfigError)
             if self.param in COUNT_PARAMS and value != int(value):
                 raise ConfigError(f"sweep {name} of {self.param} must be an "
                                   f"integer, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
         if self.stop < self.start:
@@ -93,13 +93,23 @@ class SweepSpec:
         return tuple(self.start + i * self.step for i in range(count))
 
 
+def _sidecar_path(output_path: Path) -> Path:
+    """Where the `.spec.json` sidecar of `output_path` goes: beside it."""
+    return output_path.with_name(output_path.stem + ".spec.json")
+
+
 def _check_output_path(path: Path) -> None:
-    """ConfigError unless `path` can name a file to write: not a directory,
-    and no file where a directory above it is to be.  Checked when the spec
-    is built, not when the rows are written after every trial."""
+    """ConfigError unless `path` and its sidecar can name files to write:
+    neither is a directory, and no file is where a directory above them is
+    to be.  Checked when the spec is built, not when the rows are written
+    after every trial."""
     if path.is_dir():
         raise ConfigError(f"output_path {str(path)!r} is a directory: "
                           "name a file")
+    sidecar = _sidecar_path(path)
+    if sidecar.is_dir():
+        raise ConfigError(f"output_path {str(path)!r} has its sidecar "
+                          f"{str(sidecar)!r} at a directory")
     parent = next(p for p in path.parents if p.exists())
     if not parent.is_dir():
         raise ConfigError(f"output_path {str(path)!r} lies under the file "
@@ -545,7 +555,8 @@ def write_trace(path: Path | str, rows: list[TraceRow]) -> None:
 
 def read_results(path: Path | str) -> list[ResultRow]:
     """The rows of a `write_results` file; a ConfigError naming the file and
-    line for a wrong header, a wrong field count or an unparseable value."""
+    line for a wrong header, a wrong field count, or a value that does not
+    parse or is not finite."""
     kinds = {name: int if name == "trials" else float
              for name in RESULT_FIELDS if name != "scheme"}
     blank = ("sweep_value", "mean_cycles", "mean_ratio_to_exhaustive")
@@ -561,31 +572,27 @@ def read_results(path: Path | str) -> list[ResultRow]:
                                   f"fields, got {len(rec)}")
             row = dict(zip(RESULT_FIELDS, rec))
             for name, kind in kinds.items():
-                row[name] = (None if name in blank and not row[name]
-                             else _number(f"{where}: {name}", row[name], kind))
+                text = row[name]
+                if name in blank and not text:
+                    row[name] = None
+                    continue
+                row[name] = _number(f"{where}: {name}", text, kind)
+                if kind is float and not math.isfinite(row[name]):
+                    raise ConfigError(f"{where}: {name} must be finite, "
+                                      f"got {text!r}")
             rows.append(ResultRow(**row))
     return rows
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "base": {name: getattr(spec.base, name) for name in config_field_names()},
-        "schemes": list(spec.schemes),
-        "trials": spec.trials,
-        "sweep": (None if spec.sweep is None else {
-            "param": spec.sweep.param,
-            "start": spec.sweep.start,
-            "stop": spec.sweep.stop,
-            "step": spec.sweep.step,
-        }),
-        "output_path": None if spec.output_path is None else str(spec.output_path),
-        "exhaustive_budget": spec.exhaustive_budget,
-    }
+    """Every field of `spec`, nested specs as dicts, as JSON reads it back:
+    tuples as lists and the output path as its string.  A value JSON cannot
+    hold, such as a numpy number, is a TypeError."""
+    return json.loads(json.dumps(asdict(spec), default=os.fspath))
 
 
 def write_spec_sidecar(output_path: Path | str, spec: ExperimentSpec) -> Path:
-    output_path = Path(output_path)
-    sidecar = output_path.with_name(output_path.stem + ".spec.json")
+    sidecar = _sidecar_path(Path(output_path))
     sidecar.write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n")
     return sidecar
 
@@ -596,7 +603,10 @@ def write_spec_sidecar(output_path: Path | str, spec: ExperimentSpec) -> Path:
 SWEEP_KEYS = ("sweep_param", "sweep_from", "sweep_to", "sweep_step")
 SPEC_KEYS = config_field_names() + (
     "trials", "schemes", "output_path", "exhaustive_budget") + SWEEP_KEYS
-_INT_KEYS = COUNT_PARAMS + ("seed", "trials", "exhaustive_budget")
+# The keys that parse as integers: the int fields of the config and the spec,
+# read from their annotations as SystemConfig's own check reads them.
+_INT_KEYS = tuple(f.name for cls in (SystemConfig, ExperimentSpec)
+                  for f in fields(cls) if f.type == "int")
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
@@ -616,13 +626,12 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
     return entries
 
 
-def build_spec(entries: dict[str, str], output_default: Path | None = None
-               ) -> ExperimentSpec:
+def build_spec(entries: dict[str, str]) -> ExperimentSpec:
     """Assemble an ExperimentSpec from string-valued entries.
 
     Entries use the same keys as the config file; later sources (CLI flags)
-    should be merged into `entries` before calling.  `output_default` is the
-    output path when the entries name none.
+    should be merged into `entries` before calling.  An empty `output_path`
+    is none.
     """
     unknown = set(entries) - set(SPEC_KEYS)
     if unknown:
@@ -649,14 +658,12 @@ def build_spec(entries: dict[str, str], output_default: Path | None = None
         )
     schemes = tuple(s.strip() for s in entries.get("schemes", "matching").split(",")
                     if s.strip())
-    output = entries.get("output_path")
-    output_path = Path(output) if output else output_default
     optional = {key: numbers[key] for key in ("trials", "exhaustive_budget")
                 if key in numbers}
     return ExperimentSpec(
         base=base,
         schemes=schemes,
         sweep=sweep,
-        output_path=output_path,
+        output_path=entries.get("output_path") or None,
         **optional,
     )

@@ -32,18 +32,18 @@ def integer(name: str, value, error: type[Exception] = ValueError) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
-def real(name: str, value) -> float:
+def real(name: str, value, error: type[Exception] = ValueError) -> float:
     """`value`, a finite Python or numpy real number, ints included, as a
-    float; ValueError naming `name` for anything else, a bool included."""
+    float; `error` naming `name` for anything else, a bool included."""
     if (not isinstance(value, (int, float, np.integer, np.floating))
             or isinstance(value, bool)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
     try:
         if math.isfinite(value):
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    raise error(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -119,9 +119,13 @@ def test_compare_malformed_row_is_a_clean_error(tmp_path, capsys):
                  "--output", str(out)]) == 0
     capsys.readouterr()
     text = out.read_text()
+    rate = text.splitlines()[1].split(",")[2]
     for broken in (text.rstrip("\n").rsplit(",", 1)[0] + "\n",  # short row
                    text.replace(",2\n", ",2,7\n"),              # extra field
-                   text.replace(",random,", ",random,x")):       # not a number
+                   text.replace(",random,", ",random,x"),        # not a number
+                   # not finite: once parsed, printed and exit 0
+                   *(text.replace(f",random,{rate},", f",random,{x},")
+                     for x in ("nan", "inf", "-inf"))):
         out.write_text(broken)
         assert main(["compare", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out}:2: ")
@@ -318,6 +322,19 @@ def test_power_outside_the_float_range_is_a_clean_error(tmp_path, capsys,
         f"error: {name}={float(value)!r} dBm is not a positive finite power "
         "in watts\n")
     assert not out.exists()
+
+
+def test_a_sidecar_at_a_directory_fails_before_any_trial(tmp_path, capsys):
+    # this once ran every trial and wrote the CSV, then failed with
+    # "[Errno 21] Is a directory" where the sidecar was to be written
+    out = tmp_path / "out.csv"
+    (tmp_path / "out.spec.json").mkdir()
+    for command in ("run", "sweep --preset power", "convergence"):
+        assert main([*command.split(), "--trials", "3",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: output_path {str(out)!r} has its sidecar ")
+        assert not out.exists()
 
 
 def test_an_unwritable_output_fails_before_any_trial(tmp_path, monkeypatch,

@@ -413,7 +413,11 @@ GOOD_ROW = "20,matching,1.5,0.9,2,1.25,,3\n"
     ("20,matching,fast,0.9,2,1.25,,3\n", "mean_sum_rate must be a number, got 'fast'"),
     ("20,matching,1.5,0.9,2,1.25,,3.0\n", "trials must be an integer, got '3.0'"),
     ("20,matching,,0.9,2,1.25,,3\n", "mean_sum_rate must be a number, got ''"),
-], ids=["short", "long", "text", "fraction", "blank"])
+    ("20,matching,nan,0.9,2,1.25,,3\n", "mean_sum_rate must be finite, got 'nan'"),
+    ("20,matching,1.5,0.9,2,inf,,3\n", "mean_cycles must be finite, got 'inf'"),
+    ("-Infinity,matching,1.5,0.9,2,1.25,,3\n",
+     "sweep_value must be finite, got '-Infinity'"),
+], ids=["short", "long", "text", "fraction", "blank", "nan", "inf", "-inf"])
 def test_read_results_names_the_line_of_a_malformed_row(tmp_path, line, error):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(harness.RESULT_FIELDS) + "\n" + GOOD_ROW + line)
@@ -527,7 +531,7 @@ def test_exhaustive_budget_key_round_trips_into_the_sidecar(tmp_path):
     cfg_file.write_text("l_positions = 12\nschemes = exhaustive\n"
                         "exhaustive_budget = 2500\ntrials = 1\n")
     out = tmp_path / "r.csv"
-    spec = build_spec(parse_config_file(cfg_file), output_default=out)
+    spec = build_spec({**parse_config_file(cfg_file), "output_path": str(out)})
     assert spec.exhaustive_budget == 2500
     run_experiment(spec)
     sidecar = json.loads((tmp_path / "r.spec.json").read_text())
@@ -643,6 +647,40 @@ def test_spec_entries_come_back_unchanged_from_spec_to_dict(entries):
     assert all(back[key] == defaults[key] for key in defaults
                if key not in entries)
     assert build_spec(back) == spec
+
+
+# How a config file may write one entry, and the lines it may hold between
+# entries.
+_LINE_FORMATS = ("{key}={value}", "{key} = {value}", "  {key}\t=  {value}  ",
+                 "{key} = {value}  # a note = 3", "{key}={value}#")
+_FILLER_LINES = ("", "   ", "# a comment", "\t# key = value", "#")
+
+
+@st.composite
+def _config_file_text(draw, entries: dict[str, str]) -> str:
+    """`entries` as a config file writes them: `key = value` lines in any
+    order and spacing, some with trailing comments, mixed with comment and
+    blank lines."""
+    lines = [draw(st.sampled_from(_LINE_FORMATS)).format(key=key, value=value)
+             for key, value in draw(st.permutations(list(entries.items())))]
+    for at, filler in draw(st.lists(st.tuples(
+            st.integers(0, len(lines)), st.sampled_from(_FILLER_LINES)),
+            max_size=4)):
+        lines.insert(at, filler)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_config_file_entries_come_back_unchanged_from_parse_config_file(
+        tmp_path_factory, data):
+    entries = data.draw(_valid_entries())
+    # one file, rewritten by each example
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text(data.draw(_config_file_text(entries)))
+    parsed = parse_config_file(path)
+    assert parsed == entries
+    assert build_spec(parsed) == build_spec(entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -781,6 +819,16 @@ def test_an_output_path_that_is_a_directory_is_refused(tmp_path,
     spec = ExperimentSpec(base=FAST, trials=2, output_path=tmp_path / "r.csv")
     with pytest.raises(ConfigError, match="^output_path"):
         replace(spec, output_path=tmp_path)
+    # so is a directory where the writer puts the sidecar
+    sidecar = harness.write_spec_sidecar(spec.output_path, spec)
+    sidecar.unlink()
+    sidecar.mkdir()
+    for path in (tmp_path / "r.csv", Path("r.csv"), Path("r")):
+        with pytest.raises(ConfigError, match=r"^output_path .* has its "
+                                              r"sidecar .*r\.spec\.json' at "
+                                              r"a directory$"):
+            replace(spec, output_path=path)
+    sidecar.rmdir()
     # a file where a directory of the path is to be
     (tmp_path / "f").write_text("")
     for path in (tmp_path / "f" / "r.csv", Path("f/a/r.csv")):

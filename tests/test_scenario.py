@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchsim import (Deployment, ExperimentSpec, SystemConfig,
+from pinchsim import (Deployment, ExperimentSpec, SweepSpec, SystemConfig,
                       build_positions, dbm_to_watts, derived_rf, feed_point,
                       make_deployment, sample_users, stream_rng)
 from pinchsim.harness import spec_to_dict
@@ -413,10 +413,15 @@ def test_spec_integer_fields_reject_non_integers(name, value):
 def test_integer_fields_store_numpy_integers_as_int():
     cfg = SystemConfig(n_users=np.int64(3), k_antennas=np.int32(2),
                        l_positions=np.uint16(20), seed=np.uint64(2**64 - 1))
+    # the sweep's bounds are floats, as SystemConfig's float fields are
+    sweep = SweepSpec("k_antennas", np.int64(1), np.int64(2), np.int64(1))
     spec = ExperimentSpec(base=cfg, trials=np.int64(2),
-                          exhaustive_budget=np.int16(9))
+                          exhaustive_budget=np.int16(9), sweep=sweep)
     for value in (cfg.n_users, cfg.k_antennas, cfg.l_positions, cfg.seed,
                   spec.trials, spec.exhaustive_budget):
         assert type(value) is int
+    assert [type(x) for x in (sweep.start, sweep.stop, sweep.step)] == [float] * 3
     assert (cfg.n_users, cfg.seed, spec.trials) == (3, 2**64 - 1, 2)
     json.dumps(spec_to_dict(spec))  # the sidecar takes them
+    assert spec_to_dict(spec)["sweep"] == {"param": "k_antennas", "start": 1.0,
+                                           "stop": 2.0, "step": 1.0}
