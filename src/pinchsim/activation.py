@@ -117,9 +117,13 @@ def _walk(ev: SetEvaluator, assignment: list[int | None], antenna: int,
     position.  The other antennas stay put, so every candidate is their set
     plus one position, or their set alone for the deactivation.  `memo` maps
     every set scored so far, as a `_mask`, to its utility.  The walk reads
-    the memo once for all its relocation sets, scores those it lacks in one
-    batch at its start, the current state's among them if missing, and the
-    deactivation only once it is reached.  A candidate found in the memo
+    the memo once for all its relocation sets and scores those it lacks in
+    one batch at its start, the current state's among them if missing.  An
+    active antenna's deactivation set, the other antennas' set, rides in
+    that batch as its spare row when it is nonempty and missing; the walk
+    takes it, and the evaluator counts it, only once the deactivation is
+    reached.  A walk with no relocation to score scores a missing
+    deactivation alone, once it is reached.  A candidate found in the memo
     still counts as examined.
 
     The batch skips the evaluator's index check: the free positions are
@@ -135,15 +139,21 @@ def _walk(ev: SetEvaluator, assignment: list[int | None], antenna: int,
     masks = [base | 1 << p for p in positions]
     gains = list(map(memo.get, masks))
     fresh = [i for i, gain in enumerate(gains) if gain is None]
+    spare = bool(fresh and others and current is not None
+                 and ev._spare is not None and base not in memo)
     if fresh:
-        scored = ev._utilities(others, [positions[i] for i in fresh])
-        for i, gain in zip(fresh, scored.tolist()):
+        scored = ev._utilities(others, [positions[i] for i in fresh]
+                               + [ev._spare] * spare).tolist()
+        for i, gain in zip(fresh, scored):  # the spare row is last
             memo[masks[i]] = gains[i] = gain
     utility = memo[base if current is None else base | 1 << current]
     for pos, gain in zip(positions, gains):
         target = pos
         if pos == current:
-            if base not in memo:
+            if spare:
+                ev.calls += 1
+                memo[base] = scored[-1]
+            elif base not in memo:
                 memo[base] = ev.utility(others)
             gain, target = memo[base], None
         if gain > utility:

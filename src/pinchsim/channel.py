@@ -83,19 +83,28 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     """Power gain P_t/S * |sum of terms|^2 of each user, from (N, S)
     amplitude terms, or (..., N) gains from (..., N, S) terms, such as a
     (T, N, S) block of drops or the search kernel's (B, N, S) batch; P_t is
-    split equally over the S antennas.
+    split equally over the S antennas.  It is the per-user sum of the terms,
+    then `_gains_of_sums`.
 
     Each user's terms add in antenna order when users vary fastest in
     memory, as they do in `amplitudes` and in the search kernel's rows,
     taken along axis 0 of the position-major view `amp.T` and then swapped
     to (..., N, S); so a gain is the same bit for bit whichever of them it
-    comes from.  The gain is formed in one buffer, by the operations of
-    P_t/S * (re*re + im*im) in the same order.
+    comes from.
     """
-    z = np.add.reduce(terms, axis=-1)
+    return _gains_of_sums(np.add.reduce(terms, axis=-1),
+                          pt_watts / terms.shape[-1])
+
+
+def _gains_of_sums(z: np.ndarray, watts) -> np.ndarray:
+    """The gains w * |z|^2 of (..., N) per-user sums of amplitude terms,
+    where w, the transmit power per antenna, is a float or a (B, 1) array
+    of each row's.  The gain is formed in one buffer, by the operations of
+    w * (re*re + im*im) in the same order.
+    """
     g = z.real * z.real
     g += z.imag * z.imag
-    g *= pt_watts / terms.shape[-1]
+    g *= watts
     return g
 
 

@@ -352,13 +352,13 @@ def _search_block(block: _Block, value, cfg: SystemConfig,
                   alloc: PowerAllocation, schemes, budget: int):
     """Per trial of `block`, in order: log its drop, run the searches that
     `schemes` names on one evaluator of its grid matrix, and yield (trial,
-    evaluator, found, optimum, trajectory).  `found` maps each searched
-    scheme to the set it found, as grid indices; `optimum` is the exhaustive
-    sum rate and `trajectory` the matching's, None where that scheme is not
-    searched.  The exhaustive search runs first: a trial whose optimum is 0
-    stops with `_zero_optimum` before its matching runs.  When `schemes`
-    names no search, the block has no grid matrices: its drops are logged
-    and nothing is yielded."""
+    found, optimum, trajectory).  `found` maps each searched scheme to the
+    set it found, as grid indices; `optimum` is the exhaustive sum rate and
+    `trajectory` the matching's, None where that scheme is not searched.
+    The exhaustive search runs first: a trial whose optimum is 0 stops with
+    `_zero_optimum` before its matching runs.  When `schemes` names no
+    search, the block has no grid matrices: its drops are logged and
+    nothing is yielded."""
     for i, trial in enumerate(block.trials):
         _log_drop(value, trial, block.deployment.users[i])
         if block.grid is None:
@@ -375,7 +375,23 @@ def _search_block(block: _Block, value, cfg: SystemConfig,
             final, trajectory = matching_activation(evaluator,
                                                     block.initial[i])
             found["matching"] = final.active_positions()
-        yield trial, evaluator, found, optimum, trajectory
+        yield trial, found, optimum, trajectory
+
+
+def _found_gains(grid: np.ndarray, found: list[tuple[int, ...]],
+                 pt_watts: float) -> np.ndarray:
+    """The (T, N) gains of each trial's found set of grid indices, from its
+    (N, L) slice of the block's `grid`.  The trials are batched by set size,
+    one `power_gains` of their (G, N, S) terms each, gathered with users
+    fastest in memory as the search kernel takes them, so each gain is
+    `SetEvaluator.gains`' bit for bit; an empty set has zero gains."""
+    gains = np.zeros(grid.shape[:2])
+    for size in set(map(len, found)) - {0}:
+        idx = [i for i, f in enumerate(found) if len(f) == size]
+        terms = grid.swapaxes(-1, -2)[np.array(idx)[:, None],
+                                      [found[i] for i in idx]]
+        gains[idx] = power_gains(terms.swapaxes(-1, -2), pt_watts)
+    return gains
 
 
 def _score_block(block: _Block, value, cfg: SystemConfig,
@@ -383,26 +399,27 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
     """Score every scheme on the trials of `block` at one sweep value and
     append each trial's metrics to the value's cells, in trial order.
 
-    The searches run per trial; the gains of the sets they find come from
-    each trial's evaluator.  Each scheme's rates then come from one report of
-    the whole block: a searched scheme's from one `rate_report` of its
-    trials' (T, N) gains, a baseline scheme's from its `BASELINES` entry.
+    The searches run per trial.  Each scheme's rates then come from one
+    report of the whole block: a searched scheme's from one `rate_report`
+    of its trials' (T, N) gains, gathered from the block's grid matrices by
+    `_found_gains`, a baseline scheme's from its `BASELINES` entry.
     """
-    shape = block.deployment.users.shape[:2]
-    # Per searched scheme: each trial's gains and active count.
-    searched = {s: (np.empty(shape), np.empty(shape[0]))
-                for s in ("exhaustive", "matching") if s in spec.schemes}
-    cycles = np.empty(shape[0])
-    for i, (_, evaluator, found, _, trajectory) in enumerate(_search_block(
+    # Per searched scheme: each trial's found set.
+    found_sets = {s: [] for s in ("exhaustive", "matching")
+                  if s in spec.schemes}
+    cycles = np.empty(len(block.trials))
+    for i, (_, found, _, trajectory) in enumerate(_search_block(
             block, value, cfg, alloc, spec.schemes, spec.exhaustive_budget)):
         for scheme, positions in found.items():
-            searched[scheme][0][i] = evaluator.gains(positions)
-            searched[scheme][1][i] = len(positions)
+            found_sets[scheme].append(positions)
         if trajectory is not None:
             cycles[i] = trajectory.cycles
+    pt_watts = dbm_to_watts(cfg.pt_dbm)
     noise_watts = dbm_to_watts(cfg.noise_dbm)
-    reports = {s: (rate_report(gains, alloc, noise_watts), active)
-               for s, (gains, active) in searched.items()}
+    reports = {s: (rate_report(_found_gains(block.grid, sets, pt_watts),
+                               alloc, noise_watts),
+                   np.array([len(positions) for positions in sets], float))
+               for s, sets in found_sets.items()}
     reports |= {s: BASELINES[s].report(terms, block.deployment, cfg, alloc)
                 for s, terms in block.terms.items()}
     optimum = (reports["exhaustive"][0].sum_rate if "exhaustive" in reports
@@ -481,7 +498,7 @@ def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
                  budget: int) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
-    for trial, _, _, optimum, trajectory in _search_block(
+    for trial, _, optimum, trajectory in _search_block(
             block, None, cfg, alloc, ("matching", "exhaustive"), budget):
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]

@@ -6,30 +6,31 @@ of one set), checks the grid indices it is given (`channel.selection`).  The
 exhaustive search scores every set once, one `utility` call each.  The
 matching search walks each antenna once per cycle and scores, in one batch
 of the private `_utilities`, the relocations of that walk that its run has
-not scored yet; it reuses the rest.  The batch skips the index check: the
-walk builds its indices from the grid and from a start that its search has
-checked.
+not scored yet, and, as a spare row, the walk's deactivation; it reuses the
+rest.  The batch skips the index check: the walk builds its indices from
+the grid and from a start that its search has checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import amplitudes, power_gains, selection
+from .channel import _gains_of_sums, amplitudes, power_gains, selection
 from .noma import PowerAllocation, sic_rates
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
 
-def set_sum_rate(amp, sel, pt_watts, noise, alloc):
+def set_sum_rate(amp, sel, watts, noise, alloc):
     """Sum rate of one activation, or of every row of a batch of them.
 
-    amp:      (N, L) `amplitude_matrix` of per-(user, position) terms.
-    sel:      sorted position indices of one activation, shape (S,), or a
-              batch of B activations of one size, shape (B, S), each row
-              sorted; S >= 1.
-    pt_watts: total transmit power, split over the S antennas.
-    noise:    noise power in watts.
-    alloc:    power fractions indexed by SIC rank.
+    amp:   (N, L) `amplitude_matrix` of per-(user, position) terms.
+    sel:   sorted position indices of one activation, shape (S,), or a
+           batch of B activations of one size, shape (B, S), each row
+           sorted; S >= 1.
+    watts: transmit power per antenna, P_t/S, or a (B, 1) array of each
+           row's.
+    noise: noise power in watts.
+    alloc: power fractions indexed by SIC rank.
 
     Returns a 0-d float for one activation and (B,) floats for a batch.  A
     row's result is bit-identical either way (the tests check it), and to
@@ -41,7 +42,8 @@ def set_sum_rate(amp, sel, pt_watts, noise, alloc):
     log2 terms adding along a contiguous last axis.  Every addition happens
     in the same order either way.
     """
-    gains = power_gains(amp.T.take(sel, axis=0).swapaxes(-1, -2), pt_watts)
+    z = np.add.reduce(amp.T.take(sel, axis=0).swapaxes(-1, -2), axis=-1)
+    gains = _gains_of_sums(z, watts)
     gains.sort(axis=-1)
     return np.add.reduce(sic_rates(gains, alloc, noise), axis=-1)
 
@@ -60,8 +62,9 @@ class SetEvaluator:
 
     Scores one set (`utility`), or, for the matching scan's walk, every set
     that adds one position to a common base in one kernel call
-    (`_utilities`).  `calls` counts the sets it scores, batched or not, so
-    searches can report their evaluation budget.
+    (`_utilities`), with the base alone as a spare row.  `calls` counts the
+    sets it scores, batched or not, so searches can report their evaluation
+    budget; a spare row counts only when its walk takes it.
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
@@ -85,6 +88,12 @@ class SetEvaluator:
         self._pt_watts = dbm_to_watts(config.pt_dbm)
         self._noise_watts = dbm_to_watts(config.noise_dbm)
         self.n_positions = amp.shape[1]
+        # The index of the spare row's zero column, which lives in a
+        # position-major copy of `amp` built on first use.  With one user,
+        # numpy sums a row's terms pairwise, and a zero appended can regroup
+        # that sum: no spare row then.
+        self._spare = self.n_positions if n_users > 1 else None
+        self._padded = None
         self.calls = 0
 
     def utility(self, indices) -> float:
@@ -93,7 +102,7 @@ class SetEvaluator:
         if sel.size == 0:
             return 0.0
         self.calls += 1
-        return float(set_sum_rate(self._amp, sel, self._pt_watts,
+        return float(set_sum_rate(self._amp, sel, self._pt_watts / sel.size,
                                   self._noise_watts, self._alloc))
 
     def _utilities(self, base: list[int], positions: list[int]
@@ -101,14 +110,29 @@ class SetEvaluator:
         """Sum rates of the sets `base` + {p}, one for each p of `positions`,
         as (B,) floats; equal, bit for bit, to `utility` of each set.  No
         index is checked: the caller, the matching scan's walk, vouches that
-        the sorted `base` and the `positions` are distinct grid indices."""
+        the sorted `base` and the `positions` are distinct grid indices.
+
+        A last position `_spare` adds the spare row: `base` and a zero
+        column, with the power split over `len(base)` antennas, so that
+        adding an exact 0 leaves it `utility(base)`, bit for bit.  The
+        caller offers it only for a nonempty `base` and counts it in
+        `calls` only if it takes it."""
         rows = np.empty((len(positions), len(base) + 1), dtype=np.intp)
         rows[:, :-1] = base
         rows[:, -1] = positions
         rows.sort(axis=1)
-        self.calls += len(positions)
-        return set_sum_rate(self._amp, rows, self._pt_watts,
-                            self._noise_watts, self._alloc)
+        spare = bool(positions) and positions[-1] == self._spare
+        self.calls += len(positions) - spare
+        amp, watts = self._amp, self._pt_watts / (len(base) + 1)
+        if spare:
+            if self._padded is None:
+                self._padded = np.zeros((len(amp.T) + 1, len(amp)), complex)
+                self._padded[:-1] = amp.T
+            per_row = np.empty((len(positions), 1))
+            per_row.fill(watts)
+            per_row[-1] = self._pt_watts / len(base)
+            amp, watts = self._padded.T, per_row
+        return set_sum_rate(amp, rows, watts, self._noise_watts, self._alloc)
 
     def gains(self, indices) -> np.ndarray:
         """Per-user |h|^2 of an activation, equal to `effective_channel`'s

@@ -203,23 +203,48 @@ def test_batched_scan_equals_reference_scan():
 
 
 class _RecordingEvaluator(SetEvaluator):
-    """Logs its scoring calls as ('utility', [set]) or ('batch', sets).
-    `scored` lists every set scored: one per `utility` call, bar the empty
-    set, which scores 0 without the kernel, and one per batch position.
-    Batches are logged where the walk scores them, in `_utilities`."""
+    """Logs its scoring calls as ('utility', [set]), ('batch', sets) or
+    ('spare', [set]).  `scored` lists every set scored: one per `utility`
+    call, bar the empty set, which scores 0 without the kernel, one per
+    batch position, and one per spare row taken.  Batches are logged where
+    the walk scores them, in `_utilities`, without their spare row; the
+    spare is logged where it is counted, by the walk that takes it."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
         self.log: list[tuple[str, list[tuple[int, ...]]]] = []
+        self._scoring = True  # the count set by the constructor is no spare
+        super().__init__(*args, **kwargs)
+        self._scoring = False
+
+    @property
+    def calls(self):
+        return self._calls
+
+    @calls.setter
+    def calls(self, value):
+        # a count made outside the evaluator's scoring takes the spare row
+        if not self._scoring:
+            self.log.append(("spare", [self._spare_set]))
+        self._calls = value
+
+    def _scored(self, method, *args):
+        self._scoring = True
+        try:
+            return method(*args)
+        finally:
+            self._scoring = False
 
     def utility(self, indices):
         self.log.append(("utility", [tuple(sorted(indices))]))
-        return super().utility(indices)
+        return self._scored(super().utility, indices)
 
     def _utilities(self, base, positions):
-        self.log.append(("batch", [tuple(sorted([*base, p]))
-                                   for p in positions]))
-        return super()._utilities(base, positions)
+        sets = [tuple(sorted([*base, p])) for p in positions]
+        if positions and positions[-1] == self._spare:
+            sets.pop()
+            self._spare_set = tuple(base)
+        self.log.append(("batch", sets))
+        return self._scored(super()._utilities, base, positions)
 
     @property
     def scored(self) -> list[tuple[int, ...]]:
@@ -281,14 +306,66 @@ def test_scan_call_structure(monkeypatch):
             assert ev.log[0] == ("walk", []) and ev.log[1][0] == "batch"
             assert start in ev.log[1][1]
             assert ("utility", [start]) not in ev.log
-            batches_per_walk = []
+            batches_per_walk, alone_per_walk = [], []
             for kind, _ in ev.log:
                 if kind == "walk":
                     batches_per_walk.append(0)
+                    alone_per_walk.append(0)
                 elif kind == "batch":
                     batches_per_walk[-1] += 1
+                elif kind == "utility":
+                    alone_per_walk[-1] += 1
             assert len(batches_per_walk) == traj.cycles * cfg.k_antennas
             assert max(batches_per_walk) == 1
+            # a walk scores its deactivation alone only if it made no batch
+            assert all(not (batches and alone) for batches, alone
+                       in zip(batches_per_walk, alone_per_walk))
+
+
+class _SpareEvaluator(SetEvaluator):
+    """Records, per batch, whether it carried the spare row."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.spares: list[bool] = []
+
+    def _utilities(self, base, positions):
+        self.spares.append(positions[-1] == self._spare)
+        return super()._utilities(base, positions)
+
+
+def test_only_an_active_antenna_with_company_offers_a_spare_row():
+    rng = np.random.default_rng(512)
+    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=12)
+    alloc = PowerAllocation.equal(2)
+    for _ in range(20):
+        dep = make_deployment(cfg, rng)
+        # an inactive antenna has no deactivation to carry
+        ev = _SpareEvaluator(cfg, dep, alloc)
+        memo = {activation._mask([3]): ev.utility([3])}
+        activation._walk(ev, [None, 3], 0, memo, [], [])
+        assert ev.spares == [False]
+        # an active one carries its deactivation, the other antenna's set;
+        # it is counted, and kept, only if the walk reaches it unmoved
+        ev = _SpareEvaluator(cfg, dep, alloc)
+        memo, moves = {}, []
+        activation._walk(ev, [5, 3], 0, memo, moves, [])
+        assert ev.spares == [True]
+        first = moves[0].target if moves else None
+        reached = first is None or first > 5
+        assert (activation._mask([3]) in memo) == reached
+        assert ev.calls == len(memo)
+    # a lone antenna's deactivation set is empty: it scores 0 without the
+    # kernel, and no batch carries it
+    cfg = SystemConfig(n_users=2, k_antennas=1, l_positions=12)
+    for _ in range(20):
+        dep = make_deployment(cfg, rng)
+        init = random_matching(cfg, dep, rng)
+        ev = _SpareEvaluator(cfg, dep, alloc)
+        assert matching_activation(ev, init) == reference_scan(cfg, dep,
+                                                               alloc, init)
+        assert ev.spares and not any(ev.spares)
+        assert ev.calls == cfg.l_positions  # one per position, none for ()
 
 
 # Per seed: kernel rows, evaluations, accepted moves and cycles summed over

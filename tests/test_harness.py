@@ -23,6 +23,7 @@ from pinchsim import (ConfigError, Deployment, ExperimentSpec,
                       random_matching, read_results, run_experiment,
                       stream_rng, sum_rate)
 from pinchsim.activation import conventional_amplitudes, conventional_positions
+from pinchsim.cli import PRESETS
 from pinchsim import activation, harness, kernels, noma
 from pinchsim.harness import SWEEP_PARAMS, apply_sweep_value, spec_to_dict
 from pinchsim.scenario import SPEED_OF_LIGHT
@@ -746,6 +747,28 @@ def test_block_gains_and_reports_equal_per_trial_calls():
         one = sum_rate(block.initial[i].active_positions(), dep, cfg, alloc)
         assert random.sum_rate[i] == one.sum_rate
         assert random.fairness[i] == one.fairness
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_found_gains_equal_per_trial_evaluator_gains(k):
+    # the antenna-count geometry, where the scan deactivates antennas: the
+    # found sets of one block differ in size, and each size is one gather
+    entries = {key: v for key, v in PRESETS["antenna-count"].items()
+               if not key.startswith("sweep_")}
+    cfg = replace(build_spec(entries).base, k_antennas=k)
+    alloc = PowerAllocation.equal(cfg.n_users)
+    block = harness._block(cfg, range(0, 40), ("matching",))
+    found = [f["matching"] for _, f, _, _ in harness._search_block(
+        block, None, cfg, alloc, ("matching",), 10 ** 6)]
+    assert len({len(f) for f in found}) > 1
+    found[3] = ()  # no search finds the empty set; the gather still takes it
+    pt = dbm_to_watts(cfg.pt_dbm)
+    gains = harness._found_gains(block.grid, found, pt)
+    for i, positions in enumerate(found):
+        ev = kernels.SetEvaluator(cfg, block.deployment, alloc,
+                                  amp=block.grid[i])
+        assert gains[i].tolist() == ev.gains(positions).tolist()
+    assert gains[3].tolist() == [0.0] * cfg.n_users
 
 
 def test_one_report_per_block_scheme_and_sweep_value(monkeypatch):

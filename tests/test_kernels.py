@@ -68,6 +68,50 @@ def test_batch_equals_single_evaluations_exactly():
         assert [ev._utilities(others, [p])[0] for p in positions] == want
 
 
+def test_spare_row_equals_utility_of_its_base_exactly():
+    # the walk's deactivation rides in its batch as a spare row: the base
+    # and a zero column, its power split over the base; it and every other
+    # row are `utility` of their sets, and only the other rows are counted
+    rng = np.random.default_rng(306)
+    shapes = [(1, 1, 4), (2, 2, 20), (3, 2, 12), (4, 4, 30), (8, 8, 60)]
+    for n, k, l_positions in shapes:
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        for size in range(1, k):
+            dep = make_deployment(cfg, rng)
+            ev = SetEvaluator(cfg, dep, PowerAllocation.equal(n))
+            assert ev._spare == l_positions
+            chosen = rng.permutation(l_positions).tolist()
+            base = sorted(chosen[:size])
+            positions = chosen[size:][:int(rng.integers(1, l_positions
+                                                        - size + 1))]
+            got = ev._utilities(base, [*positions, ev._spare])
+            assert ev.calls == len(positions)
+            want = [ev.utility([*base, p]) for p in positions]
+            assert got.tolist() == [*want, ev.utility(base)]
+
+
+def test_one_user_scores_no_spare_row():
+    # a lone user's terms are contiguous, and numpy sums them pairwise: an
+    # appended zero would regroup the sum of eight of them, so the
+    # evaluator offers no spare row, and the scan scores its deactivations
+    # alone, as `utility` does
+    rng = np.random.default_rng(307)
+    cfg = SystemConfig(d1=30.0, n_users=1, k_antennas=9, l_positions=30)
+    regrouped = 0
+    for _ in range(20):
+        ev = SetEvaluator(cfg, make_deployment(cfg, rng),
+                          PowerAllocation.equal(1))
+        assert ev._spare is None
+        terms = ev._amp.T.take(sorted(rng.choice(30, 7, replace=False)),
+                               axis=0)
+        padded = np.vstack((terms, np.zeros(1)))
+        sums = [np.add.reduce(t.swapaxes(-1, -2), axis=-1).tolist()
+                for t in (terms, padded)]
+        regrouped += sums[0] != sums[1]
+    assert regrouped
+
+
 def test_batch_edge_cases():
     cfg = SystemConfig(l_positions=12)
     dep = make_deployment(cfg, stream_rng(7, 0, 0))
@@ -227,7 +271,7 @@ def test_kernel_is_the_same_for_an_amplitude_matrix_in_c_or_f_order():
         for size in range(1, min(cfg.k_antennas, cfg.l_positions) + 1):
             rows = np.sort([rng.choice(cfg.l_positions, size, replace=False)
                             for _ in range(5)], axis=1)
-            batch = [set_sum_rate(amp, rows, pt, noise, alloc)
+            batch = [set_sum_rate(amp, rows, pt / size, noise, alloc)
                      for amp in (amp_f, amp_c)]
             assert batch[0].tolist() == batch[1].tolist()
             for row, rate in zip(rows.tolist(), batch[0].tolist()):
