@@ -6,11 +6,19 @@ by a single global utility, the sum rate; a move is accepted only on strict
 improvement, which makes every trajectory strictly increasing and guarantees
 termination on the finite matching space.  Swaps between two antennas never
 change the active set, hence never the utility, and are not searched.
+
+The scans of one drop at the transmit powers of a sweep, whose evaluators
+form a `kernels.family`, run as one group scan: while their moves agree,
+the powers share each walk and its one kernel call, which scores the walk's
+sets at every power of the group; where they part ways, the group splits.
+Each power's result, and the sets its evaluator counts, are exactly those
+of its scan alone.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -104,64 +112,154 @@ def _mask(positions) -> int:
     return mask
 
 
-def _walk(ev: SetEvaluator, assignment: list[int | None], antenna: int,
-          memo: dict[int, float], moves: list[Move], utilities: list[float]
-          ) -> int:
-    """Walk one antenna's candidate moves in position order, accepting each
-    that raises the utility; return the number of candidates examined.
+class _Member:
+    """One transmit power's scan in a group scan: its evaluator, the utility
+    of every set it has scored, as a `_mask`, and its trajectory so far;
+    `assignment`, its final one, is set when its scan ends.  The members of
+    a group have taken the same moves, so their memos hold the same sets."""
+
+    __slots__ = ("ev", "memo", "utilities", "moves", "move_cycles",
+                 "evaluations", "assignment")
+
+    def __init__(self, ev: SetEvaluator):
+        self.ev = ev
+        self.memo: dict[int, float] = {}
+        self.utilities: list[float] = []
+        self.moves: list[Move] = []
+        self.move_cycles: list[int] = []
+        self.evaluations: list[int] = []    # per cycle
+
+    def result(self, start: int) -> tuple[Matching, Trajectory]:
+        return Matching(assignment=tuple(self.assignment)), Trajectory(
+            utilities=(self.memo[start], *self.utilities),
+            moves=tuple(self.moves),
+            move_cycles=tuple(self.move_cycles),
+            cycles=len(self.evaluations),
+            evaluations=sum(self.evaluations),
+            evaluations_per_cycle=tuple(self.evaluations),
+        )
+
+
+def _walk(group: list[_Member], assignment: list[int | None], antenna: int
+          ) -> list[tuple[list[_Member], int | None]] | None:
+    """Walk one antenna's candidate moves in position order for every
+    member of `group`, each accepting each move that raises its own
+    utility.  Return None when every member took the same moves, having
+    left the antenna's position in `assignment`; otherwise the parts of
+    `group` that took the same moves, each with the antenna's position.
 
     A free position is a relocation candidate (an activation when the antenna
     is inactive); the antenna's own position is its deactivation candidate;
-    positions held by other antennas are skipped.  An accepted move updates
-    `assignment`, `moves` and `utilities`, and the walk goes on at the next
+    positions held by other antennas are skipped.  An accepted move goes to
+    the member's moves and utilities, and its walk goes on at the next
     position.  The other antennas stay put, so every candidate is their set
-    plus one position, or their set alone for the deactivation.  `memo` maps
-    every set scored so far, as a `_mask`, to its utility.  The walk reads
-    the memo once for all its relocation sets and scores those it lacks in
-    one batch at its start, the current state's among them if missing.  An
-    active antenna's deactivation set, the other antennas' set, rides in
-    that batch as its spare row when it is nonempty and missing; the walk
-    takes it, and the evaluator counts it, only once the deactivation is
-    reached.  A walk with no relocation to score scores a missing
-    deactivation alone, once it is reached.  A candidate found in the memo
-    still counts as examined.
+    plus one position, or their set alone for the deactivation.  The walk
+    reads the first member's memo once for all its relocation sets and
+    scores those it lacks in one batch at its start, at every member's
+    power, the current state's among them if missing.  An active antenna's
+    deactivation set, the other antennas' set, rides in that batch as its
+    spare row when it is nonempty and missing, or makes a batch of its own
+    when nothing else is missing; a member takes it, and its evaluator
+    counts it, only once the deactivation is reached.  With one user no
+    spare row exists, and each member scores its deactivation alone.
+
+    Every set in a memo is the start or was examined by an earlier walk,
+    against a utility no higher than the member's current one, which only
+    ever rises: none of them can be accepted.  So the walk visits only the
+    sets it scores, in position order; a candidate found in the memo still
+    counts as examined.
 
     The batch skips the evaluator's index check: the free positions are
     `range(ev.n_positions)` less the other antennas', whose positions the
     caller has checked to be distinct grid indices.
     """
+    ev, memo = group[0].ev, group[0].memo
+    evs = [m.ev for m in group] if len(group) > 1 else None
+    parts: dict[tuple[Move, ...], list[_Member]] = {}
     current = assignment[antenna]
     others = sorted(p for p in assignment if p is not None and p != current)
     base = _mask(others)
     positions = list(range(ev.n_positions))
     for p in reversed(others):
         del positions[p]
-    masks = [base | 1 << p for p in positions]
-    gains = list(map(memo.get, masks))
-    fresh = [i for i, gain in enumerate(gains) if gain is None]
-    spare = bool(fresh and others and current is not None
-                 and ev._spare is not None and base not in memo)
-    if fresh:
-        scored = ev._utilities(others, [positions[i] for i in fresh]
-                               + [ev._spare] * spare).tolist()
-        for i, gain in zip(fresh, scored):  # the spare row is last
-            memo[masks[i]] = gains[i] = gain
-    utility = memo[base if current is None else base | 1 << current]
-    for pos, gain in zip(positions, gains):
-        target = pos
-        if pos == current:
-            if spare:
-                ev.calls += 1
-                memo[base] = scored[-1]
-            elif base not in memo:
-                memo[base] = ev.utility(others)
-            gain, target = memo[base], None
-        if gain > utility:
-            moves.append(Move(antenna, current, target))
-            utilities.append(gain)
-            utility, current = gain, target
-    assignment[antenna] = current
-    return len(positions)
+    visit = [p for p in positions if base | 1 << p not in memo]
+    fresh = [base | 1 << p for p in visit]
+    missing = current is not None and base not in memo
+    spare = bool(missing and others and ev._spare is not None)
+    if fresh or spare:
+        scored = ev._utilities(others, visit + [ev._spare] * spare,
+                               evs).tolist()
+        if evs is None:
+            scored = [scored]
+    else:
+        scored = [[] for _ in group]
+    own = None
+    if missing and current not in visit:  # else the current set is fresh
+        own = bisect_left(visit, current)
+        visit.insert(own, current)
+    for m, gains in zip(group, scored):
+        memo = m.memo
+        memo.update(zip(fresh, gains))  # the spare row is last
+        if own is not None:
+            # The deactivation's place, taken only if the walk reaches it
+            # unmoved; after a move it is a relocation back to the walk's
+            # starting set, which cannot be accepted.
+            gains.insert(own, -math.inf)
+        at = current
+        utility = memo[base if at is None else base | 1 << at]
+        moves = m.moves
+        taken = len(moves)
+        for pos, gain in zip(visit, gains):
+            target = pos
+            if pos == at:
+                if spare:
+                    m.ev.calls += 1
+                    memo[base] = gains[-1]
+                else:
+                    memo[base] = m.ev.utility(others)
+                gain, target = memo[base], None
+            if gain > utility:
+                moves.append(Move(antenna, at, target))
+                m.utilities.append(gain)
+                utility, at = gain, target
+        m.evaluations[-1] += len(positions)
+        if evs:
+            parts.setdefault(tuple(moves[taken:]), []).append(m)
+    if len(parts) > 1:
+        return [(part, key[-1].target if key else current)
+                for key, part in parts.items()]
+    assignment[antenna] = at
+    return None
+
+
+def _scan(group: list[_Member], assignment: list[int | None],
+          antenna: int = 0) -> None:
+    """Run `group`'s scans from `antenna`'s walk of the current cycle on,
+    one walk per antenna and cycle, until a cycle accepts nothing; then
+    each member's `assignment` is the final one.  Where a walk's members
+    take different moves, each part of the group goes on alone from the
+    next walk, with its own copy of the assignment."""
+    lead = group[0]
+    while True:
+        if antenna == 0:
+            for m in group:
+                m.evaluations.append(0)
+        for a in range(antenna, len(assignment)):
+            parts = _walk(group, assignment, a)
+            if parts:
+                for part, position in parts:
+                    rest = assignment.copy()
+                    rest[a] = position
+                    _scan(part, rest, a + 1)
+                return
+        antenna = 0
+        accepted = len(lead.moves) - len(lead.move_cycles)
+        if not accepted:
+            for m in group:
+                m.assignment = assignment
+            return
+        for m in group:
+            m.move_cycles += [len(lead.evaluations)] * accepted
 
 
 def matching_activation(ev: SetEvaluator, initial: Matching
@@ -176,42 +274,42 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     the new state.  The run keeps the utility of every set it scores, so
     each candidate set costs one evaluation per run however often it is
     examined; the starting set is scored in antenna 0's first batch when
-    antenna 0 starts active.  The memo dies with the run, as the evaluator
-    is bound to one transmit power.  The K antennas are those of `initial`.
+    antenna 0 starts active.  The K antennas are those of `initial`.
+
+    An evaluator of a `kernels.family` scans the drop at every member's
+    power as one group: while their moves agree, the members share each
+    walk and its kernel call, and each keeps its own memo, as every
+    evaluator is bound to one transmit power.  This call returns its own
+    evaluator's result; each other member's is held until its own call with
+    the same `initial` takes it, and only then counts its sets in `calls`,
+    so that every call returns, and counts, what a scan on its evaluator
+    alone would.
     """
+    held, ev._held = ev._held, None
+    if held is not None and held[0] == initial:
+        ev.calls += held[1]
+        return held[2]
     assignment = list(initial.assignment)
     active = initial.active_positions()
     # The walks' batches do not check their indices: check the start, before
     # its mask, which an index far off the grid would make huge.
     selection(active, ev.n_positions)
     start = _mask(active)
-    memo: dict[int, float] = {}
+    group = [_Member(ev)]
+    if ev.family:
+        group += [_Member(e) for e in (member() for member in ev.family)
+                  if e is not None and e is not ev]
+        counted = [m.ev.calls for m in group]
     if not assignment or assignment[0] is None:
         # Otherwise the starting set rides in antenna 0's first batch.
-        memo[start] = ev.utility(active)
-    utilities: list[float] = []
-    moves: list[Move] = []
-    move_cycles: list[int] = []
-    evals_per_cycle: list[int] = []
-    cycles = 0
-    improved = True
-    while improved:
-        cycles += 1
-        accepted = len(moves)
-        evals_per_cycle.append(sum(
-            _walk(ev, assignment, antenna, memo, moves, utilities)
-            for antenna in range(initial.k_antennas)))
-        move_cycles += [cycles] * (len(moves) - accepted)
-        improved = len(moves) > accepted
-    trajectory = Trajectory(
-        utilities=(memo[start], *utilities),
-        moves=tuple(moves),
-        move_cycles=tuple(move_cycles),
-        cycles=cycles,
-        evaluations=sum(evals_per_cycle),
-        evaluations_per_cycle=tuple(evals_per_cycle),
-    )
-    return Matching(assignment=tuple(assignment)), trajectory
+        for m in group:
+            m.memo[start] = m.ev.utility(active)
+    _scan(group, assignment)
+    if ev.family:
+        for m, calls in zip(group[1:], counted[1:]):
+            m.ev._held = (initial, m.ev.calls - calls, m.result(start))
+            m.ev.calls = calls
+    return group[0].result(start)
 
 
 def check_stability(ev: SetEvaluator, matching: Matching
@@ -221,18 +319,19 @@ def check_stability(ev: SetEvaluator, matching: Matching
 
     Stable means no single antenna can relocate to a free position or
     deactivate with a strict utility gain.  Swaps are outside the move set.
-    Each antenna takes the scan's walk from `matching`, with a memo seeded
-    with its utility, so that no set is scored twice; the first move the
-    walks accept is the certificate.
+    Each antenna takes the scan's walk from `matching`, as a group of one
+    with a memo seeded with its utility, so that no set is scored twice;
+    the first move the walks accept is the certificate.
     """
     active = matching.active_positions()
-    utility = ev.utility(active)  # checks the indices before their mask
-    memo = {_mask(active): utility}
+    member = _Member(ev)
+    # `utility` checks the indices before their mask.
+    member.memo[_mask(active)] = ev.utility(active)
+    member.evaluations.append(0)
     for antenna in range(matching.k_antennas):
-        moves: list[Move] = []
-        _walk(ev, list(matching.assignment), antenna, memo, moves, [])
-        if moves:
-            return False, moves[0]
+        _walk([member], list(matching.assignment), antenna)
+        if member.moves:
+            return False, member.moves[0]
     return True, None
 
 

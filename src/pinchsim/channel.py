@@ -86,11 +86,14 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     split equally over the S antennas.  It is the per-user sum of the terms,
     then `_gains_of_sums`.
 
-    Each user's terms add in antenna order when users vary fastest in
-    memory, as they do in `amplitudes` and in the search kernel's rows,
-    taken along axis 0 of the position-major view `amp.T` and then swapped
-    to (..., N, S); so a gain is the same bit for bit whichever of them it
-    comes from.
+    With two or more users, each user's terms add in antenna order when
+    users vary fastest in memory, as they do in `amplitudes` and in the
+    search kernel's rows, taken along axis 0 of the position-major view
+    `amp.T` and then swapped to (..., N, S); so a gain is the same bit for
+    bit whichever of them it comes from.  With one user the terms are
+    contiguous along S, and numpy sums them pairwise, which from 4 terms on
+    can differ from the running sum; every path takes the same pairwise
+    sum, so the gains still agree bit for bit.
     """
     return _gains_of_sums(np.add.reduce(terms, axis=-1),
                           pt_watts / terms.shape[-1])
@@ -99,12 +102,14 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
 def _gains_of_sums(z: np.ndarray, watts) -> np.ndarray:
     """The gains w * |z|^2 of (..., N) per-user sums of amplitude terms,
     where w, the transmit power per antenna, is a float or a (B, 1) array
-    of each row's.  The gain is formed in one buffer, by the operations of
+    of each row's; None leaves |z|^2 unscaled, for a caller that scales it
+    after sorting.  The gain is formed in one buffer, by the operations of
     w * (re*re + im*im) in the same order.
     """
     g = z.real * z.real
     g += z.imag * z.imag
-    g *= watts
+    if watts is not None:
+        g *= watts
     return g
 
 

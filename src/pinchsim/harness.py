@@ -9,13 +9,16 @@ its random initial matching from its own random streams.  Per block: one
 call each, the searches' grid matrices and each baseline scheme's amplitude
 terms.  None of these depends on the transmit power, so a power sweep
 builds a block once and shares it across its values; any other sweep builds
-it afresh at each value.  One per-trial loop, `_search_block`, runs the
-searches per (sweep value, trial), for the run and the convergence trace
-alike.  The reports run per (sweep value, block, scheme), one `rate_report`
-of the block's (T, N) gains each.  Each baseline scheme (random, distance,
-conventional) is one `BASELINES` entry: how it builds its block's terms and
-how it reports them at one power.  At most one block of drops is held at a
-time.
+it afresh at each value.  A shared block also holds, per trial, one
+`SetEvaluator` per sweep value, linked as one `kernels.family`: the trial's
+matching scans at all its powers then run as one group, at its first
+value's call, and each later value's call takes its own result.  One
+per-trial loop, `_search_block`, runs the searches per (sweep value,
+trial), for the run and the convergence trace alike.  The reports run per
+(sweep value, block, scheme), one `rate_report` of the block's (T, N) gains
+each.  Each baseline scheme (random, distance, conventional) is one
+`BASELINES` entry: how it builds its block's terms and how it reports them
+at one power.  At most one block of drops is held at a time.
 """
 
 from __future__ import annotations
@@ -243,6 +246,10 @@ class _Block(NamedTuple):
     trials: range
     deployment: Deployment                    # (T, N, 3) users
     grid: np.ndarray | None                   # (T, N, L) amplitude matrices
+    alloc: PowerAllocation                    # of the searches and reports
+    # Per trial, one evaluator of its grid matrix per sweep point that
+    # shares the block, linked as one `kernels.family`.
+    evaluators: list[tuple[SetEvaluator, ...]] | None
     initial: list[Matching] | None
     terms: dict[str, object]                  # per baseline scheme of the run
 
@@ -319,24 +326,33 @@ BASELINES = {
 }
 
 
-def _block(cfg: SystemConfig, trials: range, schemes) -> _Block:
-    """The block's drops, and what `schemes` need of the grid matrix, the
-    random initial matching and the baseline schemes' terms.  Each trial's
-    drop and matching come from its own streams; the drops make one
-    deployment, checked once, and the amplitude terms of the whole block
-    come from one numpy call per kind."""
+def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
+           ) -> _Block:
+    """The block's drops, its power allocation, and what `schemes` need of
+    the grid matrix, its evaluators, the random initial matching and the
+    baseline schemes' terms.  `configs` are the sweep points that share the
+    block, the first building it: each trial gets one evaluator per point,
+    linked as one family, so that its matching scans at all of them run as
+    one group.  Each trial's drop and matching come from its own streams;
+    the drops make one deployment, checked once, and the amplitude terms of
+    the whole block come from one numpy call per kind."""
+    cfg = configs[0]
+    alloc = PowerAllocation.equal(cfg.n_users)
     deployment = make_deployment(
         cfg, [stream_rng(cfg.seed, USER_STREAM, trial) for trial in trials])
-    grid = initial = None
+    grid = evaluators = initial = None
     if "matching" in schemes or "exhaustive" in schemes:
         # Looked up on the module, so the traced benchmark (perfbench)
         # credits the matrix build to kernels.
         grid = kernels.amplitude_matrix(cfg, deployment)
+        evaluators = [kernels.family(SetEvaluator(c, deployment, alloc, amp=amp)
+                                     for c in configs)
+                      for amp in grid]
     if "matching" in schemes or "random" in schemes:
         initial = [random_matching(cfg, deployment,
                                    stream_rng(cfg.seed, MATCHING_STREAM, t))
                    for t in trials]
-    return _Block(trials, deployment, grid, initial,
+    return _Block(trials, deployment, grid, alloc, evaluators, initial,
                   {s: BASELINES[s].terms(cfg, deployment, initial)
                    for s in schemes if s in BASELINES})
 
@@ -348,11 +364,12 @@ def _zero_optimum(cfg: SystemConfig, trial: int) -> ValueError:
                       f"power (trial {trial}): no ratio to exhaustive")
 
 
-def _search_block(block: _Block, value, cfg: SystemConfig,
-                  alloc: PowerAllocation, schemes, budget: int):
+def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
+                  schemes, budget: int):
     """Per trial of `block`, in order: log its drop, run the searches that
-    `schemes` names on one evaluator of its grid matrix, and yield (trial,
-    found, optimum, trajectory).  `found` maps each searched scheme to the
+    `schemes` names on its evaluator for `point`, the index of this sweep
+    value among those that share the block, and yield (trial, found,
+    optimum, trajectory).  `found` maps each searched scheme to the
     set it found, as grid indices; `optimum` is the exhaustive sum rate and
     `trajectory` the matching's, None where that scheme is not searched.
     The exhaustive search runs first: a trial whose optimum is 0 stops with
@@ -363,8 +380,7 @@ def _search_block(block: _Block, value, cfg: SystemConfig,
         _log_drop(value, trial, block.deployment.users[i])
         if block.grid is None:
             continue
-        evaluator = SetEvaluator(cfg, block.deployment, alloc,
-                                 amp=block.grid[i])
+        evaluator = block.evaluators[i][point]
         found, optimum, trajectory = {}, None, None
         if "exhaustive" in schemes:
             found["exhaustive"], optimum = exhaustive_search(
@@ -394,10 +410,11 @@ def _found_gains(grid: np.ndarray, found: list[tuple[int, ...]],
     return gains
 
 
-def _score_block(block: _Block, value, cfg: SystemConfig,
-                 alloc: PowerAllocation, spec: ExperimentSpec, cells) -> None:
-    """Score every scheme on the trials of `block` at one sweep value and
-    append each trial's metrics to the value's cells, in trial order.
+def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
+                 spec: ExperimentSpec, cells) -> None:
+    """Score every scheme on the trials of `block` at one sweep value, the
+    block's sweep point `point`, and append each trial's metrics to the
+    value's cells, in trial order.
 
     The searches run per trial.  Each scheme's rates then come from one
     report of the whole block: a searched scheme's from one `rate_report`
@@ -409,7 +426,7 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
                   if s in spec.schemes}
     cycles = np.empty(len(block.trials))
     for i, (_, found, _, trajectory) in enumerate(_search_block(
-            block, value, cfg, alloc, spec.schemes, spec.exhaustive_budget)):
+            block, point, value, cfg, spec.schemes, spec.exhaustive_budget)):
         for scheme, positions in found.items():
             found_sets[scheme].append(positions)
         if trajectory is not None:
@@ -417,10 +434,11 @@ def _score_block(block: _Block, value, cfg: SystemConfig,
     pt_watts = dbm_to_watts(cfg.pt_dbm)
     noise_watts = dbm_to_watts(cfg.noise_dbm)
     reports = {s: (rate_report(_found_gains(block.grid, sets, pt_watts),
-                               alloc, noise_watts),
+                               block.alloc, noise_watts),
                    np.array([len(positions) for positions in sets], float))
                for s, sets in found_sets.items()}
-    reports |= {s: BASELINES[s].report(terms, block.deployment, cfg, alloc)
+    reports |= {s: BASELINES[s].report(terms, block.deployment, cfg,
+                                       block.alloc)
                 for s, terms in block.terms.items()}
     optimum = (reports["exhaustive"][0].sum_rate if "exhaustive" in reports
                else None)
@@ -444,16 +462,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     rebuilds them at each value.  The drops of the whole block make one
     deployment, its placements come from one call and its amplitude terms
     from one numpy call per kind.  The searches run per (sweep value,
-    trial); each scheme's channel sums, SIC rates and fairness come from one
-    report per (sweep value, block).  Cells collect their trials in order,
-    so the rows do not depend on the loop order.  Deterministic for a
-    fixed spec: identical specs produce identical rows (and therefore
-    byte-identical CSV files).
+    trial), but a trial's matching scans over a shared block's values run
+    as one group scan, at the first value; each scheme's channel sums, SIC
+    rates and fairness come from one report per (sweep value, block).
+    Cells collect their trials in order, so the rows do not depend on the
+    loop order.  Deterministic for a fixed spec: identical specs produce
+    identical rows (and therefore byte-identical CSV files).
     """
     schemes = spec.schemes
     sweep_values = spec.sweep.values() if spec.sweep else (None,)
     configs = spec.configs()
-    allocs = [PowerAllocation.equal(cfg.n_users) for cfg in configs]
     # Per (sweep value, scheme): sum rate, fairness, active count, cycles and
     # ratio of each trial, as float columns since all values are held at once.
     metrics = [{s: tuple(array("d") for _ in range(5)) for s in schemes}
@@ -462,13 +480,14 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     # (or none) builds them once per block, any other sweep at every value.
     shared = spec.sweep is None or spec.sweep.param == "pt_dbm"
     for trials in _blocks(spec.trials):
-        for point, (value, cfg, alloc) in enumerate(
-                zip(sweep_values, configs, allocs)):
+        for point, (value, cfg) in enumerate(zip(sweep_values, configs)):
             if point == 0 or not shared:
                 # Release the last block's drops before building the next.
                 block = None
-                block = _block(cfg, trials, schemes)
-            _score_block(block, value, cfg, alloc, spec, metrics[point])
+                block = _block(configs if shared else (cfg,), trials,
+                               schemes)
+            _score_block(block, point if shared else 0, value, cfg, spec,
+                         metrics[point])
     rows: list[ResultRow] = []
     for cfg, cells in zip(configs, metrics):
         # Every stored sum rate exactly 0: the power is too low to rate.
@@ -494,12 +513,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     return rows
 
 
-def _trace_block(block: _Block, cfg: SystemConfig, alloc: PowerAllocation,
-                 budget: int) -> list[TraceRow]:
+def _trace_block(block: _Block, cfg: SystemConfig, budget: int
+                 ) -> list[TraceRow]:
     """The convergence trace rows of each trial of `block`."""
     rows: list[TraceRow] = []
     for trial, _, optimum, trajectory in _search_block(
-            block, None, cfg, alloc, ("matching", "exhaustive"), budget):
+            block, 0, None, cfg, ("matching", "exhaustive"), budget):
         for step, utility in enumerate(trajectory.utilities):
             cycle = 0 if step == 0 else trajectory.move_cycles[step - 1]
             rows.append(TraceRow(
@@ -525,10 +544,9 @@ def convergence_trace(spec: ExperimentSpec) -> list[TraceRow]:
     # The spec checks the exhaustive budget.
     spec = replace(spec, schemes=("matching", "exhaustive"))
     cfg = spec.base
-    alloc = PowerAllocation.equal(cfg.n_users)
     rows: list[TraceRow] = []
     for trials in _blocks(spec.trials):
-        rows += _trace_block(_block(cfg, trials, spec.schemes), cfg, alloc,
+        rows += _trace_block(_block((cfg,), trials, spec.schemes), cfg,
                              spec.exhaustive_budget)
     if spec.output_path is not None:
         write_trace(spec.output_path, rows)

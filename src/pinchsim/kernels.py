@@ -9,9 +9,16 @@ of the private `_utilities`, the relocations of that walk that its run has
 not scored yet, and, as a spare row, the walk's deactivation; it reuses the
 rest.  The batch skips the index check: the walk builds its indices from
 the grid and from a start that its search has checked.
+
+The evaluators of one drop at the powers of a sweep form a `family`, whose
+matching scans run as one group: each batch then scores its rows at every
+power of the group at once, as (G, B) rates.  `calls` still counts, per
+evaluator, the sets its own scan scores.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -21,30 +28,37 @@ from .scenario import Deployment, SystemConfig, dbm_to_watts
 
 
 def set_sum_rate(amp, sel, watts, noise, alloc):
-    """Sum rate of one activation, or of every row of a batch of them.
+    """Sum rate of one activation, or of every row of a batch of them, at
+    one transmit power or at each of G powers.
 
     amp:   (N, L) `amplitude_matrix` of per-(user, position) terms.
     sel:   sorted position indices of one activation, shape (S,), or a
            batch of B activations of one size, shape (B, S), each row
            sorted; S >= 1.
     watts: transmit power per antenna, P_t/S, or a (B, 1) array of each
-           row's.
+           row's; at G powers, a (G, 1, 1) or (G, B, 1) array.
     noise: noise power in watts.
     alloc: power fractions indexed by SIC rank.
 
-    Returns a 0-d float for one activation and (B,) floats for a batch.  A
-    row's result is bit-identical either way (the tests check it), and to
-    the sum rate of `noma.rate_report` on its `power_gains`.  One `take`
-    along axis 0 of the position-major view `amp.T` gathers the (S, N) or
-    (B, S, N) rows of the active positions, whatever `amp`'s storage order;
-    with the last two axes swapped, users vary fastest, so each user's terms
-    add in antenna order and the (B, N) gains come out C-contiguous, their
-    log2 terms adding along a contiguous last axis.  Every addition happens
-    in the same order either way.
+    Returns a 0-d float for one activation and (B,) floats for a batch; at
+    G powers, (G, 1) and (G, B).  A row's result is bit-identical either
+    way (the tests check it), and to the sum rate of `noma.rate_report` on
+    its `power_gains`.  One `take` along axis 0 of the position-major view
+    `amp.T` gathers the (S, N) or (B, S, N) rows of the active positions,
+    whatever `amp`'s storage order; with the last two axes swapped, users
+    vary fastest, so with two or more users each user's terms add in
+    antenna order.  With one user its terms are contiguous, and numpy sums
+    them pairwise, the same way on every path.  Each row's unscaled |z|^2
+    is sorted once and then scaled by its watts, or by each power's at G
+    powers: a product by a positive factor rounds monotonically, so this
+    equals scaling first and sorting after, bit for bit.  The (..., N)
+    gains come out C-contiguous, their log2 terms adding along a contiguous
+    last axis.
     """
     z = np.add.reduce(amp.T.take(sel, axis=0).swapaxes(-1, -2), axis=-1)
-    gains = _gains_of_sums(z, watts)
+    gains = _gains_of_sums(z, None)
     gains.sort(axis=-1)
+    gains = gains * watts
     return np.add.reduce(sic_rates(gains, alloc, noise), axis=-1)
 
 
@@ -62,9 +76,10 @@ class SetEvaluator:
 
     Scores one set (`utility`), or, for the matching scan's walk, every set
     that adds one position to a common base in one kernel call
-    (`_utilities`), with the base alone as a spare row.  `calls` counts the
-    sets it scores, batched or not, so searches can report their evaluation
-    budget; a spare row counts only when its walk takes it.
+    (`_utilities`), with the base alone as a spare row, at its own power or
+    at each power of its `family`.  `calls` counts the sets scored for it,
+    batched or not, so searches can report their evaluation budget; a spare
+    row counts only when its walk takes it.
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
@@ -95,6 +110,12 @@ class SetEvaluator:
         self._spare = self.n_positions if n_users > 1 else None
         self._padded = None
         self.calls = 0
+        # Weak references to the evaluators of this drop at every power of a
+        # sweep (`family`), whose matching scans run as one group, and this
+        # evaluator's scan result, held from its family's scan until its own
+        # call takes it.
+        self.family: tuple[weakref.ref, ...] | None = None
+        self._held = None
 
     def utility(self, indices) -> float:
         """Sum rate in bits/s/Hz for the given position indices; 0 if empty."""
@@ -105,32 +126,47 @@ class SetEvaluator:
         return float(set_sum_rate(self._amp, sel, self._pt_watts / sel.size,
                                   self._noise_watts, self._alloc))
 
-    def _utilities(self, base: list[int], positions: list[int]
-                   ) -> np.ndarray:
+    def _utilities(self, base: list[int], positions: list[int],
+                   group: list[SetEvaluator] | None = None) -> np.ndarray:
         """Sum rates of the sets `base` + {p}, one for each p of `positions`,
-        as (B,) floats; equal, bit for bit, to `utility` of each set.  No
-        index is checked: the caller, the matching scan's walk, vouches that
-        the sorted `base` and the `positions` are distinct grid indices.
+        as (B,) floats at this evaluator's power, or as (G, B) at the power
+        of each evaluator of `group`, members of this one's `family`; equal,
+        bit for bit, to `utility` of each set at its evaluator.  Each
+        evaluator scored for counts the sets.  No index is checked: the
+        caller, the matching scan's walk, vouches that the sorted `base` and
+        the `positions` are distinct grid indices.
 
         A last position `_spare` adds the spare row: `base` and a zero
         column, with the power split over `len(base)` antennas, so that
-        adding an exact 0 leaves it `utility(base)`, bit for bit.  The
-        caller offers it only for a nonempty `base` and counts it in
-        `calls` only if it takes it."""
-        rows = np.empty((len(positions), len(base) + 1), dtype=np.intp)
+        adding an exact 0 leaves it `utility(base)`, bit for bit; alone, it
+        is `base` itself.  The caller offers it only for a nonempty `base`
+        and counts it in `calls` only if it takes it."""
+        n = len(positions)
+        spare = bool(positions) and positions[-1] == self._spare
+        pt_watts = self._pt_watts
+        if group is None:
+            self.calls += n - spare
+        else:
+            for ev in group:
+                ev.calls += n - spare
+            pt_watts = np.array([[[ev._pt_watts]] for ev in group])
+        rows = np.empty((n, len(base) + 1), dtype=np.intp)
         rows[:, :-1] = base
         rows[:, -1] = positions
         rows.sort(axis=1)
-        spare = bool(positions) and positions[-1] == self._spare
-        self.calls += len(positions) - spare
-        amp, watts = self._amp, self._pt_watts / (len(base) + 1)
-        if spare:
+        amp, watts = self._amp, pt_watts / (len(base) + 1)
+        if spare and n == 1:  # the spare row alone is `base` itself
+            rows, watts = rows[:, :-1], pt_watts / len(base)
+        elif spare:
             if self._padded is None:
                 self._padded = np.zeros((len(amp.T) + 1, len(amp)), complex)
                 self._padded[:-1] = amp.T
-            per_row = np.empty((len(positions), 1))
-            per_row.fill(watts)
-            per_row[-1] = self._pt_watts / len(base)
+            if group is None:
+                per_row = np.empty((n, 1))
+                per_row.fill(watts)
+            else:
+                per_row = np.repeat(watts, n, axis=1)
+            per_row[..., -1:, :] = pt_watts / len(base)
             amp, watts = self._padded.T, per_row
         return set_sum_rate(amp, rows, watts, self._noise_watts, self._alloc)
 
@@ -142,3 +178,21 @@ class SetEvaluator:
             return np.zeros(self._amp.shape[0])
         return power_gains(self._amp.T.take(sel, axis=0).swapaxes(-1, -2),
                            self._pt_watts)
+
+
+def family(evaluators) -> tuple[SetEvaluator, ...]:
+    """Link the evaluators of one drop's amplitude matrix at several
+    transmit powers as one family: the first
+    `activation.matching_activation` call on any of them scans the drop at
+    every member's power as one group.  They may differ only in power."""
+    evaluators = tuple(evaluators)
+    if len(evaluators) > 1:
+        if len({(id(ev._amp), ev._alloc, ev._noise_watts)
+                for ev in evaluators}) > 1:
+            raise ValueError("a family's evaluators differ only in power")
+        # A family that held its members would make a reference cycle,
+        # freed only by the garbage collector's rare full passes.
+        refs = tuple(map(weakref.ref, evaluators))
+        for ev in evaluators:
+            ev.family = refs
+    return evaluators

@@ -1,11 +1,14 @@
 """Matching search, stability certificates, and the benchmark schemes."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import reference
@@ -21,7 +24,7 @@ from pinchsim import (BudgetExceededError, Matching, Move,
                       sum_rate)
 from pinchsim.cli import PRESETS
 from pinchsim.harness import build_spec, run_experiment
-from pinchsim.kernels import amplitude_matrix
+from pinchsim.kernels import amplitude_matrix, family
 from pinchsim.scenario import Deployment, waveguide_points
 
 
@@ -238,13 +241,13 @@ class _RecordingEvaluator(SetEvaluator):
         self.log.append(("utility", [tuple(sorted(indices))]))
         return self._scored(super().utility, indices)
 
-    def _utilities(self, base, positions):
+    def _utilities(self, base, positions, group=None):
         sets = [tuple(sorted([*base, p])) for p in positions]
         if positions and positions[-1] == self._spare:
             sets.pop()
             self._spare_set = tuple(base)
         self.log.append(("batch", sets))
-        return self._scored(super()._utilities, base, positions)
+        return self._scored(super()._utilities, base, positions, group)
 
     @property
     def scored(self) -> list[tuple[int, ...]]:
@@ -284,9 +287,9 @@ def test_scan_call_structure(monkeypatch):
     # from a start with every antenna active, the starting set is scored in
     # antenna 0's first batch, never alone, and each antenna walk makes at
     # most one batch call
-    def walk(ev, *args):
-        ev.log.append(("walk", []))
-        return real_walk(ev, *args)
+    def walk(group, *args):
+        group[0].ev.log.append(("walk", []))
+        return real_walk(group, *args)
 
     real_walk = activation._walk
     monkeypatch.setattr(activation, "_walk", walk)
@@ -329,9 +332,18 @@ class _SpareEvaluator(SetEvaluator):
         super().__init__(*args, **kwargs)
         self.spares: list[bool] = []
 
-    def _utilities(self, base, positions):
+    def _utilities(self, base, positions, group=None):
         self.spares.append(positions[-1] == self._spare)
-        return super()._utilities(base, positions)
+        return super()._utilities(base, positions, group)
+
+
+def _walk_alone(ev, assignment, antenna, memo):
+    """One antenna's walk as a group of one with `memo`; its moves."""
+    member = activation._Member(ev)
+    member.memo = memo
+    member.evaluations.append(0)
+    activation._walk([member], assignment, antenna)
+    return member.moves
 
 
 def test_only_an_active_antenna_with_company_offers_a_spare_row():
@@ -343,13 +355,13 @@ def test_only_an_active_antenna_with_company_offers_a_spare_row():
         # an inactive antenna has no deactivation to carry
         ev = _SpareEvaluator(cfg, dep, alloc)
         memo = {activation._mask([3]): ev.utility([3])}
-        activation._walk(ev, [None, 3], 0, memo, [], [])
+        _walk_alone(ev, [None, 3], 0, memo)
         assert ev.spares == [False]
         # an active one carries its deactivation, the other antenna's set;
         # it is counted, and kept, only if the walk reaches it unmoved
         ev = _SpareEvaluator(cfg, dep, alloc)
-        memo, moves = {}, []
-        activation._walk(ev, [5, 3], 0, memo, moves, [])
+        memo = {}
+        moves = _walk_alone(ev, [5, 3], 0, memo)
         assert ev.spares == [True]
         first = moves[0].target if moves else None
         reached = first is None or first > 5
@@ -391,6 +403,64 @@ def test_scan_work_counts_are_pinned(monkeypatch):
                                    "schemes": "matching"}))
         assert len(work) == 600
         assert tuple(map(sum, zip(*work))) == want
+
+
+# A wide low-SNR power sweep (N=K=4, L=20, -10..40 dBm in steps of 5) over
+# two blocks, where a trial's scans at its 11 powers part ways: the sha256 of
+# its CSV, its scan count and its work counts summed as in SCAN_WORK.
+WIDE_SWEEP = {"n_users": "4", "k_antennas": "4", "l_positions": "20",
+              "schemes": "matching,random", "trials": "70", "seed": "5",
+              "sweep_param": "pt_dbm", "sweep_from": "-10", "sweep_to": "40",
+              "sweep_step": "5"}
+WIDE_SWEEP_DIGEST = (
+    "125ef33d6ecf5fc0ee892750c9b29e77ec6464f56776b4749ade863c5cf3e8cc")
+WIDE_SWEEP_WORK = (770, (93520, 121663, 5976, 1789))
+
+
+def test_diverging_power_sweep_is_pinned(monkeypatch, tmp_path):
+    def counted(ev, initial):
+        calls = ev.calls
+        final, trajectory = real(ev, initial)
+        work.append((ev.calls - calls, trajectory.evaluations,
+                     len(trajectory.moves), trajectory.cycles))
+        return final, trajectory
+
+    real = harness.matching_activation
+    monkeypatch.setattr(harness, "matching_activation", counted)
+    work: list[tuple[int, int, int, int]] = []
+    out = tmp_path / "wide.csv"
+    run_experiment(build_spec({**WIDE_SWEEP, "output_path": str(out)}))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_SWEEP_DIGEST
+    assert (len(work), tuple(map(sum, zip(*work)))) == WIDE_SWEEP_WORK
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 3), extra=st.integers(0, 5),
+       powers=st.lists(st.integers(-20, 40), min_size=1, max_size=6,
+                       unique=True),
+       inactive=st.integers(0, 3), first=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_family_members_scan_as_they_would_alone(n, k, extra, powers,
+                                                 inactive, first, seed):
+    # one drop at up to six powers, low ones among them so that the group
+    # parts ways: whichever member is called first, each call returns, and
+    # counts, what a scan on a fresh evaluator at its power alone does
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(d1=float(rng.uniform(5.0, 30.0)), n_users=n,
+                       k_antennas=k, l_positions=max(2, k + extra))
+    dep = make_deployment(cfg, rng)
+    alloc = PowerAllocation.equal(n)
+    amp = amplitude_matrix(cfg, dep)
+    init = _scan_start(cfg, dep, rng, min(inactive, k))
+    configs = [dataclasses.replace(cfg, pt_dbm=float(p)) for p in powers]
+    members = family(SetEvaluator(c, dep, alloc, amp=amp) for c in configs)
+    first %= len(members)
+    for i in [*range(first, len(members)), *range(first)]:
+        alone = SetEvaluator(configs[i], dep, alloc, amp=amp)
+        got = matching_activation(members[i], init)
+        assert got == matching_activation(alone, init)
+        assert members[i].calls == alone.calls
+        assert check_stability(alone, got[0]) == (True, None)
 
 
 def test_scan_memo_never_crosses_powers():

@@ -292,7 +292,7 @@ def test_block_boundaries_change_no_byte(case, tmp_path):
 def test_block_terms_equal_per_trial_calls_exactly():
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
     assert harness._blocks(70) == [range(0, 64), range(64, 70)]
-    block = harness._block(cfg, range(64, 70), ALL_SCHEMES)
+    block = harness._block((cfg,), range(64, 70), ALL_SCHEMES)
     assert block.trials == range(64, 70)
     block_dep = block.deployment
     assert block_dep.users.shape == (6, 8, 3)
@@ -722,7 +722,7 @@ def test_a_non_numeric_value_is_a_config_error_naming_its_key(key, text):
 
 def test_block_gains_and_reports_equal_per_trial_calls():
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
-    block = harness._block(cfg, range(0, 70), ALL_SCHEMES)
+    block = harness._block((cfg,), range(0, 70), ALL_SCHEMES)
     alloc = PowerAllocation.equal(cfg.n_users)
     pt = dbm_to_watts(cfg.pt_dbm)
     random_active, random_terms = block.terms["random"]
@@ -757,9 +757,9 @@ def test_found_gains_equal_per_trial_evaluator_gains(k):
                if not key.startswith("sweep_")}
     cfg = replace(build_spec(entries).base, k_antennas=k)
     alloc = PowerAllocation.equal(cfg.n_users)
-    block = harness._block(cfg, range(0, 40), ("matching",))
+    block = harness._block((cfg,), range(0, 40), ("matching",))
     found = [f["matching"] for _, f, _, _ in harness._search_block(
-        block, None, cfg, alloc, ("matching",), 10 ** 6)]
+        block, 0, None, cfg, ("matching",), 10 ** 6)]
     assert len({len(f) for f in found}) > 1
     found[3] = ()  # no search finds the empty set; the gather still takes it
     pt = dbm_to_watts(cfg.pt_dbm)

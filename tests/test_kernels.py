@@ -11,7 +11,7 @@ from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig,
                       amplitude_matrix, amplitudes, dbm_to_watts,
                       effective_channel, make_deployment, power_gains,
                       stream_rng, sum_rate)
-from pinchsim.kernels import set_sum_rate
+from pinchsim.kernels import family, set_sum_rate
 
 
 def test_amplitude_matrix_reproduces_channels():
@@ -229,6 +229,43 @@ def test_shared_amplitude_matrix_serves_every_power():
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         assert shared.utility(sel) == own.utility(sel)
         assert shared.gains(sel).tolist() == own.gains(sel).tolist()
+
+
+def test_a_family_batch_equals_each_power_alone():
+    # sorted once and scaled per power, a batch at a family's powers gives
+    # each member's own rows bit for bit, its spare row too, alone or not,
+    # and counts the sets, spare aside, for each member
+    rng = np.random.default_rng(308)
+    for n, k, l_positions in [(1, 3, 8), (2, 2, 20), (4, 4, 30), (8, 8, 60)]:
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        dep = make_deployment(cfg, rng)
+        alloc = PowerAllocation.equal(n)
+        amp = amplitude_matrix(cfg, dep)
+        configs = [replace(cfg, pt_dbm=p) for p in (-20.0, 0.0, 17.5, 40.0)]
+        members = list(family(SetEvaluator(c, dep, alloc, amp=amp)
+                              for c in configs))
+        for size in range(1, k + 1):
+            chosen = rng.permutation(l_positions).tolist()
+            base = sorted(chosen[:size - 1])
+            positions = chosen[size - 1:][:int(rng.integers(1, 6))]
+            offers = [positions]
+            if base and members[0]._spare is not None:
+                offers += [[*positions, members[0]._spare], [members[0]._spare]]
+            for offer in offers:
+                calls = [m.calls for m in members]
+                got = members[0]._utilities(base, offer, members).tolist()
+                alone = [SetEvaluator(c, dep, alloc, amp=amp) for c in configs]
+                assert got == [a._utilities(base, offer).tolist()
+                               for a in alone]
+                assert [m.calls - c for m, c in zip(members, calls)] == [
+                    a.calls for a in alone]
+    # a family is one drop's matrix, allocation and noise at several powers
+    other = SetEvaluator(cfg, make_deployment(cfg, rng), alloc)
+    with pytest.raises(ValueError, match="differ only in power"):
+        family([members[0], other])
+    (lone,) = family([other])
+    assert lone.family is None
 
 
 def test_evaluator_gains_match_channel():
