@@ -16,7 +16,7 @@ from .noma import (PowerAllocation, RateReport, jain_fairness, rate_report,
                    sic_rates, sum_rate)
 from .scenario import (Deployment, SystemConfig, build_positions,
                        dbm_to_watts, derived_rf, feed_point, make_deployment,
-                       sample_users, stream_rng)
+                       sample_users, stream_rng, stream_rngs)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,6 @@ __all__ = [
     "exhaustive_search", "feed_point", "jain_fairness", "make_deployment",
     "matching_activation", "parse_config_file", "power_gains",
     "random_matching", "rate_report", "read_results", "run_experiment",
-    "sample_users", "sic_rates", "stream_rng", "sum_rate", "write_results",
-    "write_trace",
+    "sample_users", "sic_rates", "stream_rng", "stream_rngs", "sum_rate",
+    "write_results", "write_trace",
 ]

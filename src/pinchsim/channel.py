@@ -128,9 +128,16 @@ def effective_channel(indices, deployment: Deployment, config: SystemConfig,
     """
     n_positions = len(deployment.positions)
     if isinstance(indices, np.ndarray) and indices.ndim == 2:
-        # Each row is checked as one activation; none changes its length.
-        sel = np.array([selection(r, n_positions) for r in indices.tolist()],
-                       dtype=np.intp).reshape(indices.shape)
+        # Each row is one activation.  Rows of ascending integers in range,
+        # which `selection` passes as they are, are checked in array
+        # operations; any other batch runs `selection` row by row, so that
+        # its first bad row raises as it would alone.
+        if indices.dtype.kind in "iu" and np.diff(
+                indices, prepend=-1, append=n_positions).min(initial=1) > 0:
+            sel = indices.astype(np.intp, copy=False)
+        else:
+            sel = np.array([selection(r, n_positions) for r in indices],
+                           dtype=np.intp).reshape(indices.shape)
     else:
         sel = selection(indices, n_positions)
     if sel.size == 0:

@@ -46,7 +46,7 @@ from .kernels import SetEvaluator
 from .noma import PowerAllocation, rate_report, sum_rate
 from .scenario import (MATCHING_STREAM, USER_STREAM, Deployment,
                        SystemConfig, config_field_names, dbm_to_watts, integer,
-                       make_deployment, real, stream_rng)
+                       make_deployment, real, stream_rngs)
 
 log = logging.getLogger(__name__)
 
@@ -338,8 +338,8 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
     the whole block come from one numpy call per kind."""
     cfg = configs[0]
     alloc = PowerAllocation.equal(cfg.n_users)
-    deployment = make_deployment(
-        cfg, [stream_rng(cfg.seed, USER_STREAM, trial) for trial in trials])
+    deployment = make_deployment(cfg,
+                                 stream_rngs(cfg.seed, USER_STREAM, trials))
     grid = evaluators = initial = None
     if "matching" in schemes or "exhaustive" in schemes:
         # Looked up on the module, so the traced benchmark (perfbench)
@@ -349,9 +349,8 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
                                      for c in configs)
                       for amp in grid]
     if "matching" in schemes or "random" in schemes:
-        initial = [random_matching(cfg, deployment,
-                                   stream_rng(cfg.seed, MATCHING_STREAM, t))
-                   for t in trials]
+        initial = [random_matching(cfg, deployment, rng) for rng
+                   in stream_rngs(cfg.seed, MATCHING_STREAM, trials)]
     return _Block(trials, deployment, grid, alloc, evaluators, initial,
                   {s: BASELINES[s].terms(cfg, deployment, initial)
                    for s in schemes if s in BASELINES})

@@ -5,7 +5,9 @@ fed from the x=0 end; users live in the ground rectangle x in [0, d1],
 y in [-d2/2, d2/2], z=0.  Point sets are float arrays of shape (M, 3), one
 (x, y, z) row per point; a deployment's are read-only.  A deployment holds
 one drop's (N, 3) users or a block's (T, N, 3), on one grid and feed, and is
-checked once when built.
+checked once when built.  Each trial's drop and random start come from its
+own numpy SeedSequence -> PCG64 stream, seeded for a block of trials at once
+(`stream_rngs`).
 """
 
 from __future__ import annotations
@@ -231,13 +233,111 @@ def make_deployment(config: SystemConfig,
     )
 
 
-def stream_rng(seed: int, stream: int, trial: int = 0) -> np.random.Generator:
-    """Independent, reproducible generator for (stream, trial).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all of it
+# mod 2^32: see `stream_rngs`.
+_M32, _SHIFT, _32 = np.uint64(0xFFFFFFFF), np.uint64(16), np.uint64(32)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875,
+                                      0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_POOL = 4
+
+
+def _words(name: str, n) -> list[int]:
+    """`n`, a non-negative integer, as little-endian 32-bit words; 0 is
+    [0].  ValueError naming `name` for anything else."""
+    if (n := integer(name, n)) < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hash(v, hc: int, mult: int, rows: int):
+    """SeedSequence's `hashmix` run `rows` times in turn, row i of the
+    result on row i of `v` (rows broadcast), each call stepping the hash
+    constant `hc` by `mult`; and the constant after the last."""
+    consts = [hc * pow(mult, k, 1 << 32) % (1 << 32) for k in range(rows + 1)]
+    c = np.array(consts, dtype=np.uint64)[:, None]
+    v = (v ^ c[:-1]) * c[1:] & _M32
+    return v ^ v >> _SHIFT, consts[-1]
+
+
+def _absorb(pool: np.ndarray, hc: int, word):
+    """The (rows, T) `pool` after SeedSequence's `mix` of each row with the
+    `hashmix` of `word`, and the hash constant after them.  `word` is a
+    uint64, a (1,) row of the pool, or a (T,) array of one per trial."""
+    v, hc = _hash(word, hc, _MULT_A, len(pool))
+    r = (_MIX_L * pool - _MIX_R * v) & _M32
+    return r ^ r >> _SHIFT, hc
+
+
+@lru_cache(maxsize=16, typed=True)  # typed: a bool is no seed
+def _stream_pool(seed: int, stream: int) -> tuple[np.ndarray, int]:
+    """The (4, 1) pool of SeedSequence(seed, spawn_key=(stream, trial))
+    after every entropy word but the trial's, and the hash constant that
+    the trial's words start at; the same for every trial of the stream."""
+    words = _words("seed", seed)
+    words += [0] * (_POOL - len(words))  # a spawn key pads the seed
+    pool, hc = _hash(np.array(words[:_POOL], dtype=np.uint64)[:, None],
+                     _INIT_A, _MULT_A, _POOL)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst], hc = _absorb(pool[dst], hc, pool[src])
+    for word in words[_POOL:] + _words("stream", stream):
+        pool, hc = _absorb(pool, hc, np.uint64(word))
+    pool.flags.writeable = False
+    return pool, hc
+
+
+@lru_cache(maxsize=None)
+def _seed_words():
+    """A numpy `ISeedSequence` that hands PCG64 its precomputed state words;
+    made on first use, since importing numpy.random loads hashlib."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds exactly 4 uint64 words of PCG64 "
+                                 f"state, not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return SeedWords
+
+
+def stream_rngs(seed: int, stream: int, trials: range
+                ) -> list[np.random.Generator]:
+    """Independent, reproducible generators for (stream, trial), one per
+    trial of `trials`, indices in [0, 2^64).
 
     Streams keyed only by (seed, stream, trial): the drop for a given trial is
     identical across schemes and across sweeps of non-geometry parameters.
+    Each is numpy's `default_rng(SeedSequence(seed, spawn_key=(stream,
+    trial)))`, state for state, with the SeedSequence hash computed for all
+    of `trials` at once: the pool after the seed and stream words is shared,
+    and the trial words and output step run as array operations.  The
+    generators' `seed_seq` only holds their PCG64 state words, so it is not
+    a `SeedSequence` and cannot `spawn`.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, trial)))
+    if trials and not (min(trials) >= 0 and max(trials) < 1 << 64):
+        raise ValueError("trial indices must lie in [0, 2**64)")
+    t = np.array(trials, dtype=np.uint64)
+    pool, hc = _absorb(*_stream_pool(seed, stream), t & _M32)
+    if trials and max(trials) >> 32:  # a second trial word
+        wide = t > _M32
+        pool[:, wide] = _absorb(pool[:, wide], hc, t[wide] >> _32)[0]
+    w, _ = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 2 * _POOL)
+    words = np.ascontiguousarray((w[0::2] | w[1::2] << _32).T)
+    seeded, pcg64 = _seed_words(), np.random.PCG64
+    return [np.random.Generator(pcg64(seeded(row))) for row in words]
+
+
+def stream_rng(seed: int, stream: int, trial: int = 0) -> np.random.Generator:
+    """The generator of one (stream, trial): numpy's SeedSequence -> PCG64
+    stream, as `stream_rngs` seeds it for a block, and like its generators
+    one whose `seed_seq` is not a `SeedSequence` (no `spawn`)."""
+    return stream_rngs(seed, stream, range(trial, trial + 1))[0]
 
 
 def dbm_to_watts(value: float) -> float:

@@ -287,3 +287,17 @@ def test_batch_of_activations_is_checked_row_by_row():
             effective_channel(indices, dep, CFG, terms)
         with pytest.raises(ValueError, match="^amp must hold one"):
             sum_rate(indices, dep, CFG, alloc, terms)
+
+
+def test_a_batchs_first_bad_row_names_the_error():
+    # the array check finds that a batch is bad; which row, and how, the
+    # first bad row alone decides, whatever the later rows break
+    dep = make_deployment(CFG, stream_rng(2, 0, 0))
+    alloc = PowerAllocation.equal(CFG.n_users)
+    for rows, message in ((((0, 2), (0, 0), (-1, 2)), "distinct"),
+                          (((0, 2), (-1, 2), (0, 0)), "out of range"),
+                          (((0, 2), (3, 1), (0, 0)), "distinct")):
+        for path in (lambda r: effective_channel(r, dep, CFG),
+                     lambda r: sum_rate(r, dep, CFG, alloc)):
+            with pytest.raises(ValueError, match=f"^position ind.*{message}$"):
+                path(np.array(rows))

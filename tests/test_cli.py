@@ -378,12 +378,14 @@ def test_a_power_at_which_every_rate_is_0_is_a_clean_error(tmp_path, capsys):
 
 
 def test_importing_the_cli_loads_neither_hashlib_nor_statistics():
-    # only a DEBUG run hashes its drops, and the means need no statistics
+    # only a DEBUG run hashes its drops, and the means need no statistics;
+    # numpy.random, which loads hashlib, waits for the first trial's streams
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, pinchsim.cli; pinchsim.cli.build_parser(); "
-            "print(sorted({'hashlib', 'statistics'} & set(sys.modules)))")
+            "print(sorted({'hashlib', 'statistics', 'numpy.random'} "
+            "& set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"

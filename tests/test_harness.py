@@ -275,6 +275,15 @@ BLOCK_DIGESTS = {
     ("pt_dbm", 70): "817d53f4f9504b72a82d5062c26d033839fa8229dfb7cae63cecdbb80efe205f",
     ("d1", 70): "7130cee9cca7c4be0bbc234cf879b77eeef84d32d05721f2555266c92fdf69d4",
 }
+# sha256 of a `baselines`-shaped sweep at a seed of two 32-bit words, 70
+# trials (two blocks), recorded while each trial's streams were seeded one
+# numpy SeedSequence at a time:
+#   pinchsim sweep --schemes random,distance,conventional --n-users 8
+#     --k-antennas 8 --l-positions 60 --d1 30 --sweep-param pt_dbm
+#     --sweep-from 20 --sweep-to 40 --sweep-step 10
+#     --seed 18446744073709551615 --trials 70
+TWO_WORD_SEED_DIGEST = (
+    "0ad2e65c5a526d08592b20d5d48763563ee1e45ed9cd0eb733c35f1bcf84912a")
 BLOCK_SWEEPS = {"trials": None, "pt_dbm": SweepSpec("pt_dbm", 20.0, 30.0, 10.0),
                 "d1": SweepSpec("d1", 8.0, 12.0, 2.0)}
 
@@ -287,6 +296,16 @@ def test_block_boundaries_change_no_byte(case, tmp_path):
                                   trials=trials, sweep=BLOCK_SWEEPS[kind],
                                   output_path=out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCK_DIGESTS[case]
+
+
+def test_a_two_word_seed_run_changes_no_byte(tmp_path):
+    out = tmp_path / "r.csv"
+    run_experiment(ExperimentSpec(
+        base=SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60,
+                          seed=2**64 - 1),
+        schemes=("random", "distance", "conventional"), trials=70,
+        sweep=SweepSpec("pt_dbm", 20.0, 40.0, 10.0), output_path=out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TWO_WORD_SEED_DIGEST
 
 
 def test_block_terms_equal_per_trial_calls_exactly():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pinchsim import (Deployment, ExperimentSpec, SweepSpec, SystemConfig,
                       build_positions, dbm_to_watts, derived_rf, feed_point,
-                      make_deployment, sample_users, stream_rng)
+                      make_deployment, sample_users, stream_rng, stream_rngs)
 from pinchsim.harness import spec_to_dict
 from pinchsim.scenario import waveguide_points
 
@@ -85,6 +85,64 @@ def test_stream_rng_streams_are_distinct():
     assert not np.allclose(r1, r2)
     assert not np.allclose(r1, r3)
     assert np.array_equal(r1, stream_rng(5, 0, 0).uniform(size=4))
+
+
+def _numpy_stream(seed, stream, trial):
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(stream, trial)))
+
+
+def _same_stream(got, want, n_positions=20, k=4):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.uniform() == want.uniform()
+    assert (got.choice(n_positions, k, replace=False).tolist()
+            == want.choice(n_positions, k, replace=False).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       stream=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40]),
+       start=st.one_of(st.integers(0, 200), st.integers(2**32 - 70, 2**32 + 5),
+                       st.integers(2**64 - 70, 2**64 - 1)),
+       length=st.integers(0, 70))
+def test_block_streams_are_numpys_seed_sequence_streams(seed, stream, start,
+                                                        length):
+    # a range may straddle 2^32, where a trial index takes a second word
+    trials = range(start, min(start + length, 2**64))
+    rngs = stream_rngs(seed, stream, trials)
+    assert len(rngs) == len(trials)
+    for rng, trial in zip(rngs, trials):
+        _same_stream(rng, _numpy_stream(seed, stream, trial))
+
+
+def test_one_trial_stream_and_the_seed_object():
+    for seed, stream, trial in ((0, 0, 0), (5, 1, 2**32), (2**64 - 1, 0, 3)):
+        _same_stream(stream_rng(seed, stream, trial),
+                     _numpy_stream(seed, stream, trial))
+    assert stream_rngs(7, 0, range(5, 5)) == []
+    with pytest.raises(ValueError, match="trial indices"):
+        stream_rngs(7, 0, range(-1, 2))
+    with pytest.raises(ValueError, match="trial indices"):
+        stream_rng(7, 0, 2**64)
+    stream_rng(1, 1, 0)  # a cached (1, 1) pool must not serve seed True
+    for seed, stream, message in ((-1, 0, "seed must be >= 0, got -1"),
+                                  (1, -2, "stream must be >= 0, got -2"),
+                                  (True, 1, "seed must be an integer"),
+                                  (1.0, 1, "seed must be an integer")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            stream_rng(seed, stream, 0)
+    # the seed object only hands PCG64 the 4 uint64 words it seeds from
+    seed_seq = stream_rng(7, 0, 3).bit_generator.seed_seq
+    assert not isinstance(seed_seq, np.random.SeedSequence)
+    assert (seed_seq.generate_state(4, np.uint64).tolist()
+            == np.random.SeedSequence(7, spawn_key=(0, 3))
+            .generate_state(4, np.uint64).tolist())
+    for n_words, dtype in ((4, np.uint32), (3, np.uint64), (8, np.uint64),
+                           (2, np.uint32)):
+        with pytest.raises(ValueError, match="exactly 4 uint64 words"):
+            seed_seq.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="exactly 4 uint64 words"):
+        seed_seq.generate_state(4)
 
 
 def test_config_rejects_bad_parameters():
