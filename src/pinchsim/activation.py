@@ -151,7 +151,8 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     A free position is a relocation candidate (an activation when the antenna
     is inactive); the antenna's own position is its deactivation candidate;
     positions held by other antennas are skipped.  An accepted move goes to
-    the member's moves and utilities, and its walk goes on at the next
+    the member's moves and utilities, and its cycle, the number of its
+    cycles begun, to its move cycles; its walk goes on at the next
     position.  The other antennas stay put, so every candidate is their set
     plus one position, or their set alone for the deactivation.  The walk
     reads the first member's memo once for all its relocation sets and
@@ -221,6 +222,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
             if gain > utility:
                 moves.append(Move(antenna, at, target))
                 m.utilities.append(gain)
+                m.move_cycles.append(len(m.evaluations))
                 utility, at = gain, target
         m.evaluations[-1] += len(positions)
         if evs:
@@ -235,10 +237,12 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
 def _scan(group: list[_Member], assignment: list[int | None],
           antenna: int = 0) -> None:
     """Run `group`'s scans from `antenna`'s walk of the current cycle on,
-    one walk per antenna and cycle, until a cycle accepts nothing; then
-    each member's `assignment` is the final one.  Where a walk's members
-    take different moves, each part of the group goes on alone from the
-    next walk, with its own copy of the assignment."""
+    one walk per antenna and cycle, until a cycle accepts nothing, which it
+    did when the last move of the group's first member (the same moves as
+    every member's) was made in an earlier cycle, or none was; then each
+    member's `assignment` is the final one.  Where a walk's members take
+    different moves, each part of the group goes on alone from the next
+    walk, with its own copy of the assignment."""
     lead = group[0]
     while True:
         if antenna == 0:
@@ -253,13 +257,10 @@ def _scan(group: list[_Member], assignment: list[int | None],
                     _scan(part, rest, a + 1)
                 return
         antenna = 0
-        accepted = len(lead.moves) - len(lead.move_cycles)
-        if not accepted:
+        if not lead.moves or lead.move_cycles[-1] < len(lead.evaluations):
             for m in group:
                 m.assignment = assignment
             return
-        for m in group:
-            m.move_cycles += [len(lead.evaluations)] * accepted
 
 
 def matching_activation(ev: SetEvaluator, initial: Matching
@@ -276,9 +277,10 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     examined; the starting set is scored in antenna 0's first batch when
     antenna 0 starts active.  The K antennas are those of `initial`.
 
-    An evaluator of a `kernels.family` scans the drop at every member's
-    power as one group: while their moves agree, the members share each
-    walk and its kernel call, and each keeps its own memo, as every
+    The scan runs for the evaluator's `kernels.family`, a lone evaluator
+    being a family of one.  A larger family scans the drop at every
+    member's power as one group: while their moves agree, the members share
+    each walk and its kernel call, and each keeps its own memo, as every
     evaluator is bound to one transmit power.  This call returns its own
     evaluator's result; each other member's is held until its own call with
     the same `initial` takes it, and only then counts its sets in `calls`,
@@ -295,20 +297,18 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     # its mask, which an index far off the grid would make huge.
     selection(active, ev.n_positions)
     start = _mask(active)
-    group = [_Member(ev)]
-    if ev.family:
-        group += [_Member(e) for e in (member() for member in ev.family)
-                  if e is not None and e is not ev]
-        counted = [m.ev.calls for m in group]
+    group = [_Member(ev)] + [_Member(e) for e in
+                             (member() for member in ev.family or ())
+                             if e is not None and e is not ev]
+    counted = [m.ev.calls for m in group]
     if not assignment or assignment[0] is None:
         # Otherwise the starting set rides in antenna 0's first batch.
         for m in group:
             m.memo[start] = m.ev.utility(active)
     _scan(group, assignment)
-    if ev.family:
-        for m, calls in zip(group[1:], counted[1:]):
-            m.ev._held = (initial, m.ev.calls - calls, m.result(start))
-            m.ev.calls = calls
+    for m, calls in zip(group[1:], counted[1:]):
+        m.ev._held = (initial, m.ev.calls - calls, m.result(start))
+        m.ev.calls = calls
     return group[0].result(start)
 
 

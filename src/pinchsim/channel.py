@@ -84,7 +84,7 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     amplitude terms, or (..., N) gains from (..., N, S) terms, such as a
     (T, N, S) block of drops or the search kernel's (B, N, S) batch; P_t is
     split equally over the S antennas.  It is the per-user sum of the terms,
-    then `_gains_of_sums`.
+    then `_gains_of_sums`, scaled in place by P_t/S.
 
     With two or more users, each user's terms add in antenna order when
     users vary fastest in memory, as they do in `amplitudes` and in the
@@ -95,21 +95,19 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     can differ from the running sum; every path takes the same pairwise
     sum, so the gains still agree bit for bit.
     """
-    return _gains_of_sums(np.add.reduce(terms, axis=-1),
-                          pt_watts / terms.shape[-1])
+    gains = _gains_of_sums(np.add.reduce(terms, axis=-1))
+    gains *= pt_watts / terms.shape[-1]
+    return gains
 
 
-def _gains_of_sums(z: np.ndarray, watts) -> np.ndarray:
-    """The gains w * |z|^2 of (..., N) per-user sums of amplitude terms,
-    where w, the transmit power per antenna, is a float or a (B, 1) array
-    of each row's; None leaves |z|^2 unscaled, for a caller that scales it
-    after sorting.  The gain is formed in one buffer, by the operations of
-    w * (re*re + im*im) in the same order.
+def _gains_of_sums(z: np.ndarray) -> np.ndarray:
+    """The unscaled gains |z|^2 of (..., N) per-user sums of amplitude
+    terms, formed in one new buffer as re*re + im*im.  `power_gains` scales
+    them in place by the transmit power per antenna; the search kernel
+    sorts them first and scales them after.
     """
     g = z.real * z.real
     g += z.imag * z.imag
-    if watts is not None:
-        g *= watts
     return g
 
 

@@ -356,13 +356,6 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
                    for s in schemes if s in BASELINES})
 
 
-def _zero_optimum(cfg: SystemConfig, trial: int) -> ValueError:
-    """The error for a trial whose exhaustive sum rate, the denominator of
-    every ratio to exhaustive, is 0."""
-    return ValueError(f"exhaustive sum rate is 0 at {cfg.pt_dbm} dBm transmit "
-                      f"power (trial {trial}): no ratio to exhaustive")
-
-
 def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
                   schemes, budget: int):
     """Per trial of `block`, in order: log its drop, run the searches that
@@ -372,7 +365,7 @@ def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
     set it found, as grid indices; `optimum` is the exhaustive sum rate and
     `trajectory` the matching's, None where that scheme is not searched.
     The exhaustive search runs first: a trial whose optimum is 0 stops with
-    `_zero_optimum` before its matching runs.  When `schemes` names no
+    a ValueError before its matching runs.  When `schemes` names no
     search, the block has no grid matrices: its drops are logged and
     nothing is yielded."""
     for i, trial in enumerate(block.trials):
@@ -384,8 +377,10 @@ def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
         if "exhaustive" in schemes:
             found["exhaustive"], optimum = exhaustive_search(
                 evaluator, cfg.k_antennas, budget)
-            if optimum == 0:
-                raise _zero_optimum(cfg, trial)
+            if optimum == 0:  # the denominator of every ratio to it
+                raise ValueError(
+                    f"exhaustive sum rate is 0 at {cfg.pt_dbm} dBm transmit "
+                    f"power (trial {trial}): no ratio to exhaustive")
         if "matching" in schemes:
             final, trajectory = matching_activation(evaluator,
                                                     block.initial[i])

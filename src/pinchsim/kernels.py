@@ -56,7 +56,7 @@ def set_sum_rate(amp, sel, watts, noise, alloc):
     last axis.
     """
     z = np.add.reduce(amp.T.take(sel, axis=0).swapaxes(-1, -2), axis=-1)
-    gains = _gains_of_sums(z, None)
+    gains = _gains_of_sums(z)
     gains.sort(axis=-1)
     gains = gains * watts
     return np.add.reduce(sic_rates(gains, alloc, noise), axis=-1)
@@ -143,13 +143,10 @@ class SetEvaluator:
         and counts it in `calls` only if it takes it."""
         n = len(positions)
         spare = bool(positions) and positions[-1] == self._spare
-        pt_watts = self._pt_watts
-        if group is None:
-            self.calls += n - spare
-        else:
-            for ev in group:
-                ev.calls += n - spare
-            pt_watts = np.array([[[ev._pt_watts]] for ev in group])
+        for ev in group or (self,):
+            ev.calls += n - spare
+        pt_watts = self._pt_watts if group is None else np.array(
+            [[[ev._pt_watts]] for ev in group])
         rows = np.empty((n, len(base) + 1), dtype=np.intp)
         rows[:, :-1] = base
         rows[:, -1] = positions
