@@ -53,7 +53,9 @@ class SystemConfig:
     """All scalar parameters of one scenario.
 
     Powers are taken in dBm at this interface and converted to watts once,
-    inside the evaluation code; every formula runs on linear units.
+    inside the evaluation code; every formula runs on linear units.  A
+    scenario whose distances, phases, loss, amplitude sums or SINR would
+    leave the float range is refused, naming the fields they depend on.
     """
 
     d1: float = 10.0              # m, waveguide / rectangle length
@@ -104,6 +106,36 @@ class SystemConfig:
             raise ValueError(
                 f"adjacent position spacing {spacing:.6g} m is below half a "
                 f"wavelength ({half_wave:.6g} m)")
+        # Bounds on what the channel and the rates compute, each by the float
+        # operations `*`, `/` and `+`, which give inf where `**` would raise.
+        # No scheme places an antenna outside x in [0, d1], every amplitude
+        # term is at most eta/height, and so a gain is at most `peak`.
+        lam, _, eta = derived_rf(self)
+        half = self.d2 / 2.0
+        r2 = self.d1 * self.d1 + half * half + self.height * self.height
+        unit = eta / self.height
+        terms = self.k_antennas * unit
+        peak = dbm_to_watts(self.pt_dbm) * self.k_antennas * unit * unit
+        noise = dbm_to_watts(self.noise_dbm)
+        for names, quantity, value in (
+                ("d1, d2, height", "the squared farthest user-antenna "
+                 "distance d1^2 + (d2/2)^2 + height^2", r2),
+                ("carrier_hz", "the free-space phase 2*pi*r/lambda",
+                 2.0 * math.pi * math.sqrt(r2) / lam),
+                ("n_eff", "the guided phase 2*pi*d1*n_eff/lambda",
+                 2.0 * math.pi * self.d1 * self.n_eff / lam),
+                ("kappa_db_per_m", "the loss exponent kappa*d1/10",
+                 self.kappa_db_per_m * self.d1 / 10.0),
+                ("k_antennas, carrier_hz, height", "the bound "
+                 "(K*eta/height)^2 on |sum of amplitude terms|^2",
+                 terms * terms),
+                ("pt_dbm, noise_dbm", "the SINR bound "
+                 "P_t*K*(eta/height)^2/sigma^2", peak / noise),
+                ("pt_dbm, noise_dbm", "the interference-plus-noise bound "
+                 "P_t*K*(eta/height)^2 + sigma^2", peak + noise)):
+            if not math.isfinite(value):
+                raise ValueError(f"{names}: {quantity} is beyond the "
+                                 "float range")
 
 
 def _check_grid(xs: np.ndarray) -> None:

@@ -380,13 +380,9 @@ def test_only_an_active_antenna_with_company_offers_a_spare_row():
         assert ev.calls == cfg.l_positions  # one per position, none for ()
 
 
-# Per seed: kernel rows, evaluations, accepted moves and cycles summed over
-# the 600 scans of the power preset at 120 trials (the `scan` benchmark
-# workload).  A faster scan must still do this work, no more and no less.
-SCAN_WORK = {3: (32447, 49856, 2984, 1312), 1: (33120, 50654, 2903, 1333)}
-
-
-def test_scan_work_counts_are_pinned(monkeypatch):
+def _count_scans(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Make each of the harness's matching scans append its kernel rows,
+    evaluations, accepted moves and cycles to the list returned."""
     def counted(ev, initial):
         calls = ev.calls
         final, trajectory = real(ev, initial)
@@ -394,15 +390,43 @@ def test_scan_work_counts_are_pinned(monkeypatch):
                      len(trajectory.moves), trajectory.cycles))
         return final, trajectory
 
+    work: list[tuple[int, int, int, int]] = []
     real = harness.matching_activation
     monkeypatch.setattr(harness, "matching_activation", counted)
+    return work
+
+
+# Per seed: kernel rows, evaluations, accepted moves and cycles summed over
+# the 600 scans of the power preset at 120 trials (the `scan` benchmark
+# workload).  A faster scan must still do this work, no more and no less.
+SCAN_WORK = {3: (32447, 49856, 2984, 1312), 1: (33120, 50654, 2903, 1333)}
+
+
+def test_scan_work_counts_are_pinned(monkeypatch):
+    work = _count_scans(monkeypatch)
     for seed, want in SCAN_WORK.items():
-        work: list[tuple[int, int, int, int]] = []
+        work.clear()
         run_experiment(build_spec({**PRESETS["power"], "trials": "120",
                                    "seed": str(seed),
                                    "schemes": "matching"}))
         assert len(work) == 600
         assert tuple(map(sum, zip(*work))) == want
+
+
+# The lone scans of two presets that sweep no power, so that each drop's
+# scan runs alone, at 20 trials, seed 1: the scan count and the work counts
+# summed as in SCAN_WORK.
+LONE_SCAN_WORK = {"antenna-count": (80, (11414, 14675, 771, 191)),
+                  "area-length": (60, (7653, 10248, 565, 150))}
+
+
+def test_lone_scan_work_counts_are_pinned(monkeypatch):
+    work = _count_scans(monkeypatch)
+    for preset, want in LONE_SCAN_WORK.items():
+        work.clear()
+        run_experiment(build_spec({**PRESETS[preset], "trials": "20",
+                                   "seed": "1", "schemes": "matching"}))
+        assert (len(work), tuple(map(sum, zip(*work)))) == want
 
 
 # A wide low-SNR power sweep (N=K=4, L=20, -10..40 dBm in steps of 5) over
@@ -418,16 +442,7 @@ WIDE_SWEEP_WORK = (770, (93520, 121663, 5976, 1789))
 
 
 def test_diverging_power_sweep_is_pinned(monkeypatch, tmp_path):
-    def counted(ev, initial):
-        calls = ev.calls
-        final, trajectory = real(ev, initial)
-        work.append((ev.calls - calls, trajectory.evaluations,
-                     len(trajectory.moves), trajectory.cycles))
-        return final, trajectory
-
-    real = harness.matching_activation
-    monkeypatch.setattr(harness, "matching_activation", counted)
-    work: list[tuple[int, int, int, int]] = []
+    work = _count_scans(monkeypatch)
     out = tmp_path / "wide.csv"
     run_experiment(build_spec({**WIDE_SWEEP, "output_path": str(out)}))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_SWEEP_DIGEST

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,29 @@ def test_power_outside_the_float_range_is_a_clean_error(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: {name}={float(value)!r} dBm is not a positive finite power "
         "in watts\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field", [
+    ("convergence --n-eff 1e305", "n_eff"),
+    ("run --d1 1e200 --schemes exhaustive", "d1"),
+    ("run --noise-dbm -3150 --l-positions 8 --schemes exhaustive",
+     "noise_dbm")])
+def test_a_channel_beyond_the_float_range_fails_before_any_trial(
+        tmp_path, monkeypatch, capsys, command, field):
+    # these once wrote nan utilities, raised a TypeError from the exhaustive
+    # search's (None, -inf), and ran every search on inf utilities before
+    # "rates must be finite", which names no field
+    def no_work(spec):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "convergence_trace", no_work)
+    out = tmp_path / "x.csv"
+    code = main([*command.split(), "--trials", "2", "--output", str(out)])
+    assert code == 2
+    assert re.fullmatch(rf"error: [^:]*\b{field}\b[^:]*: .* is beyond the "
+                        r"float range\n", capsys.readouterr().err)
     assert not out.exists()
 
 

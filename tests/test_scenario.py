@@ -6,12 +6,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from pinchsim import (Deployment, ExperimentSpec, SweepSpec, SystemConfig,
-                      build_positions, dbm_to_watts, derived_rf, feed_point,
-                      make_deployment, sample_users, stream_rng, stream_rngs)
+from pinchsim import (Deployment, ExperimentSpec, PowerAllocation,
+                      SetEvaluator, SweepSpec, SystemConfig, amplitude_matrix,
+                      amplitudes, build_positions, conventional_baseline,
+                      dbm_to_watts, derived_rf, distance_based_activation,
+                      exhaustive_search, feed_point, make_deployment,
+                      matching_activation, power_gains, random_matching,
+                      sample_users, stream_rng, stream_rngs)
 from pinchsim.harness import spec_to_dict
 from pinchsim.scenario import waveguide_points
 
@@ -180,9 +184,75 @@ def test_config_rejects_powers_outside_the_float_range(name, value):
     message = f"{name}={value!r} dBm is not a positive finite power in watts"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SystemConfig(**{name: value})
+    # Each edge with the other power at the same edge: both powers in watts
+    # are then finite and positive, and so is their SINR bound.
     for edge in (3100.0, -3200.0):
-        watts = dbm_to_watts(getattr(SystemConfig(**{name: edge}), name))
-        assert 0.0 < watts < math.inf
+        cfg = SystemConfig(pt_dbm=edge, noise_dbm=edge)
+        assert 0.0 < dbm_to_watts(getattr(cfg, name)) < math.inf
+
+
+# One config per bound on what the channel computes, each field inside its
+# own range.  The first, third and sixth once gave a TypeError from the
+# exhaustive search's (None, -inf), nan utilities, and a late "rates must be
+# finite"; the last, a rate of 0 from an interference term that overflowed.
+@pytest.mark.parametrize("entries, names, quantity", [
+    ({"d1": 1e200}, "d1, d2, height", "distance"),
+    ({"carrier_hz": 1e300, "d1": 1e20}, "carrier_hz", "free-space phase"),
+    ({"n_eff": 1e305}, "n_eff", "guided phase"),
+    ({"kappa_db_per_m": 1e308, "d1": 100.0}, "kappa_db_per_m",
+     "loss exponent"),
+    ({"height": 1e-160}, "k_antennas, carrier_hz, height", "terms"),
+    ({"noise_dbm": -3150.0, "l_positions": 8}, "pt_dbm, noise_dbm", "SINR"),
+    ({"pt_dbm": 3100.0, "noise_dbm": 3112.5, "height": 4e-4, "d1": 0.011,
+      "l_positions": 2}, "pt_dbm, noise_dbm", "interference-plus-noise"),
+])
+def test_config_refuses_a_channel_beyond_the_float_range(entries, names,
+                                                         quantity):
+    with pytest.raises(ValueError, match=rf"^{re.escape(names)}: .*"
+                       rf"{quantity}.* is beyond the float range$"):
+        SystemConfig(**entries)
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d1=_log_uniform(-2, 160), d2=_log_uniform(-2, 160),
+       height=_log_uniform(-160, 160), carrier_hz=_log_uniform(0, 160),
+       n_eff=_log_uniform(0, 150),
+       kappa=st.just(0.0) | _log_uniform(-300, 300),
+       pt_dbm=st.floats(-3200, 3100), noise_dbm=st.floats(-3200, 3100),
+       n=st.integers(1, 3), k=st.integers(1, 3), extra=st.integers(0, 5),
+       seed=st.integers(0, 2**32))
+def test_an_accepted_config_keeps_every_score_finite(
+        d1, d2, height, carrier_hz, n_eff, kappa, pt_dbm, noise_dbm, n, k,
+        extra, seed):
+    try:
+        cfg = SystemConfig(d1=d1, d2=d2, height=height, carrier_hz=carrier_hz,
+                           n_eff=n_eff, kappa_db_per_m=kappa, pt_dbm=pt_dbm,
+                           noise_dbm=noise_dbm, n_users=n, k_antennas=k,
+                           l_positions=max(k, 2) + extra, seed=seed)
+    except ValueError:
+        reject()
+    alloc = PowerAllocation.equal(n)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        dep = make_deployment(cfg, stream_rng(seed, 0, 0))
+        amp = amplitude_matrix(cfg, dep)
+        assert np.isfinite(amp).all()
+        ev = SetEvaluator(cfg, dep, alloc, amp=amp)
+        best, optimum = exhaustive_search(ev, k)
+        assert math.isfinite(optimum) and best is not None
+        assert np.isfinite(ev.gains(best)).all()
+        start = random_matching(cfg, dep, stream_rng(seed, 1, 0))
+        _, trajectory = matching_activation(ev, start)
+        assert all(map(math.isfinite, trajectory.utilities))
+        distance = amplitudes(cfg, dep.users,
+                              distance_based_activation(cfg, dep), dep.feed)
+        assert np.isfinite(power_gains(distance,
+                                       dbm_to_watts(pt_dbm))).all()
+        assert np.isfinite(conventional_baseline(cfg, dep.users, alloc).rates
+                           ).all()
 
 
 def test_config_rejects_subwavelength_spacing():
