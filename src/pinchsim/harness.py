@@ -18,7 +18,9 @@ trial), for the run and the convergence trace alike.  The reports run per
 (sweep value, block, scheme), one `rate_report` of the block's (T, N) gains
 each.  Each baseline scheme (random, distance, conventional) is one
 `BASELINES` entry: how it builds its block's terms and how it reports them
-at one power.  At most one block of drops is held at a time.
+at one power.  The searched schemes and distance report through one
+`_size_report` of their sets' terms, grouped by set size.  At most one block
+of drops is held at a time.
 """
 
 from __future__ import annotations
@@ -285,27 +287,38 @@ def _random_report(terms, deployment, cfg, alloc):
             np.full(len(active), cfg.k_antennas))
 
 
-def _distance_terms(cfg, deployment, initial):
-    """The amplitude terms of each trial at its distance-based placement,
-    batched by placement size S, since coinciding users collapse placements:
-    per size, the trials' row indices and their (G, N, S) terms."""
-    placements = distance_based_activation(cfg, deployment)
+def _by_size(sets, terms: Callable) -> list:
+    """The trials' nonempty `sets` grouped by size S: per size, the trials'
+    row indices `idx` and `terms(idx, members)`, their (G, N, S) amplitude
+    terms, where `members` are their sets."""
     by_size: dict[int, list[int]] = {}
-    for i, points in enumerate(placements):
-        by_size.setdefault(len(points), []).append(i)
-    return [(idx, amplitudes(cfg, deployment.users[idx],
-                             np.stack([placements[i] for i in idx]),
-                             deployment.feed))
+    for i, members in enumerate(sets):
+        if len(members):
+            by_size.setdefault(len(members), []).append(i)
+    return [(idx, terms(idx, [sets[i] for i in idx]))
             for idx in by_size.values()]
 
 
-def _distance_report(terms, deployment, cfg, alloc):
-    shape = deployment.users.shape[:2]
-    gains, active = np.empty(shape), np.empty(shape[0])
+def _size_report(terms, deployment, cfg, alloc):
+    """The block's RateReport and (T,) active counts from its `_by_size`
+    terms: one `power_gains` per size, then one `rate_report` of the (T, N)
+    gains.  A trial in no size, whose set is empty, has zero gains and 0
+    active antennas."""
+    gains = np.zeros(deployment.users.shape[:2])
+    active = np.zeros(len(gains))
     for idx, amp in terms:
         gains[idx] = power_gains(amp, dbm_to_watts(cfg.pt_dbm))
         active[idx] = amp.shape[-1]
     return rate_report(gains, alloc, dbm_to_watts(cfg.noise_dbm)), active
+
+
+def _distance_terms(cfg, deployment, initial):
+    """The amplitude terms of each trial at its distance-based placement,
+    by placement size, since coinciding users collapse placements."""
+    return _by_size(distance_based_activation(cfg, deployment),
+                    lambda idx, points: amplitudes(
+                        cfg, deployment.users[idx], np.stack(points),
+                        deployment.feed))
 
 
 def _conventional_terms(cfg, deployment, initial):
@@ -321,7 +334,7 @@ def _conventional_report(terms, deployment, cfg, alloc):
 # module when they run, so the traced benchmark (perfbench) wraps them here.
 BASELINES = {
     "random": _Baseline(_random_terms, _random_report),
-    "distance": _Baseline(_distance_terms, _distance_report),
+    "distance": _Baseline(_distance_terms, _size_report),
     "conventional": _Baseline(_conventional_terms, _conventional_report),
 }
 
@@ -388,20 +401,11 @@ def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
         yield trial, found, optimum, trajectory
 
 
-def _found_gains(grid: np.ndarray, found: list[tuple[int, ...]],
-                 pt_watts: float) -> np.ndarray:
-    """The (T, N) gains of each trial's found set of grid indices, from its
-    (N, L) slice of the block's `grid`.  The trials are batched by set size,
-    one `power_gains` of their (G, N, S) terms each, gathered with users
-    fastest in memory as the search kernel takes them, so each gain is
-    `SetEvaluator.gains`' bit for bit; an empty set has zero gains."""
-    gains = np.zeros(grid.shape[:2])
-    for size in set(map(len, found)) - {0}:
-        idx = [i for i, f in enumerate(found) if len(f) == size]
-        terms = grid.swapaxes(-1, -2)[np.array(idx)[:, None],
-                                      [found[i] for i in idx]]
-        gains[idx] = power_gains(terms.swapaxes(-1, -2), pt_watts)
-    return gains
+def _found_terms(grid: np.ndarray, idx: list[int], sel) -> np.ndarray:
+    """The (G, N, S) amplitude terms of the found sets `sel` of the trials
+    `idx`, one size S, from the block's (T, N, L) `grid`, gathered with users
+    fastest in memory as the search kernel takes them."""
+    return grid.swapaxes(-1, -2)[np.array(idx)[:, None], sel].swapaxes(-1, -2)
 
 
 def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
@@ -411,9 +415,11 @@ def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
     value's cells, in trial order.
 
     The searches run per trial.  Each scheme's rates then come from one
-    report of the whole block: a searched scheme's from one `rate_report`
-    of its trials' (T, N) gains, gathered from the block's grid matrices by
-    `_found_gains`, a baseline scheme's from its `BASELINES` entry.
+    report of the whole block: a searched scheme's from `_size_report` of
+    its found sets' terms, gathered by size from the block's grid matrices
+    with users fastest in memory, as the search kernel takes them, so the
+    sum rate is the searched utility bit for bit; a baseline scheme's from
+    its `BASELINES` entry.
     """
     # Per searched scheme: each trial's found set.
     found_sets = {s: [] for s in ("exhaustive", "matching")
@@ -425,11 +431,8 @@ def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
             found_sets[scheme].append(positions)
         if trajectory is not None:
             cycles[i] = trajectory.cycles
-    pt_watts = dbm_to_watts(cfg.pt_dbm)
-    noise_watts = dbm_to_watts(cfg.noise_dbm)
-    reports = {s: (rate_report(_found_gains(block.grid, sets, pt_watts),
-                               block.alloc, noise_watts),
-                   np.array([len(positions) for positions in sets], float))
+    reports = {s: _size_report(_by_size(sets, lambda idx, sel: _found_terms(
+        block.grid, idx, sel)), block.deployment, cfg, block.alloc)
                for s, sets in found_sets.items()}
     reports |= {s: BASELINES[s].report(terms, block.deployment, cfg,
                                        block.alloc)

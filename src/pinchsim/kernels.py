@@ -1,8 +1,9 @@
 """The precomputed set evaluator and its sum-rate kernel.
 
-The evaluator scores candidate activations by their sum rate.  Its public
-scoring, `utility` (the sum rate of one set) and `gains` (the per-user gains
-of one set), checks the grid indices it is given (`channel.selection`).  The
+The evaluator scores candidate activations by their sum rate.  Its only
+public scoring, `utility` (the sum rate of one set), checks the grid indices
+it is given (`channel.selection`).  A report's gains come from
+`channel.power_gains`, whose sum rate is `utility`'s bit for bit.  The
 exhaustive search scores every set once, one `utility` call each.  The
 matching search walks each antenna once per cycle and scores, in one batch
 of the private `_utilities`, the relocations of that walk that its run has
@@ -22,7 +23,7 @@ import weakref
 
 import numpy as np
 
-from .channel import _gains_of_sums, amplitudes, power_gains, selection
+from .channel import _gains_of_sums, amplitudes, selection
 from .noma import PowerAllocation, sic_rates
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
@@ -166,15 +167,6 @@ class SetEvaluator:
             per_row[..., -1:, :] = pt_watts / len(base)
             amp, watts = self._padded.T, per_row
         return set_sum_rate(amp, rows, watts, self._noise_watts, self._alloc)
-
-    def gains(self, indices) -> np.ndarray:
-        """Per-user |h|^2 of an activation, equal to `effective_channel`'s
-        and to the gains `utility` ranks."""
-        sel = selection(indices, self.n_positions)
-        if sel.size == 0:
-            return np.zeros(self._amp.shape[0])
-        return power_gains(self._amp.T.take(sel, axis=0).swapaxes(-1, -2),
-                           self._pt_watts)
 
 
 def family(evaluators) -> tuple[SetEvaluator, ...]:

@@ -103,12 +103,12 @@ def test_antenna_power_attenuated():
 
 def test_active_set_validation():
     # every public path that takes grid indices, the evaluator's `utility`
-    # and `gains` among them, runs the one check, and a bad activation fails
-    # there with the same message whichever path it took
+    # among them, runs the one check, and a bad activation fails there with
+    # the same message whichever path it took
     dep = make_deployment(CFG, stream_rng(2, 0, 0))
     alloc = PowerAllocation.equal(CFG.n_users)
     ev = SetEvaluator(CFG, dep, alloc)
-    paths = (ev.utility, ev.gains,
+    paths = (ev.utility,
              lambda indices: effective_channel(indices, dep, CFG),
              lambda indices: sum_rate(indices, dep, CFG, alloc))
     # a bool sorts and compares as 0 or 1, and numpy turns (True, 3) into

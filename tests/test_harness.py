@@ -19,9 +19,9 @@ from pinchsim import (ConfigError, Deployment, ExperimentSpec,
                       PowerAllocation, SweepSpec, SystemConfig, amplitudes,
                       build_spec, conventional_baseline, convergence_trace,
                       dbm_to_watts, distance_based_activation,
-                      make_deployment, parse_config_file, power_gains,
-                      random_matching, read_results, run_experiment,
-                      stream_rng, sum_rate)
+                      effective_channel, make_deployment, parse_config_file,
+                      power_gains, random_matching, rate_report, read_results,
+                      run_experiment, stream_rng, sum_rate)
 from pinchsim.activation import conventional_amplitudes, conventional_positions
 from pinchsim.cli import PRESETS
 from pinchsim import activation, harness, kernels, noma
@@ -769,7 +769,7 @@ def test_block_gains_and_reports_equal_per_trial_calls():
 
 
 @pytest.mark.parametrize("k", [6, 8])
-def test_found_gains_equal_per_trial_evaluator_gains(k):
+def test_size_report_equals_per_trial_reports(k):
     # the antenna-count geometry, where the scan deactivates antennas: the
     # found sets of one block differ in size, and each size is one gather
     entries = {key: v for key, v in PRESETS["antenna-count"].items()
@@ -780,14 +780,23 @@ def test_found_gains_equal_per_trial_evaluator_gains(k):
     found = [f["matching"] for _, f, _, _ in harness._search_block(
         block, 0, None, cfg, ("matching",), 10 ** 6)]
     assert len({len(f) for f in found}) > 1
-    found[3] = ()  # no search finds the empty set; the gather still takes it
-    pt = dbm_to_watts(cfg.pt_dbm)
-    gains = harness._found_gains(block.grid, found, pt)
-    for i, positions in enumerate(found):
-        ev = kernels.SetEvaluator(cfg, block.deployment, alloc,
-                                  amp=block.grid[i])
-        assert gains[i].tolist() == ev.gains(positions).tolist()
-    assert gains[3].tolist() == [0.0] * cfg.n_users
+    found[3] = ()  # no search finds the empty set; the report still takes it
+    terms = harness._by_size(found, lambda idx, sel: harness._found_terms(
+        block.grid, idx, sel))
+    assert sorted(i for idx, _ in terms for i in idx) == [
+        i for i, f in enumerate(found) if f]
+    report, active = harness._size_report(terms, block.deployment, cfg, alloc)
+    noise = dbm_to_watts(cfg.noise_dbm)
+    for i, (trial, positions) in enumerate(zip(block.trials, found)):
+        dep = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
+        one = rate_report(effective_channel(positions, dep, cfg), alloc, noise)
+        assert report.gains[i].tolist() == one.gains.tolist()
+        assert report.rates[i].tolist() == one.rates.tolist()
+        assert report.sum_rate[i] == one.sum_rate
+        assert report.fairness[i] == one.fairness
+        assert active[i] == len(positions)
+    assert report.gains[3].tolist() == [0.0] * cfg.n_users
+    assert active[3] == 0 and report.sum_rate[3] == 0.0
 
 
 def test_one_report_per_block_scheme_and_sweep_value(monkeypatch):

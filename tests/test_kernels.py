@@ -189,7 +189,7 @@ def test_evaluator_serves_one_drop_of_a_block():
         ev = SetEvaluator(cfg, block, alloc, amp=grid[t])
         alone = SetEvaluator(cfg, dep, alloc)
         assert ev.utility((2, 9)) == alone.utility((2, 9))
-        assert ev.gains((4,)).tolist() == alone.gains((4,)).tolist()
+        assert ev.utility((4,)) == alone.utility((4,))
 
 
 def test_evaluator_rejects_duplicate_and_non_integer_indices():
@@ -203,19 +203,19 @@ def test_evaluator_rejects_duplicate_and_non_integer_indices():
         with pytest.raises(ValueError, match="distinct"):
             ev.utility(bad)
         with pytest.raises(ValueError, match="distinct"):
-            ev.gains(bad)
+            effective_channel(bad, dep, cfg)
     for bad in ((2.7,), (2.0, 5.0), (True,), (True, 3), (3, False),
                 (np.float64(2.0),), (np.bool_(True), 3)):
         with pytest.raises(ValueError, match="integers"):
             ev.utility(bad)
         with pytest.raises(ValueError, match="integers"):
-            ev.gains(bad)
+            effective_channel(bad, dep, cfg)
     # rejected calls are not counted, valid ones score as before
     assert ev.calls == 1
     assert ev.utility((np.int64(3),)) == single
     assert ev.utility((np.uint8(3),)) == single
     assert ev.utility(()) == 0.0
-    assert ev.gains(()).tolist() == [0.0] * cfg.n_users
+    assert effective_channel((), dep, cfg).tolist() == [0.0] * cfg.n_users
 
 def test_shared_amplitude_matrix_serves_every_power():
     # the grid matrix does not depend on P_t: an evaluator handed one built
@@ -228,7 +228,8 @@ def test_shared_amplitude_matrix_serves_every_power():
         own = SetEvaluator(cfg, dep, alloc)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         assert shared.utility(sel) == own.utility(sel)
-        assert shared.gains(sel).tolist() == own.gains(sel).tolist()
+        assert effective_channel(sel, dep, cfg, amp[:, list(sel)]).tolist() == (
+            effective_channel(sel, dep, cfg).tolist())
 
 
 def test_a_family_batch_equals_each_power_alone():
@@ -268,16 +269,6 @@ def test_a_family_batch_equals_each_power_alone():
     assert lone.family is None
 
 
-def test_evaluator_gains_match_channel():
-    rng = np.random.default_rng(303)
-    for _ in range(50):
-        cfg, dep, alloc = helpers.random_instance(rng)
-        ev = SetEvaluator(cfg, dep, alloc)
-        sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
-        gains = effective_channel(sel, dep, cfg)
-        assert ev.gains(sel).tolist() == gains.tolist()
-
-
 def test_power_gains_are_the_formula_bit_for_bit():
     # formed in one buffer, a gain keeps the formula's operations in order
     rng = np.random.default_rng(304)
@@ -313,7 +304,6 @@ def test_kernel_is_the_same_for_an_amplitude_matrix_in_c_or_f_order():
             assert batch[0].tolist() == batch[1].tolist()
             for row, rate in zip(rows.tolist(), batch[0].tolist()):
                 assert ev_f.utility(row) == ev_c.utility(row) == rate
-                assert ev_f.gains(row).tolist() == ev_c.gains(row).tolist()
 
 
 def test_utility_is_deterministic():

@@ -9,8 +9,9 @@ import pytest
 import helpers
 import reference
 from pinchsim import (PowerAllocation, SetEvaluator, SystemConfig,
-                      dbm_to_watts, jain_fairness, make_deployment,
-                      rate_report, sic_rates, stream_rng, sum_rate)
+                      amplitude_matrix, dbm_to_watts, jain_fairness,
+                      make_deployment, power_gains, rate_report, sic_rates,
+                      stream_rng, sum_rate)
 
 
 def order(gains):
@@ -178,11 +179,14 @@ def test_report_sum_rate_is_the_searched_utility():
     for _ in range(1000):
         cfg, dep, alloc = helpers.random_instance(rng, n_max=8, k_max=8,
                                                   l_max=30)
-        ev = SetEvaluator(cfg, dep, alloc)
+        amp = amplitude_matrix(cfg, dep)
+        ev = SetEvaluator(cfg, dep, alloc, amp=amp)
         sel = helpers.random_subset(rng, cfg.l_positions, cfg.k_antennas)
         utility = ev.utility(sel)
         noise = dbm_to_watts(cfg.noise_dbm)
-        assert rate_report(ev.gains(sel), alloc, noise).sum_rate == utility
+        # gathered from the grid matrix, users fastest, as the harness does
+        gains = power_gains(amp.T[list(sel)].T, dbm_to_watts(cfg.pt_dbm))
+        assert rate_report(gains, alloc, noise).sum_rate == utility
         assert sum_rate(sel, dep, cfg, alloc).sum_rate == utility
 
 
