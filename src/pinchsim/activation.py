@@ -348,7 +348,8 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
 
     Ties go to the lexicographically smallest index tuple.  Refuses to start
     when `k_antennas` is not an integer >= 1, or when the candidate count
-    exceeds the budget.
+    exceeds the budget; raises a ValueError after the loop when no candidate
+    scores a finite utility.
     """
     if integer("k_antennas", k_antennas) < 1:
         raise ValueError(f"k_antennas must be >= 1, got {k_antennas!r}")
@@ -365,6 +366,10 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
                                           and best is not None and sel < best):
                 best = sel
                 best_utility = utility
+    if not math.isfinite(best_utility):
+        raise ValueError(f"the best utility of the exhaustive search is "
+                         f"{best_utility}, not finite: the evaluator's "
+                         "amplitude matrix leaves the float range")
     return best, best_utility
 
 

@@ -161,7 +161,9 @@ class Deployment:
     (L, 3) and `feed` (3,): read-only float copies of the given coordinates,
     in meters.  A block is checked in one pass, by the same rules as each of
     its drops alone; a bad user is named as its drop alone would name it,
-    the first in trial order.
+    the first in trial order.  Last, the squared spread of all the points,
+    summed over the axes, must be finite: it bounds every squared distance
+    the channel takes.
     """
 
     users: np.ndarray
@@ -196,6 +198,15 @@ class Deployment:
             if outside.any():
                 raise ValueError(f"user {axis}={v[outside][0]} outside "
                                  f"[{lo}, {hi}]")
+        points = np.concatenate((self.users.reshape(-1, 3), self.positions,
+                                 self.feed[None]))
+        with np.errstate(over="ignore"):
+            spread = np.ptp(points, axis=0)
+            spread = (spread * spread).sum()
+        if not math.isfinite(spread):
+            raise ValueError("users, positions, feed: their squared spread, "
+                             f"summed over x, y and z, reads {spread}, beyond "
+                             "the float range")
 
 
 def derived_rf(config: SystemConfig) -> tuple[float, float, float]:

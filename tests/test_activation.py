@@ -613,6 +613,23 @@ def test_exhaustive_tie_break_is_lexicographic():
     assert by_size == (0, 1)
 
 
+def test_exhaustive_search_refuses_when_no_utility_is_finite():
+    # an amplitude matrix beyond the float range scores no finite utility;
+    # the search used to return (None, -inf)
+    for fn in (lambda s: math.nan, lambda s: math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            exhaustive_search(_Stub(fn, 5), 2)
+    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=4)
+    dep = make_deployment(cfg, stream_rng(3, 0, 0))
+    amp = np.full((2, 4), complex(math.inf, math.inf))
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(2), amp=amp)
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^the best utility of the exhaustive search is "
+                              r"-inf, not finite"):
+        exhaustive_search(ev, 2)
+    assert ev.calls == 10  # every candidate scored once, then checked once
+
+
 def test_lossless_guide_dominates_for_single_antennas():
     # with |S| = 1, removing the dielectric loss can only raise the gain at
     # every position, so the best singleton utility dominates pointwise

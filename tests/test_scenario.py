@@ -454,6 +454,22 @@ def test_deployment_rejects_non_finite_coordinates(name, value):
         Deployment(**{**fields, name: bad})
 
 
+def test_deployment_refuses_a_spread_beyond_the_float_range():
+    # built by hand, such a deployment skipped SystemConfig's bounds and gave
+    # NaN amplitude terms: exhaustive_search returned (None, -inf) and the
+    # matching a NaN trajectory
+    users = ((1e160, 1.0, 0.0), (2.5e160, -1.0, 0.0))
+    positions = waveguide_points([0.0, 1e160, 2e160, 3e160], 3.0)
+    message = (r"^users, positions, feed: their squared spread, summed over "
+               r"x, y and z, reads inf, beyond the float range$")
+    for block in (users, [users]):
+        with pytest.raises(ValueError, match=message):
+            Deployment(users=block, positions=positions, feed=(0.0, 0.0, 3.0))
+    # a spread whose square is finite is accepted
+    Deployment(users=np.array(users) * 1e-10, positions=waveguide_points(
+        [0.0, 1e150, 2e150, 3e150], 3.0), feed=(0.0, 0.0, 3.0))
+
+
 @pytest.mark.parametrize("name, value", [
     ("users", np.zeros((2, 2))), ("users", np.zeros(3)),
     ("positions", np.zeros((4, 3, 1))), ("feed", np.zeros((1, 3))),
