@@ -348,8 +348,8 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
 
     Ties go to the lexicographically smallest index tuple.  Refuses to start
     when `k_antennas` is not an integer >= 1, or when the candidate count
-    exceeds the budget; raises a ValueError after the loop when no candidate
-    scores a finite utility.
+    exceeds the budget; raises a ValueError after the loop when the best
+    utility is not finite.
     """
     if integer("k_antennas", k_antennas) < 1:
         raise ValueError(f"k_antennas must be >= 1, got {k_antennas!r}")
@@ -368,8 +368,7 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
                 best_utility = utility
     if not math.isfinite(best_utility):
         raise ValueError(f"the best utility of the exhaustive search is "
-                         f"{best_utility}, not finite: the evaluator's "
-                         "amplitude matrix leaves the float range")
+                         f"{best_utility}, not finite")
     return best, best_utility
 
 

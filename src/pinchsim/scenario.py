@@ -161,9 +161,11 @@ class Deployment:
     (L, 3) and `feed` (3,): read-only float copies of the given coordinates,
     in meters.  A block is checked in one pass, by the same rules as each of
     its drops alone; a bad user is named as its drop alone would name it,
-    the first in trial order.  Last, the squared spread of all the points,
-    summed over the axes, must be finite: it bounds every squared distance
-    the channel takes.
+    the first in trial order.  Last, each drop's squared spread must be
+    finite: per axis, the farthest distance from one of its users to a
+    position or the feed, squared and summed over the axes.  It bounds every
+    squared distance the channel takes; two users alone may lie farther
+    apart, as a config's users do across its rectangle's width d2.
     """
 
     users: np.ndarray
@@ -198,15 +200,15 @@ class Deployment:
             if outside.any():
                 raise ValueError(f"user {axis}={v[outside][0]} outside "
                                  f"[{lo}, {hi}]")
-        points = np.concatenate((self.users.reshape(-1, 3), self.positions,
-                                 self.feed[None]))
+        others = np.concatenate((self.positions, self.feed[None]))
         with np.errstate(over="ignore"):
-            spread = np.ptp(points, axis=0)
-            spread = (spread * spread).sum()
-        if not math.isfinite(spread):
+            far = np.maximum(self.users - others.min(0),
+                             others.max(0) - self.users).max(-2, initial=0.0)
+            spread = (far * far).sum(-1)
+        if not np.isfinite(spread).all():
             raise ValueError("users, positions, feed: their squared spread, "
-                             f"summed over x, y and z, reads {spread}, beyond "
-                             "the float range")
+                             f"summed over x, y and z, reads {spread.max()}, "
+                             "beyond the float range")
 
 
 def derived_rf(config: SystemConfig) -> tuple[float, float, float]:

@@ -613,12 +613,17 @@ def test_exhaustive_tie_break_is_lexicographic():
     assert by_size == (0, 1)
 
 
-def test_exhaustive_search_refuses_when_no_utility_is_finite():
+def test_exhaustive_search_refuses_a_best_utility_that_is_not_finite():
     # an amplitude matrix beyond the float range scores no finite utility;
-    # the search used to return (None, -inf)
-    for fn in (lambda s: math.nan, lambda s: math.inf):
+    # the search used to return (None, -inf).  The check reads the best
+    # utility alone: one +inf among finite ones raises, a NaN never wins.
+    for fn in (lambda s: math.nan, lambda s: math.inf,
+               lambda s: math.inf if s == (2,) else 1.0):
         with pytest.raises(ValueError, match="not finite"):
             exhaustive_search(_Stub(fn, 5), 2)
+    assert exhaustive_search(
+        _Stub(lambda s: math.nan if s == (2,) else float(sum(s)), 5),
+        1) == ((4,), 4.0)
     cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=4)
     dep = make_deployment(cfg, stream_rng(3, 0, 0))
     amp = np.full((2, 4), complex(math.inf, math.inf))

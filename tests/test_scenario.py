@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -468,6 +469,19 @@ def test_deployment_refuses_a_spread_beyond_the_float_range():
     # a spread whose square is finite is accepted
     Deployment(users=np.array(users) * 1e-10, positions=waveguide_points(
         [0.0, 1e150, 2e150, 3e150], 3.0), feed=(0.0, 0.0, 3.0))
+
+
+def test_users_may_lie_farther_apart_than_the_spread_bound():
+    # SystemConfig bounds d1^2 + (d2/2)^2 + height^2, so two users across a
+    # width near 2.6e154 lie farther apart than any float square holds; only
+    # a user's distance to a position or the feed counts, drop by drop
+    cfg = SystemConfig(d2=2.6e154, n_users=2)
+    block = make_deployment(cfg, [stream_rng(1, 0, t) for t in range(8)])
+    ys = block.users[..., 1]
+    assert (ys.max(1) > 1e153).any() and (ys.min(1) < -1e153).any()
+    assert ys.max() - ys.min() > math.sqrt(sys.float_info.max)
+    lone = [[(1.0, 1.3e154, 0.0)], [(1.0, -1.3e154, 0.0)]]
+    Deployment(users=lone, positions=block.positions, feed=block.feed)
 
 
 @pytest.mark.parametrize("name, value", [
