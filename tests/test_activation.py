@@ -441,12 +441,31 @@ WIDE_SWEEP_DIGEST = (
 WIDE_SWEEP_WORK = (770, (93520, 121663, 5976, 1789))
 
 
-def test_diverging_power_sweep_is_pinned(monkeypatch, tmp_path):
+# The same sweep with one user, pinned alike.
+ONE_USER_SWEEP = {**WIDE_SWEEP, "n_users": "1"}
+ONE_USER_SWEEP_DIGEST = (
+    "58c30fc87ca3d077696e104ac2bf818978d4bf9ec69d9a8973ee3278a1e138ed")
+ONE_USER_SWEEP_WORK = (770, (92444, 120428, 7095, 1771))
+
+
+def _sweep_pins(monkeypatch, tmp_path, settings):
+    """The sha256 of the CSV of a sweep run with `settings`, and its scan
+    count and work counts summed as in SCAN_WORK."""
     work = _count_scans(monkeypatch)
-    out = tmp_path / "wide.csv"
-    run_experiment(build_spec({**WIDE_SWEEP, "output_path": str(out)}))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_SWEEP_DIGEST
-    assert (len(work), tuple(map(sum, zip(*work)))) == WIDE_SWEEP_WORK
+    out = tmp_path / "sweep.csv"
+    run_experiment(build_spec({**settings, "output_path": str(out)}))
+    return (hashlib.sha256(out.read_bytes()).hexdigest(),
+            (len(work), tuple(map(sum, zip(*work)))))
+
+
+def test_diverging_power_sweep_is_pinned(monkeypatch, tmp_path):
+    assert _sweep_pins(monkeypatch, tmp_path, WIDE_SWEEP) == (
+        WIDE_SWEEP_DIGEST, WIDE_SWEEP_WORK)
+
+
+def test_one_user_power_sweep_is_pinned(monkeypatch, tmp_path):
+    assert _sweep_pins(monkeypatch, tmp_path, ONE_USER_SWEEP) == (
+        ONE_USER_SWEEP_DIGEST, ONE_USER_SWEEP_WORK)
 
 
 @settings(max_examples=60, deadline=None)
