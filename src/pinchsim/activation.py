@@ -161,8 +161,8 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     deactivation set, the other antennas' set, rides in that batch as its
     spare row when it is nonempty and missing, or makes a batch of its own
     when nothing else is missing; a member takes it, and its evaluator
-    counts it, only once the deactivation is reached.  With one user no
-    spare row exists, and each member scores its deactivation alone.
+    counts it, only once the deactivation is reached.  An empty one rates
+    0 without the kernel.
 
     Every set in a memo is the start or was examined by an earlier walk,
     against a utility no higher than the member's current one, which only
@@ -186,9 +186,9 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     visit = [p for p in positions if base | 1 << p not in memo]
     fresh = [base | 1 << p for p in visit]
     missing = current is not None and base not in memo
-    spare = bool(missing and others and ev._spare is not None)
+    spare = bool(missing and others)
     if fresh or spare:
-        scored = ev._utilities(others, visit + [ev._spare] * spare,
+        scored = ev._utilities(others, visit + [ev.n_positions] * spare,
                                evs).tolist()
         if evs is None:
             scored = [scored]
@@ -216,9 +216,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
                 if spare:
                     m.ev.calls += 1
                     memo[base] = gains[-1]
-                else:
-                    memo[base] = m.ev.utility(others)
-                gain, target = memo[base], None
+                gain, target = memo.get(base, 0.0), None
             if gain > utility:
                 moves.append(Move(antenna, at, target))
                 m.utilities.append(gain)

@@ -73,9 +73,6 @@ def amplitudes(config: SystemConfig, users: np.ndarray, points: np.ndarray,
         re = amp.real * col.real - amp.imag * col.imag
         amp.imag = amp.real * col.imag + amp.imag * col.real
         amp.real = re
-    # Built point-major, so that in each drop's (N, S) slice users vary
-    # fastest in memory, as in the kernel's rows taken from the
-    # position-major view amp.T: see `power_gains`.
     return np.swapaxes(amp, -1, -2)
 
 
@@ -83,29 +80,25 @@ def power_gains(terms: np.ndarray, pt_watts: float) -> np.ndarray:
     """Power gain P_t/S * |sum of terms|^2 of each user, from (N, S)
     amplitude terms, or (..., N) gains from (..., N, S) terms, such as a
     (T, N, S) block of drops or the search kernel's (B, N, S) batch; P_t is
-    split equally over the S antennas.  It is the per-user sum of the terms,
-    then `_gains_of_sums`, scaled in place by P_t/S.
-
-    With two or more users, each user's terms add in antenna order when
-    users vary fastest in memory, as they do in `amplitudes` and in the
-    search kernel's rows, taken along axis 0 of the position-major view
-    `amp.T` and then swapped to (..., N, S); so a gain is the same bit for
-    bit whichever of them it comes from.  With one user the terms are
-    contiguous along S, and numpy sums them pairwise, which from 4 terms on
-    can differ from the running sum; every path takes the same pairwise
-    sum, so the gains still agree bit for bit.
+    split equally over the S antennas.  It is `_gains_of_terms`, scaled in
+    place by P_t/S.
     """
-    gains = _gains_of_sums(np.add.reduce(terms, axis=-1))
+    gains = _gains_of_terms(terms)
     gains *= pt_watts / terms.shape[-1]
     return gains
 
 
-def _gains_of_sums(z: np.ndarray) -> np.ndarray:
-    """The unscaled gains |z|^2 of (..., N) per-user sums of amplitude
-    terms, formed in one new buffer as re*re + im*im.  `power_gains` scales
-    them in place by the transmit power per antenna; the search kernel
-    sorts them first and scales them after.
+def _gains_of_terms(terms: np.ndarray) -> np.ndarray:
+    """The unscaled gains |z|^2 of (..., N, S) amplitude terms, z being each
+    user's running sum of its terms in antenna order, formed in one new
+    buffer as re*re + im*im.  The order is fixed, whatever the user count
+    and the storage order of `terms`, so a gain is the same bit for bit
+    whichever path it comes from; numpy's reduction would sum contiguous
+    terms pairwise.  `power_gains` scales the gains in place by the
+    transmit power per antenna; the search kernel sorts them first and
+    scales them after.
     """
+    z = np.add.accumulate(terms, axis=-1)[..., -1]
     g = z.real * z.real
     g += z.imag * z.imag
     return g

@@ -403,8 +403,7 @@ def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
 
 def _found_terms(grid: np.ndarray, idx: list[int], sel) -> np.ndarray:
     """The (G, N, S) amplitude terms of the found sets `sel` of the trials
-    `idx`, one size S, from the block's (T, N, L) `grid`, gathered with users
-    fastest in memory as the search kernel takes them."""
+    `idx`, one size S, from the block's (T, N, L) `grid`."""
     return grid.swapaxes(-1, -2)[np.array(idx)[:, None], sel].swapaxes(-1, -2)
 
 
@@ -416,10 +415,9 @@ def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
 
     The searches run per trial.  Each scheme's rates then come from one
     report of the whole block: a searched scheme's from `_size_report` of
-    its found sets' terms, gathered by size from the block's grid matrices
-    with users fastest in memory, as the search kernel takes them, so the
-    sum rate is the searched utility bit for bit; a baseline scheme's from
-    its `BASELINES` entry.
+    its found sets' terms, gathered by size from the block's grid matrices,
+    so the sum rate is the searched utility bit for bit; a baseline
+    scheme's from its `BASELINES` entry.
     """
     # Per searched scheme: each trial's found set.
     found_sets = {s: [] for s in ("exhaustive", "matching")

@@ -23,7 +23,7 @@ import weakref
 
 import numpy as np
 
-from .channel import _gains_of_sums, amplitudes, selection
+from .channel import _gains_of_terms, amplitudes, selection
 from .noma import PowerAllocation, sic_rates
 from .scenario import Deployment, SystemConfig, dbm_to_watts
 
@@ -46,18 +46,15 @@ def set_sum_rate(amp, sel, watts, noise, alloc):
     way (the tests check it), and to the sum rate of `noma.rate_report` on
     its `power_gains`.  One `take` along axis 0 of the position-major view
     `amp.T` gathers the (S, N) or (B, S, N) rows of the active positions,
-    whatever `amp`'s storage order; with the last two axes swapped, users
-    vary fastest, so with two or more users each user's terms add in
-    antenna order.  With one user its terms are contiguous, and numpy sums
-    them pairwise, the same way on every path.  Each row's unscaled |z|^2
-    is sorted once and then scaled by its watts, or by each power's at G
+    whatever `amp`'s storage order, whose terms `_gains_of_terms` sums in
+    antenna order, as `power_gains` does.  Each row's unscaled |z|^2 is
+    sorted once and then scaled by its watts, or by each power's at G
     powers: a product by a positive factor rounds monotonically, so this
     equals scaling first and sorting after, bit for bit.  The (..., N)
     gains come out C-contiguous, their log2 terms adding along a contiguous
     last axis.
     """
-    z = np.add.reduce(amp.T.take(sel, axis=0).swapaxes(-1, -2), axis=-1)
-    gains = _gains_of_sums(z)
+    gains = _gains_of_terms(amp.T.take(sel, axis=0).swapaxes(-1, -2))
     gains.sort(axis=-1)
     gains = gains * watts
     return np.add.reduce(sic_rates(gains, alloc, noise), axis=-1)
@@ -104,11 +101,6 @@ class SetEvaluator:
         self._pt_watts = dbm_to_watts(config.pt_dbm)
         self._noise_watts = dbm_to_watts(config.noise_dbm)
         self.n_positions = amp.shape[1]
-        # The index of the spare row's zero column, which lives in a
-        # position-major copy of `amp` built on first use.  With one user,
-        # numpy sums a row's terms pairwise, and a zero appended can regroup
-        # that sum: no spare row then.
-        self._spare = self.n_positions if n_users > 1 else None
         self._padded = None
         self.calls = 0
         # Weak references to the evaluators of this drop at every power of a
@@ -137,13 +129,14 @@ class SetEvaluator:
         caller, the matching scan's walk, vouches that the sorted `base` and
         the `positions` are distinct grid indices.
 
-        A last position `_spare` adds the spare row: `base` and a zero
-        column, with the power split over `len(base)` antennas, so that
-        adding an exact 0 leaves it `utility(base)`, bit for bit; alone, it
-        is `base` itself.  The caller offers it only for a nonempty `base`
-        and counts it in `calls` only if it takes it."""
+        A last position `n_positions` adds the spare row: `base` and a
+        zero column, which lives in a position-major copy of `amp` built on
+        first use, with the power split over `len(base)` antennas, so that
+        adding an exact 0 leaves it `utility(base)`, bit for bit.  The
+        caller offers it only for a nonempty `base` and counts it in `calls`
+        only if it takes it."""
         n = len(positions)
-        spare = bool(positions) and positions[-1] == self._spare
+        spare = bool(positions) and positions[-1] == self.n_positions
         for ev in group or (self,):
             ev.calls += n - spare
         pt_watts = self._pt_watts if group is None else np.array(
@@ -153,9 +146,7 @@ class SetEvaluator:
         rows[:, -1] = positions
         rows.sort(axis=1)
         amp, watts = self._amp, pt_watts / (len(base) + 1)
-        if spare and n == 1:  # the spare row alone is `base` itself
-            rows, watts = rows[:, :-1], pt_watts / len(base)
-        elif spare:
+        if spare:
             if self._padded is None:
                 self._padded = np.zeros((len(amp.T) + 1, len(amp)), complex)
                 self._padded[:-1] = amp.T

@@ -243,7 +243,7 @@ class _RecordingEvaluator(SetEvaluator):
 
     def _utilities(self, base, positions, group=None):
         sets = [tuple(sorted([*base, p])) for p in positions]
-        if positions and positions[-1] == self._spare:
+        if positions and positions[-1] == self.n_positions:
             sets.pop()
             self._spare_set = tuple(base)
         self.log.append(("batch", sets))
@@ -333,7 +333,7 @@ class _SpareEvaluator(SetEvaluator):
         self.spares: list[bool] = []
 
     def _utilities(self, base, positions, group=None):
-        self.spares.append(positions[-1] == self._spare)
+        self.spares.append(positions[-1] == self.n_positions)
         return super()._utilities(base, positions, group)
 
 

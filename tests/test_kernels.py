@@ -73,43 +73,21 @@ def test_spare_row_equals_utility_of_its_base_exactly():
     # and a zero column, its power split over the base; it and every other
     # row are `utility` of their sets, and only the other rows are counted
     rng = np.random.default_rng(306)
-    shapes = [(1, 1, 4), (2, 2, 20), (3, 2, 12), (4, 4, 30), (8, 8, 60)]
+    shapes = [(1, 4, 12), (2, 2, 20), (3, 2, 12), (4, 4, 30), (8, 8, 60)]
     for n, k, l_positions in shapes:
         cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
                            l_positions=l_positions)
         for size in range(1, k):
             dep = make_deployment(cfg, rng)
             ev = SetEvaluator(cfg, dep, PowerAllocation.equal(n))
-            assert ev._spare == l_positions
             chosen = rng.permutation(l_positions).tolist()
             base = sorted(chosen[:size])
             positions = chosen[size:][:int(rng.integers(1, l_positions
                                                         - size + 1))]
-            got = ev._utilities(base, [*positions, ev._spare])
+            got = ev._utilities(base, [*positions, l_positions])
             assert ev.calls == len(positions)
             want = [ev.utility([*base, p]) for p in positions]
             assert got.tolist() == [*want, ev.utility(base)]
-
-
-def test_one_user_scores_no_spare_row():
-    # a lone user's terms are contiguous, and numpy sums them pairwise: an
-    # appended zero would regroup the sum of eight of them, so the
-    # evaluator offers no spare row, and the scan scores its deactivations
-    # alone, as `utility` does
-    rng = np.random.default_rng(307)
-    cfg = SystemConfig(d1=30.0, n_users=1, k_antennas=9, l_positions=30)
-    regrouped = 0
-    for _ in range(20):
-        ev = SetEvaluator(cfg, make_deployment(cfg, rng),
-                          PowerAllocation.equal(1))
-        assert ev._spare is None
-        terms = ev._amp.T.take(sorted(rng.choice(30, 7, replace=False)),
-                               axis=0)
-        padded = np.vstack((terms, np.zeros(1)))
-        sums = [np.add.reduce(t.swapaxes(-1, -2), axis=-1).tolist()
-                for t in (terms, padded)]
-        regrouped += sums[0] != sums[1]
-    assert regrouped
 
 
 def test_batch_edge_cases():
@@ -251,8 +229,8 @@ def test_a_family_batch_equals_each_power_alone():
             base = sorted(chosen[:size - 1])
             positions = chosen[size - 1:][:int(rng.integers(1, 6))]
             offers = [positions]
-            if base and members[0]._spare is not None:
-                offers += [[*positions, members[0]._spare], [members[0]._spare]]
+            if base:
+                offers += [[*positions, l_positions], [l_positions]]
             for offer in offers:
                 calls = [m.calls for m in members]
                 got = members[0]._utilities(base, offer, members).tolist()
@@ -269,6 +247,15 @@ def test_a_family_batch_equals_each_power_alone():
     assert lone.family is None
 
 
+def _antenna_order_sums(terms):
+    """Each user's sum of its (..., N, S) terms, added one antenna at a
+    time in antenna order."""
+    z = terms[..., 0].copy()
+    for s in range(1, terms.shape[-1]):
+        z += terms[..., s]
+    return z
+
+
 def test_power_gains_are_the_formula_bit_for_bit():
     # formed in one buffer, a gain keeps the formula's operations in order
     rng = np.random.default_rng(304)
@@ -278,10 +265,24 @@ def test_power_gains_are_the_formula_bit_for_bit():
             terms = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             terms[rng.uniform(size=shape[:-1]) < 0.2] = 0.0  # zero gains
             pt = 10.0 ** rng.uniform(-3.0, 1.0)
-            z = terms.sum(axis=-1)
+            z = _antenna_order_sums(terms)
             want = (pt / s) * (z.real * z.real + z.imag * z.imag)
             assert (power_gains(terms, pt) == want).all()
             assert (power_gains(terms[0], pt) == want[0]).all()
+
+
+def test_power_gains_add_in_antenna_order_whatever_the_layout():
+    # numpy would sum terms contiguous along S pairwise; the gains add each
+    # user's terms in antenna order at every user count and storage order
+    rng = np.random.default_rng(309)
+    for n in (1, 2, 4):
+        for s in range(1, 9):
+            shape = (int(rng.integers(1, 20)), n, s)
+            terms = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            z = _antenna_order_sums(terms)
+            want = ((1.0 / s) * (z.real * z.real + z.imag * z.imag)).tolist()
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                assert power_gains(layout(terms), 1.0).tolist() == want
 
 
 def test_kernel_is_the_same_for_an_amplitude_matrix_in_c_or_f_order():
