@@ -46,10 +46,10 @@ def set_sum_rate(amp, sel, watts, noise, alloc):
     way (the tests check it), and to the sum rate of `noma.rate_report` on
     its `power_gains`.  One `take` along axis 0 of the position-major view
     `amp.T` gathers the (S, N) or (B, S, N) rows of the active positions,
-    whatever `amp`'s storage order, whose terms `_gains_of_terms` sums in
-    antenna order, as `power_gains` does.  Each row's unscaled |z|^2 is
-    sorted once and then scaled by its watts, or by each power's at G
-    powers: a product by a positive factor rounds monotonically, so this
+    whatever `amp`'s storage order, and `_gains_of_terms` sums each user's
+    terms in antenna order, as `power_gains` does.  Each row's unscaled
+    |z|^2 is sorted once and then scaled by its watts, or by each power's at
+    G powers: a product by a positive factor rounds monotonically, so this
     equals scaling first and sorting after, bit for bit.  The (..., N)
     gains come out C-contiguous, their log2 terms adding along a contiguous
     last axis.
