@@ -114,16 +114,17 @@ def _mask(positions) -> int:
 
 class _Member:
     """One transmit power's scan in a group scan: its evaluator, the utility
-    of every set it has scored, as a `_mask`, and its trajectory so far;
-    `assignment`, its final one, is set when its scan ends.  The members of
-    a group have taken the same moves, so their memos hold the same sets."""
+    of every set it has scored, as a `_mask`, with the empty set's 0 from
+    the start, and its trajectory so far; `assignment`, its final one, is
+    set when its scan ends.  The members of a group have taken the same
+    moves, so their memos hold the same sets."""
 
     __slots__ = ("ev", "memo", "utilities", "moves", "move_cycles",
                  "evaluations", "assignment")
 
     def __init__(self, ev: SetEvaluator):
         self.ev = ev
-        self.memo: dict[int, float] = {}
+        self.memo: dict[int, float] = {0: 0.0}
         self.utilities: list[float] = []
         self.moves: list[Move] = []
         self.move_cycles: list[int] = []
@@ -157,18 +158,18 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     plus one position, or their set alone for the deactivation.  The walk
     reads the first member's memo once for all its relocation sets and
     scores those it lacks in one batch at its start, at every member's
-    power, the current state's among them if missing.  An active antenna's
-    deactivation set, the other antennas' set, rides in that batch as its
-    spare row when it is nonempty and missing, or makes a batch of its own
-    when nothing else is missing; a member takes it, and its evaluator
-    counts it, only once the deactivation is reached.  An empty one rates
-    0 without the kernel.
+    power, the current state's among them if missing.  The other antennas'
+    set, when missing, rides in that batch as its spare row, or makes a
+    batch of its own when nothing else is missing.  For an inactive antenna
+    it is the current set, the start, which a member takes, and its
+    evaluator counts, at once; for an active one it is the deactivation
+    set, taken and counted only once the deactivation is reached.
 
-    Every set in a memo is the start or was examined by an earlier walk,
-    against a utility no higher than the member's current one, which only
-    ever rises: none of them can be accepted.  So the walk visits only the
-    sets it scores, in position order; a candidate found in the memo still
-    counts as examined.
+    Every set in a memo is the start, the empty set, which rates 0, or was
+    examined by an earlier walk, against a utility no higher than the
+    member's current one, which only ever rises: none of them can be
+    accepted.  So the walk visits only the sets it scores, in position
+    order; a candidate found in the memo still counts as examined.
 
     The batch skips the evaluator's index check: the free positions are
     `range(ev.n_positions)` less the other antennas', whose positions the
@@ -185,8 +186,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
         del positions[p]
     visit = [p for p in positions if base | 1 << p not in memo]
     fresh = [base | 1 << p for p in visit]
-    missing = current is not None and base not in memo
-    spare = bool(missing and others)
+    spare = base not in memo
     if fresh or spare:
         scored = ev._utilities(others, visit + [ev.n_positions] * spare,
                                evs).tolist()
@@ -195,7 +195,8 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     else:
         scored = [[] for _ in group]
     own = None
-    if missing and current not in visit:  # else the current set is fresh
+    if spare and current is not None and current not in visit:
+        # else the antenna is inactive, or its current set is fresh
         own = bisect_left(visit, current)
         visit.insert(own, current)
     for m, gains in zip(group, scored):
@@ -207,6 +208,9 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
             # starting set, which cannot be accepted.
             gains.insert(own, -math.inf)
         at = current
+        if spare and at is None:
+            m.ev.calls += 1
+            memo[base] = gains[-1]
         utility = memo[base if at is None else base | 1 << at]
         moves = m.moves
         taken = len(moves)
@@ -216,7 +220,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
                 if spare:
                     m.ev.calls += 1
                     memo[base] = gains[-1]
-                gain, target = memo.get(base, 0.0), None
+                gain, target = memo[base], None
             if gain > utility:
                 moves.append(Move(antenna, at, target))
                 m.utilities.append(gain)
@@ -272,18 +276,20 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     an accepted move the antenna's walk goes on at the next position, from
     the new state.  The run keeps the utility of every set it scores, so
     each candidate set costs one evaluation per run however often it is
-    examined; the starting set is scored in antenna 0's first batch when
-    antenna 0 starts active.  The K antennas are those of `initial`.
+    examined.  The starting set, unless empty, is scored in antenna 0's
+    first batch: at antenna 0's own position when it starts active, as the
+    spare row when it starts inactive.  So the scan makes no scalar
+    `utility` call.  The K antennas are those of `initial`.
 
     The scan runs for the evaluator's `kernels.family`, a lone evaluator
-    being a family of one.  A larger family scans the drop at every
-    member's power as one group: while their moves agree, the members share
-    each walk and its kernel call, and each keeps its own memo, as every
-    evaluator is bound to one transmit power.  This call returns its own
-    evaluator's result; each other member's is held until its own call with
-    the same `initial` takes it, and only then counts its sets in `calls`,
-    so that every call returns, and counts, what a scan on its evaluator
-    alone would.
+    being a family of one, whose walks score at its power alone.  A larger
+    family scans the drop at every member's power as one group: while their
+    moves agree, the members share each walk and its kernel call, and each
+    keeps its own memo, as every evaluator is bound to one transmit power.
+    This call returns its own evaluator's result; each other member's is
+    held until its own call with the same `initial` takes it, and only then
+    counts its sets in `calls`, so that every call returns, and counts, what
+    a scan on its evaluator alone would.
     """
     held, ev._held = ev._held, None
     if held is not None and held[0] == initial:
@@ -296,13 +302,9 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     selection(active, ev.n_positions)
     start = _mask(active)
     group = [_Member(ev)] + [_Member(e) for e in
-                             (member() for member in ev.family or ())
+                             (member() for member in ev.family)
                              if e is not None and e is not ev]
     counted = [m.ev.calls for m in group]
-    if not assignment or assignment[0] is None:
-        # Otherwise the starting set rides in antenna 0's first batch.
-        for m in group:
-            m.memo[start] = m.ev.utility(active)
     _scan(group, assignment)
     for m, calls in zip(group[1:], counted[1:]):
         m.ev._held = (initial, m.ev.calls - calls, m.result(start))
@@ -318,13 +320,14 @@ def check_stability(ev: SetEvaluator, matching: Matching
     Stable means no single antenna can relocate to a free position or
     deactivate with a strict utility gain.  Swaps are outside the move set.
     Each antenna takes the scan's walk from `matching`, as a group of one
-    with a memo seeded with its utility, so that no set is scored twice;
-    the first move the walks accept is the certificate.
+    with one memo, so that no set is scored twice and `matching`'s own set
+    is scored in the first walk's batch; the first move the walks accept is
+    the certificate.
     """
-    active = matching.active_positions()
+    # The walks' batches do not check their indices: check them before
+    # their masks.
+    selection(matching.active_positions(), ev.n_positions)
     member = _Member(ev)
-    # `utility` checks the indices before their mask.
-    member.memo[_mask(active)] = ev.utility(active)
     member.evaluations.append(0)
     for antenna in range(matching.k_antennas):
         _walk([member], list(matching.assignment), antenna)

@@ -4,14 +4,17 @@ The evaluator scores candidate activations by their sum rate.  Its only
 public scoring, `utility` (the sum rate of one set), checks the grid indices
 it is given (`channel.selection`).  A report's gains come from
 `channel.power_gains`, whose sum rate is `utility`'s bit for bit.  The
-exhaustive search scores every set once, one `utility` call each.  The
-matching search walks each antenna once per cycle and scores, in one batch
-of the private `_utilities`, the relocations of that walk that its run has
-not scored yet, and, as a spare row, the walk's deactivation; it reuses the
-rest.  The batch skips the index check: the walk builds its indices from
-the grid and from a start that its search has checked.
+exhaustive search scores every set once, one `utility` call each, and is
+the package's only caller of `utility`.  The matching search walks each
+antenna once per cycle and scores, in one batch of the private
+`_utilities`, the relocations of that walk that its run has not scored yet,
+and, as a spare row, the other antennas' set if the run has not scored it:
+an active antenna's deactivation, an inactive one's current set; it reuses
+the rest.  The batch skips the index check: the walk builds its indices
+from the grid and from a start that its search has checked.
 
-The evaluators of one drop at the powers of a sweep form a `family`, whose
+Every evaluator belongs to a `family`, a lone one to a family of one.  The
+evaluators of one drop at the powers of a sweep form one family, whose
 matching scans run as one group: each batch then scores its rows at every
 power of the group at once, as (G, B) rates.  `calls` still counts, per
 evaluator, the sets its own scan scores.
@@ -75,7 +78,8 @@ class SetEvaluator:
     Scores one set (`utility`), or, for the matching scan's walk, every set
     that adds one position to a common base in one kernel call
     (`_utilities`), with the base alone as a spare row, at its own power or
-    at each power of its `family`.  `calls` counts the sets scored for it,
+    at each power of its `family`: the evaluators of its drop that `family`
+    linked, or itself alone.  `calls` counts the sets scored for it,
     batched or not, so searches can report their evaluation budget; a spare
     row counts only when its walk takes it.
     """
@@ -104,10 +108,10 @@ class SetEvaluator:
         self._padded = None
         self.calls = 0
         # Weak references to the evaluators of this drop at every power of a
-        # sweep (`family`), whose matching scans run as one group, and this
-        # evaluator's scan result, held from its family's scan until its own
-        # call takes it.
-        self.family: tuple[weakref.ref, ...] | None = None
+        # sweep (`family`), whose matching scans run as one group, this one
+        # alone until linked; and this evaluator's scan result, held from
+        # its family's scan until its own call takes it.
+        self.family: tuple[weakref.ref, ...] = (weakref.ref(self),)
         self._held = None
 
     def utility(self, indices) -> float:
@@ -164,15 +168,15 @@ def family(evaluators) -> tuple[SetEvaluator, ...]:
     """Link the evaluators of one drop's amplitude matrix at several
     transmit powers as one family: the first
     `activation.matching_activation` call on any of them scans the drop at
-    every member's power as one group.  They may differ only in power."""
+    every member's power as one group.  They may differ only in power.  A
+    lone evaluator is a family of one, linked or not."""
     evaluators = tuple(evaluators)
-    if len(evaluators) > 1:
-        if len({(id(ev._amp), ev._alloc, ev._noise_watts)
-                for ev in evaluators}) > 1:
-            raise ValueError("a family's evaluators differ only in power")
-        # A family that held its members would make a reference cycle,
-        # freed only by the garbage collector's rare full passes.
-        refs = tuple(map(weakref.ref, evaluators))
-        for ev in evaluators:
-            ev.family = refs
+    if len({(id(ev._amp), ev._alloc, ev._noise_watts)
+            for ev in evaluators}) > 1:
+        raise ValueError("a family's evaluators differ only in power")
+    # A family that held its members would make a reference cycle, freed
+    # only by the garbage collector's rare full passes.
+    refs = tuple(map(weakref.ref, evaluators))
+    for ev in evaluators:
+        ev.family = refs
     return evaluators

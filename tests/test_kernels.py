@@ -243,8 +243,10 @@ def test_a_family_batch_equals_each_power_alone():
     other = SetEvaluator(cfg, make_deployment(cfg, rng), alloc)
     with pytest.raises(ValueError, match="differ only in power"):
         family([members[0], other])
+    # a lone evaluator is a family of one, linked or not
+    assert [ref() for ref in other.family] == [other]
     (lone,) = family([other])
-    assert lone.family is None
+    assert [ref() for ref in lone.family] == [other]
 
 
 def _antenna_order_sums(terms):
