@@ -88,13 +88,20 @@ class SweepSpec:
             raise ConfigError("sweep step must be > 0")
         if self.stop < self.start:
             raise ConfigError("sweep stop must be >= start")
+        if not math.isfinite(self._steps()):
+            raise ConfigError(
+                f"sweep of {self.param} from {self.start!r} to {self.stop!r} "
+                f"in steps of {self.step!r} has too many points to count")
+
+    def _steps(self) -> float:
+        """(stop - start) / step, up to rounding; the tolerance, scaled by
+        |stop|, keeps an endpoint that rounding put a hair beyond stop."""
+        tolerance = 1e-12 * max(abs(self.stop), 1.0)
+        return (self.stop - self.start + tolerance) / self.step
 
     def values(self) -> tuple[float, ...]:
-        """start + i*step up to and including stop, whatever the signs; the
-        tolerance, scaled by |stop|, keeps an endpoint that rounding put a
-        hair beyond stop."""
-        tolerance = 1e-12 * max(abs(self.stop), 1.0)
-        count = math.floor((self.stop - self.start + tolerance) / self.step) + 1
+        """start + i*step up to and including stop, whatever the signs."""
+        count = math.floor(self._steps()) + 1
         return tuple(self.start + i * self.step for i in range(count))
 
 

@@ -346,17 +346,26 @@ def _walk_alone(ev, assignment, antenna, memo):
     return member.moves
 
 
-def test_only_an_active_antenna_with_company_offers_a_spare_row():
+def test_only_an_antenna_with_company_offers_a_spare_row():
     rng = np.random.default_rng(512)
     cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=12)
     alloc = PowerAllocation.equal(2)
     for _ in range(20):
         dep = make_deployment(cfg, rng)
-        # an inactive antenna has no deactivation to carry
+        # an inactive antenna has no deactivation to carry, and its current
+        # set, the other antenna's, is scored already
         ev = _SpareEvaluator(cfg, dep, alloc)
         memo = {activation._mask([3]): ev.utility([3])}
         _walk_alone(ev, [None, 3], 0, memo)
         assert ev.spares == [False]
+        # unless it is not: then that set rides as the spare row, and it is
+        # counted and kept at once, whatever the walk does next
+        ev = _SpareEvaluator(cfg, dep, alloc)
+        memo = {}
+        _walk_alone(ev, [None, 3], 0, memo)
+        assert ev.spares == [True]
+        assert ev.calls == len(memo) == cfg.l_positions  # 11 moves, 1 spare
+        assert memo[activation._mask([3])] == ev.utility([3])
         # an active one carries its deactivation, the other antenna's set;
         # it is counted, and kept, only if the walk reaches it unmoved
         ev = _SpareEvaluator(cfg, dep, alloc)
@@ -378,6 +387,68 @@ def test_only_an_active_antenna_with_company_offers_a_spare_row():
                                                                alloc, init)
         assert ev.spares and not any(ev.spares)
         assert ev.calls == cfg.l_positions  # one per position, none for ()
+
+
+def test_the_scan_makes_no_scalar_utility_call(monkeypatch):
+    # from a start with antenna 0 inactive, or every antenna inactive, the
+    # starting set rides in antenna 0's first batch: the scan, lone or in a
+    # family, and the stability check score only in batches, and still find
+    # the scalar reference's trajectory, counting each set it scores once
+    class Distinct(SetEvaluator):
+        """Records the nonempty sets its `utility` scores."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.sets = set()
+
+        def utility(self, indices):
+            if len(indices):
+                self.sets.add(tuple(sorted(indices)))
+            return super().utility(indices)
+
+    def no_call(self, indices):
+        raise AssertionError(f"scalar utility call for {indices}")
+
+    rng = np.random.default_rng(513)
+    for n, k, l_positions in [(1, 3, 10), (2, 2, 20), (3, 3, 12),
+                              (4, 4, 20)]:
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        configs = [dataclasses.replace(cfg, pt_dbm=p)
+                   for p in (-10.0, 10.0, 30.0)]
+        alloc = PowerAllocation.equal(n)
+        for drop in range(3):
+            dep = make_deployment(cfg, rng)
+            amp = amplitude_matrix(cfg, dep)
+            for inactive in sorted({1, k}):
+                init = _scan_start(cfg, dep, rng, inactive)
+                want, counts = [], []
+                for c in configs:
+                    ref = Distinct(c, dep, alloc)
+                    want.append(reference_scan(c, dep, alloc, init, ref))
+                    counts.append(len(ref.sets))
+                with monkeypatch.context() as patch:
+                    patch.setattr(SetEvaluator, "utility", no_call)
+                    members = family(SetEvaluator(c, dep, alloc, amp=amp)
+                                     for c in configs)
+                    for i in (1, 2, 0):
+                        alone = SetEvaluator(configs[i], dep, alloc, amp=amp)
+                        assert matching_activation(alone, init) == want[i]
+                        assert matching_activation(members[i], init) == (
+                            want[i])
+                        assert members[i].calls == alone.calls == counts[i]
+                        moves = want[i][1].moves
+                        assert check_stability(alone, init) == (
+                            (False, moves[0]) if moves else (True, None))
+                        assert check_stability(alone, want[i][0]) == (
+                            True, None)
+    # nor does a run of every scheme but the exhaustive search
+    with monkeypatch.context() as patch:
+        patch.setattr(SetEvaluator, "utility", no_call)
+        for preset in ("power", "antenna-count"):
+            run_experiment(build_spec({
+                **PRESETS[preset], "trials": "2",
+                "schemes": "matching,random,distance,conventional"}))
 
 
 def _count_scans(monkeypatch) -> list[tuple[int, int, int, int]]:

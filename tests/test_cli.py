@@ -166,6 +166,22 @@ def test_invalid_sweep_value_names_itself(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_sweep_of_uncountable_points_names_itself(tmp_path, capsys):
+    # a span or a count beyond the float range is refused before any trial
+    out = tmp_path / "x.csv"
+    for param, start, stop, step in [("d1", "1", "1e308", "1e-308"),
+                                     ("pt_dbm", "-1e308", "1e308", "1")]:
+        code = main(["sweep", *FAST_ARGS, "--sweep-param", param,
+                     f"--sweep-from={start}", "--sweep-to", stop,
+                     "--sweep-step", step, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep of {param} from {float(start)!r} to "
+            f"{float(stop)!r} in steps of {float(step)!r} has too many "
+            "points to count\n")
+        assert not out.exists()
+
+
 def test_bad_scheme_is_a_clean_error(tmp_path, capsys):
     code = main(["run", *FAST_ARGS, "--schemes", "bogus",
                  "--output", str(tmp_path / "x.csv")])
