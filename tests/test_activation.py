@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import helpers
 import reference
 from reference_scan import reference_scan
-from pinchsim import activation, harness
+from pinchsim import activation, harness, kernels
 from pinchsim import (BudgetExceededError, Matching, Move,
                       PowerAllocation, SetEvaluator, SystemConfig, Trajectory,
                       amplitudes, candidate_count, check_stability,
@@ -482,6 +482,31 @@ def test_scan_work_counts_are_pinned(monkeypatch):
                                    "schemes": "matching"}))
         assert len(work) == 600
         assert tuple(map(sum, zip(*work))) == want
+
+
+# The kernel batches of SCAN_WORK's scans at seed 3, and how many of them
+# score one row: with each trial's evaluators linked as one family, so that
+# its scans at the five powers share their walks, and with each left alone.
+SCAN_BATCHES = {True: (449, 88), False: (2138, 405)}
+
+
+def test_scan_batches_are_pinned(monkeypatch):
+    # SCAN_WORK counts the sets each evaluator scores, which are the same
+    # whether a trial's scans share their walks or not; the batches are not
+    def counted(ev, base, positions, *args):
+        rows.append(len(positions))
+        return real(ev, base, positions, *args)
+
+    real = SetEvaluator._utilities
+    monkeypatch.setattr(SetEvaluator, "_utilities", counted)
+    for linked, want in SCAN_BATCHES.items():
+        rows: list[int] = []
+        with monkeypatch.context() as patch:
+            if not linked:
+                patch.setattr(kernels, "family", tuple)
+            run_experiment(build_spec({**PRESETS["power"], "trials": "120",
+                                       "seed": "3", "schemes": "matching"}))
+        assert (len(rows), rows.count(1)) == want
 
 
 # The lone scans of two presets that sweep no power, so that each drop's
