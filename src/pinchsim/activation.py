@@ -141,8 +141,8 @@ class _Member:
         )
 
 
-def _walk(group: list[_Member], assignment: list[int | None], antenna: int
-          ) -> list[tuple[list[_Member], int | None]] | None:
+def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
+          pt_watts) -> list[tuple[list[_Member], int | None]] | None:
     """Walk one antenna's candidate moves in position order for every
     member of `group`, each accepting each move that raises its own
     utility.  Return None when every member took the same moves, having
@@ -157,11 +157,12 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     position.  The other antennas stay put, so every candidate is their set
     plus one position, or their set alone for the deactivation.  The walk
     reads the first member's memo once for all its relocation sets and
-    scores those it lacks in one batch at its start, at every member's
-    power, the current state's among them if missing.  The other antennas'
-    set, when missing, rides in that batch as its spare row, or makes a
-    batch of its own when nothing else is missing.  For an inactive antenna
-    it is the current set, the start, which a member takes, and its
+    scores those it lacks in one batch at its start, at `pt_watts`, its
+    group's power or powers (`_scan`), the current state's among them if
+    missing; each member's evaluator counts those sets.  The other
+    antennas' set, when missing, rides in that batch as its spare row, or
+    makes a batch of its own when nothing else is missing.  For an inactive
+    antenna it is the current set, the start, which a member takes, and its
     evaluator counts, at once; for an active one it is the deactivation
     set, taken and counted only once the deactivation is reached.
 
@@ -176,7 +177,6 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     caller has checked to be distinct grid indices.
     """
     ev, memo = group[0].ev, group[0].memo
-    evs = [m.ev for m in group] if len(group) > 1 else None
     parts: dict[tuple[Move, ...], list[_Member]] = {}
     current = assignment[antenna]
     others = sorted(p for p in assignment if p is not None and p != current)
@@ -189,9 +189,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     spare = base not in memo
     if fresh or spare:
         scored = ev._utilities(others, visit + [ev.n_positions] * spare,
-                               evs).tolist()
-        if evs is None:
-            scored = [scored]
+                               pt_watts).reshape(len(group), -1).tolist()
     else:
         scored = [[] for _ in group]
     own = None
@@ -202,6 +200,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
     for m, gains in zip(group, scored):
         memo = m.memo
         memo.update(zip(fresh, gains))  # the spare row is last
+        m.ev.calls += len(fresh)
         if own is not None:
             # The deactivation's place, taken only if the walk reaches it
             # unmoved; after a move it is a relocation back to the walk's
@@ -227,7 +226,7 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int
                 m.move_cycles.append(len(m.evaluations))
                 utility, at = gain, target
         m.evaluations[-1] += len(positions)
-        if evs:
+        if len(group) > 1:
             parts.setdefault(tuple(moves[taken:]), []).append(m)
     if len(parts) > 1:
         return [(part, key[-1].target if key else current)
@@ -244,14 +243,18 @@ def _scan(group: list[_Member], assignment: list[int | None],
     every member's) was made in an earlier cycle, or none was; then each
     member's `assignment` is the final one.  Where a walk's members take
     different moves, each part of the group goes on alone from the next
-    walk, with its own copy of the assignment."""
+    walk, with its own copy of the assignment.  The walks score at the
+    group's powers, built once here: a lone member's float, or the (G, 1, 1)
+    array of the G members' powers."""
     lead = group[0]
+    pt_watts = lead.ev._pt_watts if len(group) == 1 else np.array(
+        [[[m.ev._pt_watts]] for m in group])
     while True:
         if antenna == 0:
             for m in group:
                 m.evaluations.append(0)
         for a in range(antenna, len(assignment)):
-            parts = _walk(group, assignment, a)
+            parts = _walk(group, assignment, a, pt_watts)
             if parts:
                 for part, position in parts:
                     rest = assignment.copy()
@@ -330,7 +333,7 @@ def check_stability(ev: SetEvaluator, matching: Matching
     member = _Member(ev)
     member.evaluations.append(0)
     for antenna in range(matching.k_antennas):
-        _walk([member], list(matching.assignment), antenna)
+        _walk([member], list(matching.assignment), antenna, ev._pt_watts)
         if member.moves:
             return False, member.moves[0]
     return True, None

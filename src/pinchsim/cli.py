@@ -4,7 +4,9 @@ Subcommands: run, sweep, convergence, compare.  Flags mirror the config-file
 keys (`--output` is `output_path`), and one function merges them: built-in
 defaults < preset < config file < flags.  A subcommand's own keys are parser
 defaults: its output name and, for convergence, its two schemes.
-`--log-level`, given before the subcommand, logs to stderr.
+`--log-level`, given before the subcommand, logs to stderr.  A negative
+value may follow its flag as its own argument in any float spelling, such
+as `--pt-dbm -3e3`.
 Relative output paths resolve under PINCHSIM_OUTPUT_DIR when that is set.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -224,8 +227,28 @@ def _log_to_stderr(level: str | None):
         logger.setLevel(previous)
 
 
+# A negative number, which argparse reads as a flag unless it looks like
+# `-123` or `-1.5`; the config check reads the rest of it.
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """`argv` with each negative number that follows a long flag joined to
+    it, `--pt-dbm -3e3` as `--pt-dbm=-3e3`, so that `-3e3` or `-inf`
+    reaches the config check."""
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and _NEGATIVE.match(arg)
+                and re.fullmatch(r"--[\w-]+", joined[-1])):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_numbers(
+        sys.argv[1:] if argv is None else argv))
     with _log_to_stderr(args.log_level):
         try:
             return args.func(args)

@@ -16,8 +16,10 @@ from the grid and from a start that its search has checked.
 Every evaluator belongs to a `family`, a lone one to a family of one.  The
 evaluators of one drop at the powers of a sweep form one family, whose
 matching scans run as one group: each batch then scores its rows at every
-power of the group at once, as (G, B) rates.  `calls` still counts, per
-evaluator, the sets its own scan scores.
+power of the group at once, as (G, B) rates.  The batch scores at the
+power it is handed, a lone scan's float or a group's array, and counts
+nothing; the walk counts in each evaluator's `calls` the sets its own scan
+scores.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class SetEvaluator:
     (`_utilities`), with the base alone as a spare row, at its own power or
     at each power of its `family`: the evaluators of its drop that `family`
     linked, or itself alone.  `calls` counts the sets scored for it,
-    batched or not, so searches can report their evaluation budget; a spare
-    row counts only when its walk takes it.
+    batched or not, so searches can report their evaluation budget:
+    `utility` counts its set, and the walk counts the batch rows it takes,
+    a spare row only when it takes it.
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
@@ -124,45 +127,36 @@ class SetEvaluator:
                                   self._noise_watts, self._alloc))
 
     def _utilities(self, base: list[int], positions: list[int],
-                   group: list[SetEvaluator] | None = None) -> np.ndarray:
-        """Sum rates of the sets `base` + {p}, one for each p of `positions`,
-        as (B,) floats at this evaluator's power, or as (G, B) at the power
-        of each evaluator of `group`, members of this one's `family`; equal,
-        bit for bit, to `utility` of each set at its evaluator.  Each
-        evaluator scored for counts the sets.  No index is checked: the
-        caller, the matching scan's walk, vouches that the sorted `base` and
-        the `positions` are distinct grid indices.
+                   pt_watts) -> np.ndarray:
+        """Sum rates of the sets `base` + {p}, one for each p of
+        `positions`, at the transmit power `pt_watts`: this evaluator's
+        float, as (B,) floats, or a (G, 1, 1) array of the powers of G
+        members of its `family`, as (G, B); equal, bit for bit, to
+        `utility` of each set at its evaluator.  No set is counted in
+        `calls`: the caller, the matching scan's walk, counts the rows it
+        takes.  No index is checked: the walk vouches that the sorted
+        `base` and the `positions` are distinct grid indices.
 
         A last position `n_positions` adds the spare row: `base` and a
         zero column, which lives in a position-major copy of `amp` built on
         first use, with the power split over `len(base)` antennas, so that
         adding an exact 0 leaves it `utility(base)`, bit for bit.  The
-        caller offers it only for a nonempty `base` and counts it in `calls`
-        only if it takes it."""
+        walk offers it only for a nonempty `base`."""
         n = len(positions)
-        spare = bool(positions) and positions[-1] == self.n_positions
-        for ev in group or (self,):
-            ev.calls += n - spare
-        pt_watts = self._pt_watts if group is None else np.array(
-            [[[ev._pt_watts]] for ev in group])
         rows = np.empty((n, len(base) + 1), dtype=np.intp)
         rows[:, :-1] = base
         rows[:, -1] = positions
         rows.sort(axis=1)
         amp, watts = self._amp, pt_watts / (len(base) + 1)
-        if spare:
+        if positions and positions[-1] == self.n_positions:
             if self._padded is None:
                 self._padded = np.zeros((len(amp.T) + 1, len(amp)), complex)
                 self._padded[:-1] = amp.T
-            if group is None:
-                per_row = np.empty((n, 1))
-                per_row.fill(watts)
-            else:
-                per_row = np.repeat(watts, n, axis=1)
+            per_row = np.empty(getattr(watts, "shape", ())[:1] + (n, 1))
+            per_row[...] = watts
             per_row[..., -1:, :] = pt_watts / len(base)
             amp, watts = self._padded.T, per_row
         return set_sum_rate(amp, rows, watts, self._noise_watts, self._alloc)
-
 
 def family(evaluators) -> tuple[SetEvaluator, ...]:
     """Link the evaluators of one drop's amplitude matrix at several

@@ -211,10 +211,12 @@ class _RecordingEvaluator(SetEvaluator):
     call, bar the empty set, which scores 0 without the kernel, one per
     batch position, and one per spare row taken.  Batches are logged where
     the walk scores them, in `_utilities`, without their spare row; the
-    spare is logged where it is counted, by the walk that takes it."""
+    walk counts a batch's other rows at once, and the spare is logged where
+    it is counted, by the walk that takes it."""
 
     def __init__(self, *args, **kwargs):
         self.log: list[tuple[str, list[tuple[int, ...]]]] = []
+        self._uncounted = 0  # rows of the last batch the walk has not counted
         self._scoring = True  # the count set by the constructor is no spare
         super().__init__(*args, **kwargs)
         self._scoring = False
@@ -225,9 +227,14 @@ class _RecordingEvaluator(SetEvaluator):
 
     @calls.setter
     def calls(self, value):
-        # a count made outside the evaluator's scoring takes the spare row
-        if not self._scoring:
-            self.log.append(("spare", [self._spare_set]))
+        # a count made outside the evaluator's scoring counts the last
+        # batch's rows, or else takes the spare row
+        if not self._scoring and value != self._calls:
+            if self._uncounted:
+                assert value - self._calls == self._uncounted
+                self._uncounted = 0
+            else:
+                self.log.append(("spare", [self._spare_set]))
         self._calls = value
 
     def _scored(self, method, *args):
@@ -241,13 +248,14 @@ class _RecordingEvaluator(SetEvaluator):
         self.log.append(("utility", [tuple(sorted(indices))]))
         return self._scored(super().utility, indices)
 
-    def _utilities(self, base, positions, group=None):
+    def _utilities(self, base, positions, pt_watts):
         sets = [tuple(sorted([*base, p])) for p in positions]
         if positions and positions[-1] == self.n_positions:
             sets.pop()
             self._spare_set = tuple(base)
         self.log.append(("batch", sets))
-        return self._scored(super()._utilities, base, positions, group)
+        self._uncounted = len(sets)
+        return self._scored(super()._utilities, base, positions, pt_watts)
 
     @property
     def scored(self) -> list[tuple[int, ...]]:
@@ -332,9 +340,9 @@ class _SpareEvaluator(SetEvaluator):
         super().__init__(*args, **kwargs)
         self.spares: list[bool] = []
 
-    def _utilities(self, base, positions, group=None):
+    def _utilities(self, base, positions, pt_watts):
         self.spares.append(positions[-1] == self.n_positions)
-        return super()._utilities(base, positions, group)
+        return super()._utilities(base, positions, pt_watts)
 
 
 def _walk_alone(ev, assignment, antenna, memo):
@@ -342,7 +350,7 @@ def _walk_alone(ev, assignment, antenna, memo):
     member = activation._Member(ev)
     member.memo = memo
     member.evaluations.append(0)
-    activation._walk([member], assignment, antenna)
+    activation._walk([member], assignment, antenna, ev._pt_watts)
     return member.moves
 
 

@@ -417,6 +417,30 @@ def test_a_power_at_which_every_rate_is_0_is_a_clean_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_value_may_take_an_exponent(tmp_path, capsys):
+    # argparse reads `-3e3` or `-inf` as a flag; each reaches the config
+    # check, which names its key
+    out = tmp_path / "x.csv"
+    for flag, value, error in [
+            ("--pt-dbm", "-3e3", "every trial of every scheme rates 0 at "
+                                 "pt_dbm=-3000.0 dBm: no rate to report"),
+            ("--noise-dbm", "-inf", "noise_dbm must be finite, got -inf"),
+            ("--trials", "-1e1", "trials must be an integer, got '-1e1'")]:
+        assert main(["run", "--trials", "2", flag, value,
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+    # a sweep's bounds so written give the same CSV as without exponents
+    csvs = []
+    for start, stop, step in [("-1e1", "1e1", "1e1"), ("-10", "10", "10")]:
+        out = tmp_path / f"sweep{len(csvs)}.csv"
+        assert main(["sweep", *FAST_ARGS, "--sweep-param", "pt_dbm",
+                     "--sweep-from", start, "--sweep-to", stop,
+                     "--sweep-step", step, "--output", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_importing_the_cli_loads_neither_hashlib_nor_statistics():
     # only a DEBUG run hashes its drops, and the means need no statistics;
     # numpy.random, which loads hashlib, waits for the first trial's streams

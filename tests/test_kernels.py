@@ -54,7 +54,7 @@ def test_batch_equals_single_evaluations_exactly():
             others = chosen[:size - 1]
             positions = chosen[size - 1:][:int(rng.integers(1, l_positions
                                                             - size + 2))]
-            got = ev._utilities(sorted(others), positions)
+            got = ev._utilities(sorted(others), positions, ev._pt_watts)
             assert got.shape == (len(positions),)
             assert got.tolist() == [ev.utility([*others, p]) for p in positions]
     # the sizes and shapes the scan hands over, each set alone and batched
@@ -64,14 +64,15 @@ def test_batch_equals_single_evaluations_exactly():
         others = sorted(rng.choice(60, size=size - 1, replace=False).tolist())
         positions = [p for p in range(60) if p not in others]
         want = [ev.utility([*others, p]) for p in positions]
-        assert ev._utilities(others, positions).tolist() == want
-        assert [ev._utilities(others, [p])[0] for p in positions] == want
+        assert ev._utilities(others, positions, ev._pt_watts).tolist() == want
+        assert [ev._utilities(others, [p], ev._pt_watts)[0]
+                for p in positions] == want
 
 
 def test_spare_row_equals_utility_of_its_base_exactly():
     # the walk's deactivation rides in its batch as a spare row: the base
     # and a zero column, its power split over the base; it and every other
-    # row are `utility` of their sets, and only the other rows are counted
+    # row are `utility` of their sets
     rng = np.random.default_rng(306)
     shapes = [(1, 4, 12), (2, 2, 20), (3, 2, 12), (4, 4, 30), (8, 8, 60)]
     for n, k, l_positions in shapes:
@@ -84,8 +85,8 @@ def test_spare_row_equals_utility_of_its_base_exactly():
             base = sorted(chosen[:size])
             positions = chosen[size:][:int(rng.integers(1, l_positions
                                                         - size + 1))]
-            got = ev._utilities(base, [*positions, l_positions])
-            assert ev.calls == len(positions)
+            got = ev._utilities(base, [*positions, l_positions],
+                                ev._pt_watts)
             want = [ev.utility([*base, p]) for p in positions]
             assert got.tolist() == [*want, ev.utility(base)]
 
@@ -94,16 +95,12 @@ def test_batch_edge_cases():
     cfg = SystemConfig(l_positions=12)
     dep = make_deployment(cfg, stream_rng(7, 0, 0))
     ev = SetEvaluator(cfg, dep, PowerAllocation.equal(cfg.n_users))
-    assert ev._utilities([0, 1], []).shape == (0,)
-    assert ev.calls == 0
-    ev._utilities([4], [0, 1, 2])
-    assert ev.calls == 3
+    assert ev._utilities([0, 1], [], ev._pt_watts).shape == (0,)
 
 
 def test_private_batch_equals_utility_bit_for_bit():
     # the scan's walk scores through the private batch, which checks no
-    # index; it agrees with the checked `utility` on every set and counts
-    # one call per row
+    # index; it agrees with the checked `utility` on every set
     rng = np.random.default_rng(61)
     for n, k, l_positions in [(2, 2, 20), (4, 4, 30), (8, 8, 60)]:
         cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
@@ -114,9 +111,7 @@ def test_private_batch_equals_utility_bit_for_bit():
             others = sorted(rng.choice(l_positions, size=size - 1,
                                        replace=False).tolist())
             positions = [p for p in range(l_positions) if p not in others]
-            calls = ev.calls
-            batch = ev._utilities(others, positions).tolist()
-            assert ev.calls - calls == len(positions)
+            batch = ev._utilities(others, positions, ev._pt_watts).tolist()
             assert batch == [ev.utility([*others, p]) for p in positions]
 
 
@@ -213,7 +208,7 @@ def test_shared_amplitude_matrix_serves_every_power():
 def test_a_family_batch_equals_each_power_alone():
     # sorted once and scaled per power, a batch at a family's powers gives
     # each member's own rows bit for bit, its spare row too, alone or not,
-    # and counts the sets, spare aside, for each member
+    # and counts nothing: the walk that takes the rows counts them
     rng = np.random.default_rng(308)
     for n, k, l_positions in [(1, 3, 8), (2, 2, 20), (4, 4, 30), (8, 8, 60)]:
         cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
@@ -233,12 +228,12 @@ def test_a_family_batch_equals_each_power_alone():
                 offers += [[*positions, l_positions], [l_positions]]
             for offer in offers:
                 calls = [m.calls for m in members]
-                got = members[0]._utilities(base, offer, members).tolist()
+                got = members[0]._utilities(base, offer, np.array(
+                    [[[m._pt_watts]] for m in members])).tolist()
                 alone = [SetEvaluator(c, dep, alloc, amp=amp) for c in configs]
-                assert got == [a._utilities(base, offer).tolist()
+                assert got == [a._utilities(base, offer, a._pt_watts).tolist()
                                for a in alone]
-                assert [m.calls - c for m, c in zip(members, calls)] == [
-                    a.calls for a in alone]
+                assert [m.calls for m in members] == calls
     # a family is one drop's matrix, allocation and noise at several powers
     other = SetEvaluator(cfg, make_deployment(cfg, rng), alloc)
     with pytest.raises(ValueError, match="differ only in power"):
