@@ -227,18 +227,14 @@ def _log_to_stderr(level: str | None):
         logger.setLevel(previous)
 
 
-# A negative number, which argparse reads as a flag unless it looks like
-# `-123` or `-1.5`; the config check reads the rest of it.
-_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-
 def _join_negative_numbers(argv: list[str]) -> list[str]:
     """`argv` with each negative number that follows a long flag joined to
     it, `--pt-dbm -3e3` as `--pt-dbm=-3e3`, so that `-3e3` or `-inf`
-    reaches the config check."""
+    reaches the config check: argparse reads an argument that starts with
+    `-` as a flag unless it looks like `-123` or `-1.5`."""
     joined: list[str] = []
     for arg in argv:
-        if (joined and _NEGATIVE.match(arg)
+        if (joined and re.match(r"-(\d|\.\d|inf|nan)", arg, re.IGNORECASE)
                 and re.fullmatch(r"--[\w-]+", joined[-1])):
             joined[-1] += f"={arg}"
         else:

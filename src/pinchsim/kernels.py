@@ -158,6 +158,7 @@ class SetEvaluator:
             amp, watts = self._padded.T, per_row
         return set_sum_rate(amp, rows, watts, self._noise_watts, self._alloc)
 
+
 def family(evaluators) -> tuple[SetEvaluator, ...]:
     """Link the evaluators of one drop's amplitude matrix at several
     transmit powers as one family: the first
