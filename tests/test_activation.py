@@ -652,6 +652,44 @@ def test_instability_certificate_improves():
     assert found_unstable > 20  # random starts are rarely stable
 
 
+# check_stability's (stable, certificate, calls) on two drops per
+# (N, K, L), from three starts each: a random full matching, the same with
+# antenna 0 inactive, and the scan's final matching from the full one.
+STABILITY_CHECKS = {
+    (2, 2, 12): [(False, Move(0, 9, 7), 11), (False, Move(0, None, 1), 12),
+                 (True, None, 23), (False, Move(0, 9, 0), 11),
+                 (False, Move(0, None, 0), 12), (True, None, 23)],
+    (3, 3, 10): [(False, Move(0, 3, None), 9), (True, None, 27),
+                 (True, None, 27), (False, Move(0, 2, 1), 8),
+                 (False, Move(0, None, 1), 9), (True, None, 27)],
+    (1, 4, 12): [(False, Move(0, 5, 8), 10), (False, Move(0, None, 1), 10),
+                 (True, None, 33), (False, Move(0, 8, 2), 9),
+                 (False, Move(0, None, 2), 10), (True, None, 37)],
+    (4, 4, 20): [(False, Move(0, 3, 2), 17), (False, Move(0, None, 0), 18),
+                 (True, None, 69), (False, Move(0, 10, 0), 17),
+                 (False, Move(0, None, 0), 18), (True, None, 69)],
+}
+
+
+def test_stability_check_counts_are_pinned():
+    rng = np.random.default_rng(514)
+    for (n, k, l_positions), want in STABILITY_CHECKS.items():
+        cfg = SystemConfig(d1=30.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        alloc = PowerAllocation.equal(n)
+        got = []
+        for drop in range(2):
+            dep = make_deployment(cfg, rng)
+            full = random_matching(cfg, dep, rng)
+            final, _ = matching_activation(SetEvaluator(cfg, dep, alloc), full)
+            for start in (full, Matching(assignment=(None,
+                                                     *full.assignment[1:])),
+                          final):
+                ev = SetEvaluator(cfg, dep, alloc)
+                got.append((*check_stability(ev, start), ev.calls))
+        assert got == want
+
+
 def test_deactivation_never_improves_single_antenna():
     # with one antenna the only deactivation leads to zero utility, so a
     # symmetric two-position instance is stable in place
