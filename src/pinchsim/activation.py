@@ -159,12 +159,13 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
     reads the first member's memo once for all its relocation sets and
     scores those it lacks in one batch at its start, at `pt_watts`, its
     group's power or powers (`_scan`), the current state's among them if
-    missing; each member's evaluator counts those sets.  The other
+    missing; each member keeps those sets in its memo.  The other
     antennas' set, when missing, rides in that batch as its spare row, or
     makes a batch of its own when nothing else is missing.  For an inactive
-    antenna it is the current set, the start, which a member takes, and its
-    evaluator counts, at once; for an active one it is the deactivation
-    set, taken and counted only once the deactivation is reached.
+    antenna it is the current set, the start, which each member keeps at
+    once with the others; for an active one it is the deactivation set,
+    kept only once the deactivation is reached.  The walk counts nothing:
+    its search counts each set a memo keeps when it returns.
 
     Every set in a memo is the start, the empty set, which rates 0, or was
     examined by an earlier walk, against a utility no higher than the
@@ -185,8 +186,9 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
     for p in reversed(others):
         del positions[p]
     visit = [p for p in positions if base | 1 << p not in memo]
-    fresh = [base | 1 << p for p in visit]
     spare = base not in memo
+    fresh = [base | 1 << p for p in visit] + [base] * (
+        spare and current is None)
     if fresh or spare:
         scored = ev._utilities(others, visit + [ev.n_positions] * spare,
                                pt_watts).reshape(len(group), -1).tolist()
@@ -199,17 +201,13 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
         visit.insert(own, current)
     for m, gains in zip(group, scored):
         memo = m.memo
-        memo.update(zip(fresh, gains))  # the spare row is last
-        m.ev.calls += len(fresh)
+        memo.update(zip(fresh, gains))  # an inactive one's spare is last
         if own is not None:
             # The deactivation's place, taken only if the walk reaches it
             # unmoved; after a move it is a relocation back to the walk's
             # starting set, which cannot be accepted.
             gains.insert(own, -math.inf)
         at = current
-        if spare and at is None:
-            m.ev.calls += 1
-            memo[base] = gains[-1]
         utility = memo[base if at is None else base | 1 << at]
         moves = m.moves
         taken = len(moves)
@@ -217,7 +215,6 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
             target = pos
             if pos == at:
                 if spare:
-                    m.ev.calls += 1
                     memo[base] = gains[-1]
                 gain, target = memo[base], None
             if gain > utility:
@@ -289,10 +286,14 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     family scans the drop at every member's power as one group: while their
     moves agree, the members share each walk and its kernel call, and each
     keeps its own memo, as every evaluator is bound to one transmit power.
-    This call returns its own evaluator's result; each other member's is
-    held until its own call with the same `initial` takes it, and only then
-    counts its sets in `calls`, so that every call returns, and counts, what
-    a scan on its evaluator alone would.
+    Every set in a member's memo bar the empty set was scored for that
+    member, and kept, once: the memo's size less one is the count of its
+    scan.  This call adds its own count to its evaluator's `calls` when it
+    returns, and returns its own result; each other member's result is held
+    with its count until its own call with the same `initial` takes both,
+    so that every call returns, and counts, what a scan on its evaluator
+    alone would.  A scan that raises counts nothing, and leaves every other
+    member's held result as it was.
     """
     held, ev._held = ev._held, None
     if held is not None and held[0] == initial:
@@ -307,11 +308,10 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     group = [_Member(ev)] + [_Member(e) for e in
                              (member() for member in ev.family)
                              if e is not None and e is not ev]
-    counted = [m.ev.calls for m in group]
     _scan(group, assignment)
-    for m, calls in zip(group[1:], counted[1:]):
-        m.ev._held = (initial, m.ev.calls - calls, m.result(start))
-        m.ev.calls = calls
+    for m in group[1:]:
+        m.ev._held = (initial, len(m.memo) - 1, m.result(start))
+    ev.calls += len(group[0].memo) - 1
     return group[0].result(start)
 
 
@@ -325,7 +325,8 @@ def check_stability(ev: SetEvaluator, matching: Matching
     Each antenna takes the scan's walk from `matching`, as a group of one
     with one memo, so that no set is scored twice and `matching`'s own set
     is scored in the first walk's batch; the first move the walks accept is
-    the certificate.
+    the certificate.  The sets its memo keeps are counted in `ev.calls`
+    when it returns.
     """
     # The walks' batches do not check their indices: check them before
     # their masks.
@@ -335,8 +336,9 @@ def check_stability(ev: SetEvaluator, matching: Matching
     for antenna in range(matching.k_antennas):
         _walk([member], list(matching.assignment), antenna, ev._pt_watts)
         if member.moves:
-            return False, member.moves[0]
-    return True, None
+            break
+    ev.calls += len(member.memo) - 1
+    return not member.moves, member.moves[0] if member.moves else None
 
 
 def candidate_count(l_positions: int, k_antennas: int) -> int:

@@ -18,8 +18,8 @@ evaluators of one drop at the powers of a sweep form one family, whose
 matching scans run as one group: each batch then scores its rows at every
 power of the group at once, as (G, B) rates.  The batch scores at the
 power it is handed, a lone scan's float or a group's array, and counts
-nothing; the walk counts in each evaluator's `calls` the sets its own scan
-scores.
+nothing: a search counts in each evaluator's `calls` the sets its own scan
+kept, once, when its call returns.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ class SetEvaluator:
     at each power of its `family`: the evaluators of its drop that `family`
     linked, or itself alone.  `calls` counts the sets scored for it,
     batched or not, so searches can report their evaluation budget:
-    `utility` counts its set, and the walk counts the batch rows it takes,
-    a spare row only when it takes it.
+    `utility` counts its set, and a matching scan or stability check
+    counts, when it returns, the batch rows its walks kept, a spare row
+    only if taken.
     """
 
     def __init__(self, config: SystemConfig, deployment: Deployment,
@@ -133,9 +134,10 @@ class SetEvaluator:
         float, as (B,) floats, or a (G, 1, 1) array of the powers of G
         members of its `family`, as (G, B); equal, bit for bit, to
         `utility` of each set at its evaluator.  No set is counted in
-        `calls`: the caller, the matching scan's walk, counts the rows it
-        takes.  No index is checked: the walk vouches that the sorted
-        `base` and the `positions` are distinct grid indices.
+        `calls`: its callers, the matching scan and the stability check,
+        count the rows their walks keep when they return.  No index is
+        checked: the walk vouches that the sorted `base` and the
+        `positions` are distinct grid indices.
 
         A last position `n_positions` adds the spare row: `base` and a
         zero column, which lives in a position-major copy of `amp` built on

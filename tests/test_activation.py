@@ -207,59 +207,45 @@ def test_batched_scan_equals_reference_scan():
 
 class _RecordingEvaluator(SetEvaluator):
     """Logs its scoring calls as ('utility', [set]), ('batch', sets) or
-    ('spare', [set]).  `scored` lists every set scored: one per `utility`
-    call, bar the empty set, which scores 0 without the kernel, one per
-    batch position, and one per spare row taken.  Batches are logged where
-    the walk scores them, in `_utilities`, without their spare row; the
-    walk counts a batch's other rows at once, and the spare is logged where
-    it is counted, by the walk that takes it."""
+    ('spare', [set]): a batch's spare row, if it has one, is logged after
+    its other rows.  `scored` lists every (kind, set) scored, bar the empty
+    set, which scores 0 without the kernel, in order; a spare row among
+    them may go untaken.  Each batch asserts that the scan has not kept
+    any of its sets yet, when the scan's memo is handed to the evaluator
+    as `kept` (`_KeptMember`)."""
 
     def __init__(self, *args, **kwargs):
-        self.log: list[tuple[str, list[tuple[int, ...]]]] = []
-        self._uncounted = 0  # rows of the last batch the walk has not counted
-        self._scoring = True  # the count set by the constructor is no spare
         super().__init__(*args, **kwargs)
-        self._scoring = False
-
-    @property
-    def calls(self):
-        return self._calls
-
-    @calls.setter
-    def calls(self, value):
-        # a count made outside the evaluator's scoring counts the last
-        # batch's rows, or else takes the spare row
-        if not self._scoring and value != self._calls:
-            if self._uncounted:
-                assert value - self._calls == self._uncounted
-                self._uncounted = 0
-            else:
-                self.log.append(("spare", [self._spare_set]))
-        self._calls = value
-
-    def _scored(self, method, *args):
-        self._scoring = True
-        try:
-            return method(*args)
-        finally:
-            self._scoring = False
+        self.log: list[tuple[str, list[tuple[int, ...]]]] = []
+        self.kept: dict[int, float] = {}
 
     def utility(self, indices):
         self.log.append(("utility", [tuple(sorted(indices))]))
-        return self._scored(super().utility, indices)
+        return super().utility(indices)
 
     def _utilities(self, base, positions, pt_watts):
         sets = [tuple(sorted([*base, p])) for p in positions]
         if positions and positions[-1] == self.n_positions:
-            sets.pop()
-            self._spare_set = tuple(base)
-        self.log.append(("batch", sets))
-        self._uncounted = len(sets)
-        return self._scored(super()._utilities, base, positions, pt_watts)
+            sets[-1] = tuple(base)
+        assert not self.kept.keys() & map(activation._mask, sets), (
+            "a set the scan keeps was scored again")
+        if positions and positions[-1] == self.n_positions:
+            self.log += [("batch", sets[:-1]), ("spare", sets[-1:])]
+        else:
+            self.log.append(("batch", sets))
+        return super()._utilities(base, positions, pt_watts)
 
     @property
-    def scored(self) -> list[tuple[int, ...]]:
-        return [s for _, sets in self.log for s in sets if s]
+    def scored(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [(kind, s) for kind, sets in self.log for s in sets if s]
+
+
+class _KeptMember(activation._Member):
+    """A scan member that hands its evaluator its memo as `kept`."""
+
+    def __init__(self, ev):
+        super().__init__(ev)
+        ev.kept = self.memo
 
 
 def _scan_start(cfg, dep, rng, inactive):
@@ -270,10 +256,11 @@ def _scan_start(cfg, dep, rng, inactive):
     return Matching(assignment=tuple(assignment))
 
 
-def test_scan_scores_each_candidate_set_once():
+def test_scan_scores_each_candidate_set_once(monkeypatch):
     # a candidate set met again, after an accepted move or in the final
     # silent cycle, reuses its utility; the trajectory, evaluation counts
     # included, is still the candidate-by-candidate scan's
+    monkeypatch.setattr(activation, "_Member", _KeptMember)
     rng = np.random.default_rng(509)
     for n, k, l_positions, drops in [(2, 2, 20, 30), (4, 4, 30, 12),
                                      (8, 8, 60, 6)]:
@@ -285,9 +272,16 @@ def test_scan_scores_each_candidate_set_once():
             init = _scan_start(cfg, dep, rng, drop % 3)
             ev = _RecordingEvaluator(cfg, dep, alloc)
             got = matching_activation(ev, init)
-            # every set the evaluator counted went through a recorded path
-            assert len(ev.scored) == ev.calls > 0
-            assert len(set(ev.scored)) == len(ev.scored)
+            # the evaluator counted each set the scan kept, and no other;
+            # each went through a recorded path, and every row the scan
+            # scored, bar a spare row, was kept
+            kept = set(ev.kept) - {0}
+            assert ev.calls == len(kept) > 0
+            scored = {kind: set() for kind in ("utility", "batch", "spare")}
+            for kind, s in ev.scored:
+                scored[kind].add(activation._mask(s))
+            assert scored["utility"] | scored["batch"] <= kept
+            assert kept <= scored["utility"] | scored["batch"] | scored["spare"]
             assert got == reference_scan(cfg, dep, alloc, init)
 
 
@@ -346,11 +340,15 @@ class _SpareEvaluator(SetEvaluator):
 
 
 def _walk_alone(ev, assignment, antenna, memo):
-    """One antenna's walk as a group of one with `memo`; its moves."""
+    """One antenna's walk as a group of one with `memo`, counting in
+    `ev.calls` the sets the walk adds to it, as its search would on return;
+    its moves."""
     member = activation._Member(ev)
     member.memo = memo
     member.evaluations.append(0)
+    kept = len(memo)
     activation._walk([member], assignment, antenna, ev._pt_watts)
+    ev.calls += len(memo) - kept
     return member.moves
 
 
@@ -383,7 +381,14 @@ def test_only_an_antenna_with_company_offers_a_spare_row():
         first = moves[0].target if moves else None
         reached = first is None or first > 5
         assert (activation._mask([3]) in memo) == reached
-        assert ev.calls == len(memo)
+        assert ev.calls == len(memo) == cfg.l_positions - 1 + reached
+        # and a stability check that stops at that walk's first move counts
+        # the same sets
+        if moves:
+            ev = SetEvaluator(cfg, dep, alloc)
+            assert check_stability(ev, Matching(assignment=(5, 3))) == (
+                False, moves[0])
+            assert ev.calls == len(memo)
     # a lone antenna's deactivation set is empty: it scores 0 without the
     # kernel, and no batch carries it
     cfg = SystemConfig(n_users=2, k_antennas=1, l_positions=12)
@@ -601,6 +606,42 @@ def test_family_members_scan_as_they_would_alone(n, k, extra, powers,
         assert check_stability(alone, got[0]) == (True, None)
 
 
+def test_a_search_that_raises_counts_nothing(monkeypatch):
+    # a search counts the sets it scored only when it returns: one that
+    # fails partway leaves every count and held result as it was
+    def third_raises(ev, *args):
+        batches.append(len(batches))
+        if len(batches) == 3:
+            raise RuntimeError("third batch")
+        return real(ev, *args)
+
+    cfg = SystemConfig(d1=30.0, n_users=3, k_antennas=3, l_positions=12)
+    rng = np.random.default_rng(516)
+    dep = make_deployment(cfg, rng)
+    alloc = PowerAllocation.equal(3)
+    amp = amplitude_matrix(cfg, dep)
+    init = random_matching(cfg, dep, rng)
+    lone = SetEvaluator(cfg, dep, alloc, amp=amp)
+    stable, _ = matching_activation(SetEvaluator(cfg, dep, alloc), init)
+    members = family(SetEvaluator(dataclasses.replace(cfg, pt_dbm=p), dep,
+                                  alloc, amp=amp) for p in (30.0, 20.0, 10.0))
+    # members 1 and 2 hold their results from another start, member 1's
+    # final matching stable at its power
+    matching_activation(members[0], _scan_start(cfg, dep, rng, 1))
+    held = members[1]._held[2][0]
+    matching_activation(lone, init)
+    before = [(ev.calls, ev._held) for ev in (lone, *members)]
+    assert before[0][0] > 0 and before[2][1] is not None
+    real = SetEvaluator._utilities
+    monkeypatch.setattr(SetEvaluator, "_utilities", third_raises)
+    for search, ev, start in [(matching_activation, lone, stable),
+                              (matching_activation, members[0], init),
+                              (check_stability, lone, stable),
+                              (check_stability, members[1], held)]:
+        batches: list[int] = []
+        with pytest.raises(RuntimeError, match="^third batch$"):
+            search(ev, start)
+        assert [(e.calls, e._held) for e in (lone, *members)] == before
 def test_scan_memo_never_crosses_powers():
     # evaluators at every power of the power preset share one drop's grid
     # matrix; each scan must still score with its own power
