@@ -224,15 +224,14 @@ class _RecordingEvaluator(SetEvaluator):
         return super().utility(indices)
 
     def _utilities(self, base, positions, pt_watts):
-        sets = [tuple(sorted([*base, p])) for p in positions]
-        if positions and positions[-1] == self.n_positions:
-            sets[-1] = tuple(base)
-        assert not self.kept.keys() & map(activation._mask, sets), (
+        sets = [tuple(sorted([*base, p])) for p in positions
+                if p != self.n_positions]
+        spares = [tuple(base)] * (len(sets) < len(positions))
+        assert not self.kept.keys() & map(activation._mask, sets + spares), (
             "a set the scan keeps was scored again")
-        if positions and positions[-1] == self.n_positions:
-            self.log += [("batch", sets[:-1]), ("spare", sets[-1:])]
-        else:
-            self.log.append(("batch", sets))
+        self.log.append(("batch", sets))
+        if spares:
+            self.log.append(("spare", spares))
         return super()._utilities(base, positions, pt_watts)
 
     @property
@@ -277,11 +276,11 @@ def test_scan_scores_each_candidate_set_once(monkeypatch):
             # scored, bar a spare row, was kept
             kept = set(ev.kept) - {0}
             assert ev.calls == len(kept) > 0
-            scored = {kind: set() for kind in ("utility", "batch", "spare")}
-            for kind, s in ev.scored:
-                scored[kind].add(activation._mask(s))
-            assert scored["utility"] | scored["batch"] <= kept
-            assert kept <= scored["utility"] | scored["batch"] | scored["spare"]
+            rows = {activation._mask(s) for kind, s in ev.scored
+                    if kind != "spare"}
+            spares = {activation._mask(s) for kind, s in ev.scored
+                      if kind == "spare"}
+            assert rows <= kept <= rows | spares
             assert got == reference_scan(cfg, dep, alloc, init)
 
 
@@ -629,7 +628,7 @@ def test_a_search_that_raises_counts_nothing(monkeypatch):
     # final matching stable at its power
     matching_activation(members[0], _scan_start(cfg, dep, rng, 1))
     held = members[1]._held[2][0]
-    matching_activation(lone, init)
+    matching_activation(lone, init)  # so that its count is not 0
     before = [(ev.calls, ev._held) for ev in (lone, *members)]
     assert before[0][0] > 0 and before[2][1] is not None
     real = SetEvaluator._utilities
