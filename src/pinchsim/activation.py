@@ -292,11 +292,12 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     returns, and returns its own result; each other member's result is held
     with its count until its own call with the same `initial` takes both,
     so that every call returns, and counts, what a scan on its evaluator
-    alone would.  A scan that raises counts nothing, and leaves every other
-    member's held result as it was.
+    alone would.  A scan that raises counts nothing, and leaves every held
+    result as it was, this call's own among them.
     """
-    held, ev._held = ev._held, None
+    held = ev._held
     if held is not None and held[0] == initial:
+        ev._held = None
         ev.calls += held[1]
         return held[2]
     assignment = list(initial.assignment)
@@ -311,6 +312,7 @@ def matching_activation(ev: SetEvaluator, initial: Matching
     _scan(group, assignment)
     for m in group[1:]:
         m.ev._held = (initial, len(m.memo) - 1, m.result(start))
+    ev._held = None
     ev.calls += len(group[0].memo) - 1
     return group[0].result(start)
 

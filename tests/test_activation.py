@@ -641,6 +641,34 @@ def test_a_search_that_raises_counts_nothing(monkeypatch):
         with pytest.raises(RuntimeError, match="^third batch$"):
             search(ev, start)
         assert [(e.calls, e._held) for e in (lone, *members)] == before
+
+
+def test_a_raising_call_from_another_start_keeps_the_held_result(monkeypatch):
+    # a member called from a start other than its family's scan's that
+    # raises keeps the result held for it: its next call from the scan's
+    # start takes it, with no kernel batch
+    def raises(*args):
+        raise RuntimeError("batch")
+
+    cfg = SystemConfig(d1=30.0, n_users=3, k_antennas=3, l_positions=12)
+    rng = np.random.default_rng(517)
+    dep = make_deployment(cfg, rng)
+    alloc = PowerAllocation.equal(3)
+    amp = amplitude_matrix(cfg, dep)
+    start_a, start_b = (_scan_start(cfg, dep, rng, i) for i in (0, 1))
+    members = family(SetEvaluator(dataclasses.replace(cfg, pt_dbm=p), dep,
+                                  alloc, amp=amp) for p in (30.0, 20.0))
+    matching_activation(members[0], start_a)
+    held = members[1]._held
+    assert held[0] == start_a != start_b
+    monkeypatch.setattr(SetEvaluator, "_utilities", raises)
+    with pytest.raises(RuntimeError, match="^batch$"):
+        matching_activation(members[1], start_b)
+    assert members[1]._held is held and members[1].calls == 0
+    assert matching_activation(members[1], start_a) == held[2]
+    assert members[1].calls == held[1] and members[1]._held is None
+
+
 def test_scan_memo_never_crosses_powers():
     # evaluators at every power of the power preset share one drop's grid
     # matrix; each scan must still score with its own power
