@@ -2,8 +2,10 @@
 
 Every trial index maps to one user drop shared by all schemes of that row
 (paired comparison), and drops depend only on (seed, trial, geometry).  A
-run loops over blocks of `BLOCK` consecutive trials, then over the sweep
-values, then over the trials of the block.  Each trial draws its drop and
+run loops over blocks of `BLOCK` (512) consecutive trials, then over the
+sweep values, then over the trials of the block; a run of up to 512 trials,
+every preset at its default trial count among them, is one block.  No
+output byte depends on the block size.  Each trial draws its drop and
 its random initial matching from its own random streams.  Per block: one
 `Deployment` of the block's (T, N, 3) users, checked once; with one numpy
 call each, the searches' grid matrices and each baseline scheme's amplitude
@@ -20,7 +22,7 @@ each.  Each baseline scheme (random, distance, conventional) is one
 `BASELINES` entry: how it builds its block's terms and how it reports them
 at one power.  The searched schemes and distance report through one
 `_size_report` of their sets' terms, grouped by set size.  At most one block
-of drops is held at a time.
+of drops, 512 of them, is held at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +60,11 @@ SWEEP_PARAMS = ("pt_dbm", "d1", "d2", "kappa_db_per_m", "n_users",
 COUNT_PARAMS = ("n_users", "k_antennas", "l_positions")
 
 # Consecutive trials whose power-independent objects are built together.
-BLOCK = 64
+# Each block pays a fixed cost: one Deployment check, two stream seedings,
+# the baseline terms' builds and one report per sweep value and scheme.
+# At N=K=8, L=60 that is about 2 ms, the work of about 24 baseline trials:
+# 27% of a 64-trial block, under 5% of a 512-trial one.
+BLOCK = 512
 
 
 class ConfigError(ValueError):
@@ -457,11 +463,13 @@ def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every scheme over shared user drops; aggregate means per cell.
 
-    Blocks of `BLOCK` trials are the outer loop, sweep values the middle
-    one and the trials of the block the inner one.  A block's drops,
-    placements and amplitude terms are built at the first sweep value and
-    kept for the others when the sweep is over `pt_dbm`; any other sweep
-    rebuilds them at each value.  The drops of the whole block make one
+    Blocks of `BLOCK` (512) trials are the outer loop, sweep values the
+    middle one and the trials of the block the inner one: a block's fixed
+    cost is paid once per 512 trials, and a run of up to 512 trials is one
+    block.  A block's drops, placements and amplitude terms are built at
+    the first sweep value and kept for the others when the sweep is over
+    `pt_dbm`; any other sweep rebuilds them at each value.  At most one
+    block of drops is alive at a time.  The drops of the whole block make one
     deployment, its placements come from one call and its amplitude terms
     from one numpy call per kind.  The searches run per (sweep value,
     trial), but a trial's matching scans over a shared block's values run

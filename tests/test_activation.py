@@ -558,7 +558,8 @@ ONE_USER_SWEEP_WORK = (770, (92444, 120428, 7095, 1771))
 
 def _sweep_pins(monkeypatch, tmp_path, settings):
     """The sha256 of the CSV of a sweep run with `settings`, and its scan
-    count and work counts summed as in SCAN_WORK."""
+    count and work counts summed as in SCAN_WORK, over blocks of 64 trials."""
+    monkeypatch.setattr(harness, "BLOCK", 64)
     work = _count_scans(monkeypatch)
     out = tmp_path / "sweep.csv"
     run_experiment(build_spec({**settings, "output_path": str(out)}))

@@ -246,6 +246,7 @@ def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
     # and its grid matrices in another; a power sweep shares them across its
     # values, any other sweep rebuilds them at each value; 70 trials are two
     # blocks
+    monkeypatch.setattr(harness, "BLOCK", 64)
     assert harness.BLOCK == 64
     built = _count_builds(monkeypatch)
     for param, start, stop, step, drops, trials, grids in (
@@ -259,6 +260,20 @@ def test_drops_and_amplitudes_built_once_per_shared_field_set(monkeypatch):
             sweep=SweepSpec(param, start, stop, step)))
         assert (built["drops"], built["trials"], built["grids"]) == (
             drops, trials, grids), param
+
+
+@pytest.mark.parametrize("preset, drops", [
+    ("power", 1), ("area-length", 3), ("antenna-count", 4),
+    ("convergence", 1)])
+def test_each_preset_builds_its_drops_once_per_shared_block(preset, drops,
+                                                            monkeypatch):
+    # at its default trial count a preset's trials are one block: its drops
+    # are built once for the values of a power sweep (or none), once per
+    # value of any other sweep
+    built = _count_builds(monkeypatch)
+    spec = build_spec(PRESETS[preset])
+    (convergence_trace if preset == "convergence" else run_experiment)(spec)
+    assert (built["drops"], built["trials"]) == (drops, drops * spec.trials)
 
 
 
@@ -289,16 +304,20 @@ BLOCK_SWEEPS = {"trials": None, "pt_dbm": SweepSpec("pt_dbm", 20.0, 30.0, 10.0),
 
 
 @pytest.mark.parametrize("case", BLOCK_DIGESTS)
-def test_block_boundaries_change_no_byte(case, tmp_path):
+def test_block_boundaries_change_no_byte(case, tmp_path, monkeypatch):
     kind, trials = case
     out = tmp_path / "r.csv"
-    run_experiment(ExperimentSpec(base=BLOCK_BASE, schemes=ALL_SCHEMES,
-                                  trials=trials, sweep=BLOCK_SWEEPS[kind],
-                                  output_path=out))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCK_DIGESTS[case]
+    for size in (64, harness.BLOCK):
+        monkeypatch.setattr(harness, "BLOCK", size)
+        run_experiment(ExperimentSpec(base=BLOCK_BASE, schemes=ALL_SCHEMES,
+                                      trials=trials, sweep=BLOCK_SWEEPS[kind],
+                                      output_path=out))
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == BLOCK_DIGESTS[case])
 
 
-def test_a_two_word_seed_run_changes_no_byte(tmp_path):
+def test_a_two_word_seed_run_changes_no_byte(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 64)
     out = tmp_path / "r.csv"
     run_experiment(ExperimentSpec(
         base=SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60,
@@ -308,7 +327,8 @@ def test_a_two_word_seed_run_changes_no_byte(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TWO_WORD_SEED_DIGEST
 
 
-def test_block_terms_equal_per_trial_calls_exactly():
+def test_block_terms_equal_per_trial_calls_exactly(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 64)
     cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
     assert harness._blocks(70) == [range(0, 64), range(64, 70)]
     block = harness._block((cfg,), range(64, 70), ALL_SCHEMES)
@@ -376,6 +396,7 @@ def test_block_terms_equal_per_trial_calls_exactly():
 def test_at_most_one_block_of_drops_is_alive(monkeypatch):
     # one deployment per block, and the last one is released before the next
     # is built: the live deployments never hold more than BLOCK drops
+    monkeypatch.setattr(harness, "BLOCK", 64)
     live = weakref.WeakSet()
     most = []
 
@@ -476,6 +497,7 @@ def test_convergence_trace_shares_the_trial_setup(monkeypatch):
     # each trial's trace starts from the drop and random matching that
     # run_experiment scores, and draws each of them once; the drops and the
     # grid matrices are built once per block of trials
+    monkeypatch.setattr(harness, "BLOCK", 64)
     built = _count_builds(monkeypatch)
     rows = convergence_trace(ExperimentSpec(base=FAST, trials=66))
     assert (built["drops"], built["trials"], built["grids"]) == (2, 66, 2)
@@ -487,10 +509,11 @@ def test_convergence_trace_shares_the_trial_setup(monkeypatch):
                         rel_tol=1e-8)
 
 
-def test_run_and_trace_agree_trial_for_trial():
+def test_run_and_trace_agree_trial_for_trial(monkeypatch):
     # over two blocks, each trial's optimum and last matching state in the
     # trace are the exhaustive and matching results the run averages; trace
     # rows store 9 digits, hence the tolerance
+    monkeypatch.setattr(harness, "BLOCK", 64)
     rows = convergence_trace(ExperimentSpec(base=FAST, trials=66))
     last = {r.trial: r for r in rows}
     optimum = {r.trial: r.optimum for r in rows if r.step == 0}
@@ -800,6 +823,7 @@ def test_size_report_equals_per_trial_reports(k):
 
 
 def test_one_report_per_block_scheme_and_sweep_value(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 64)
     reports = []
 
     def counted(original):

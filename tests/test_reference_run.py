@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import reference_run
 from pinchsim import (ExperimentSpec, SweepSpec, SystemConfig,
                       convergence_trace, run_experiment)
+from pinchsim import harness
 from pinchsim.harness import SCHEMES, spec_to_dict
 
 
@@ -37,8 +38,9 @@ def test_reference_run_imports_nothing_from_pinchsim():
                 if name.split(".")[0] in ("pinchsim", "")], imported
 
 
-def test_every_cell_of_a_run_matches_the_oracle():
+def test_every_cell_of_a_run_matches_the_oracle(monkeypatch):
     # all five schemes over two blocks of trials and three powers
+    monkeypatch.setattr(harness, "BLOCK", 64)
     spec = ExperimentSpec(
         base=SystemConfig(n_users=2, k_antennas=2, l_positions=8, seed=17),
         schemes=SCHEMES, trials=70,
