@@ -276,7 +276,6 @@ def test_each_preset_builds_its_drops_once_per_shared_block(preset, drops,
     assert (built["drops"], built["trials"]) == (drops, drops * spec.trials)
 
 
-
 ALL_SCHEMES = ("matching", "random", "distance", "exhaustive", "conventional")
 BLOCK_BASE = SystemConfig(n_users=2, k_antennas=2, l_positions=8, seed=11)
 # sha256 of each result CSV, recorded before trials ran in blocks of 64:
