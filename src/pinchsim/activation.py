@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -98,10 +99,17 @@ class Trajectory:
 
 
 def random_matching(config: SystemConfig, deployment: Deployment,
-                    rng: np.random.Generator) -> Matching:
-    """All K antennas activated at K distinct uniformly-random positions."""
-    return Matching(assignment=tuple(rng.choice(
-        len(deployment.positions), config.k_antennas, replace=False).tolist()))
+                    rng: np.random.Generator | Sequence[np.random.Generator]
+                    ) -> Matching | np.ndarray:
+    """All K antennas activated at K distinct uniformly-random positions,
+    drawn from the generator `rng`; or, from a sequence of T generators, a
+    block's (T, K) `intp` array of them, row i antenna by antenna as
+    generator i draws them alone."""
+    rngs = rng if isinstance(rng, Sequence) else [rng]
+    starts = np.array([r.choice(len(deployment.positions), config.k_antennas,
+                                replace=False) for r in rngs],
+                      dtype=np.intp).reshape(-1, config.k_antennas)
+    return starts if rngs is rng else Matching(tuple(starts[0].tolist()))
 
 
 def _mask(positions) -> int:
@@ -388,13 +396,16 @@ def distance_based_activation(config: SystemConfig, deployment: Deployment
 
     Pairs antenna k with user k for k up to min(K, N); the surplus side stays
     idle.  Coinciding placements collapse to a single antenna, the first.
+    Every drop's placement comes from one (T, S, 3) `waveguide_points`
+    call; only a drop whose paired users share an x gets its own, collapsed.
     """
     n_pairs = min(config.k_antennas, deployment.users.shape[-2])
-    xs = deployment.users[..., :n_pairs, 0].tolist()
-    if deployment.users.ndim == 2:
-        return waveguide_points(list(dict.fromkeys(xs)), config.height)
-    return [waveguide_points(list(dict.fromkeys(row)), config.height)
-            for row in xs]
+    xs = deployment.users[..., :n_pairs, 0].reshape(-1, n_pairs)
+    points = list(waveguide_points(xs, config.height))
+    for i in np.flatnonzero((np.diff(np.sort(xs)) == 0).any(1)):
+        points[i] = waveguide_points(list(dict.fromkeys(xs[i].tolist())),
+                                     config.height)
+    return points if deployment.users.ndim == 3 else points[0]
 
 
 def conventional_positions(config: SystemConfig) -> np.ndarray:

@@ -8,8 +8,10 @@ every preset at its default trial count among them, is one block.  No
 output byte depends on the block size.  Each trial draws its drop and
 its random initial matching from its own random streams.  Per block: one
 `Deployment` of the block's (T, N, 3) users, checked once; with one numpy
-call each, the searches' grid matrices and each baseline scheme's amplitude
-terms.  None of these depends on the transmit power, so a power sweep
+call each, the searches' grid matrices, the distance placements and each
+baseline scheme's amplitude terms; the random starts as one (T, K) array,
+from one `random_matching` call; and, only when the matching scheme runs,
+one `Matching` per trial from its row of starts.  None of these depends on the transmit power, so a power sweep
 builds a block once and shares it across its values; any other sweep builds
 it afresh at each value.  A shared block also holds, per trial, one
 `SetEvaluator` per sweep value, linked as one `kernels.family`: the trial's
@@ -265,6 +267,8 @@ class _Block(NamedTuple):
     # Per trial, one evaluator of its grid matrix per sweep point that
     # shares the block, linked as one `kernels.family`.
     evaluators: list[tuple[SetEvaluator, ...]] | None
+    # Per trial, its random start as the matching scheme's `Matching`, built
+    # once for every sweep point of the block from its row of starts.
     initial: list[Matching] | None
     terms: dict[str, object]                  # per baseline scheme of the run
 
@@ -277,19 +281,21 @@ def _blocks(trials: int) -> list[range]:
 
 
 class _Baseline(NamedTuple):
-    """A scheme that runs no search.  `terms(cfg, deployment, initial)`
-    builds a block's power-independent terms from its deployment and random
-    initial matchings; `report(terms, deployment, cfg, alloc)` gives the
-    block's RateReport and (T,) active counts at one power."""
+    """A scheme that runs no search.  `terms(cfg, deployment, starts)`
+    builds a block's power-independent terms from its deployment and its
+    (T, K) array of random starts (None when no scheme draws them);
+    `report(terms, deployment, cfg, alloc)` gives the block's RateReport and
+    (T,) active counts at one power."""
 
     terms: Callable
     report: Callable
 
 
-def _random_terms(cfg, deployment, initial):
-    """Each trial's random matching as its (T, K) grid indices, ascending,
-    and the (T, N, K) amplitude terms of its users at those points."""
-    active = np.array([m.active_positions() for m in initial], dtype=np.intp)
+def _random_terms(cfg, deployment, starts):
+    """Each trial's random matching as its (T, K) grid indices, the rows of
+    `starts` sorted ascending in one call, and the (T, N, K) amplitude terms
+    of its users at those points."""
+    active = np.sort(starts, axis=1)
     return active, amplitudes(cfg, deployment.users,
                               deployment.positions[active], deployment.feed)
 
@@ -325,7 +331,7 @@ def _size_report(terms, deployment, cfg, alloc):
     return rate_report(gains, alloc, dbm_to_watts(cfg.noise_dbm)), active
 
 
-def _distance_terms(cfg, deployment, initial):
+def _distance_terms(cfg, deployment, starts):
     """The amplitude terms of each trial at its distance-based placement,
     by placement size, since coinciding users collapse placements."""
     return _by_size(distance_based_activation(cfg, deployment),
@@ -334,7 +340,7 @@ def _distance_terms(cfg, deployment, initial):
                         deployment.feed))
 
 
-def _conventional_terms(cfg, deployment, initial):
+def _conventional_terms(cfg, deployment, starts):
     return conventional_amplitudes(cfg, deployment.users)
 
 
@@ -360,13 +366,16 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
     block, the first building it: each trial gets one evaluator per point,
     linked as one family, so that its matching scans at all of them run as
     one group.  Each trial's drop and matching come from its own streams;
-    the drops make one deployment, checked once, and the amplitude terms of
-    the whole block come from one numpy call per kind."""
+    the drops make one deployment, checked once, the random starts one
+    (T, K) array, from one `random_matching` call, and the amplitude terms
+    of the whole block come from one numpy call per kind.  The matching
+    scheme's `Matching`s are built from the starts here, once per trial for
+    all the points that share the block."""
     cfg = configs[0]
     alloc = PowerAllocation.equal(cfg.n_users)
     deployment = make_deployment(cfg,
                                  stream_rngs(cfg.seed, USER_STREAM, trials))
-    grid = evaluators = initial = None
+    grid = evaluators = starts = initial = None
     if "matching" in schemes or "exhaustive" in schemes:
         # Looked up on the module, so the traced benchmark (perfbench)
         # credits the matrix build to kernels.
@@ -375,10 +384,12 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
                                      for c in configs)
                       for amp in grid]
     if "matching" in schemes or "random" in schemes:
-        initial = [random_matching(cfg, deployment, rng) for rng
-                   in stream_rngs(cfg.seed, MATCHING_STREAM, trials)]
+        starts = random_matching(cfg, deployment, stream_rngs(
+            cfg.seed, MATCHING_STREAM, trials))
+    if "matching" in schemes:
+        initial = [Matching(assignment=tuple(row)) for row in starts.tolist()]
     return _Block(trials, deployment, grid, alloc, evaluators, initial,
-                  {s: BASELINES[s].terms(cfg, deployment, initial)
+                  {s: BASELINES[s].terms(cfg, deployment, starts)
                    for s in schemes if s in BASELINES})
 
 

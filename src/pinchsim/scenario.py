@@ -222,10 +222,11 @@ def derived_rf(config: SystemConfig) -> tuple[float, float, float]:
 
 
 def waveguide_points(xs, height: float) -> np.ndarray:
-    """(M, 3) points on the waveguide axis (y=0, z=height) at the given
-    x-coordinates."""
-    points = np.full((len(xs), 3), (0.0, 0.0, height))
-    points[:, 0] = xs
+    """(..., M, 3) points on the waveguide axis (y=0, z=height) at the
+    given (..., M) x-coordinates: (M, 3) for a sequence of M, (T, M, 3) for
+    a block's (T, M) array."""
+    points = np.full((*np.shape(xs), 3), (0.0, 0.0, height))
+    points[..., 0] = xs
     return points
 
 

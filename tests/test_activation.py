@@ -21,7 +21,7 @@ from pinchsim import (BudgetExceededError, Matching, Move,
                       dbm_to_watts, derived_rf, distance_based_activation,
                       exhaustive_search, make_deployment, matching_activation,
                       power_gains, random_matching, rate_report, stream_rng,
-                      sum_rate)
+                      stream_rngs, sum_rate)
 from pinchsim.cli import PRESETS
 from pinchsim.harness import build_spec, run_experiment
 from pinchsim.kernels import amplitude_matrix, family
@@ -77,6 +77,25 @@ def test_random_matching_hits_every_position():
     for t in range(200):
         seen.update(random_matching(cfg, dep, stream_rng(2, 1, t)).active_positions())
     assert seen == set(range(5))
+
+
+@pytest.mark.parametrize("k, l_positions", [(3, 8), (8, 8)])
+def test_random_matching_block_form_draws_each_trial_as_alone(k, l_positions):
+    # from a sequence of generators, one (T, K) intp row per trial, each the
+    # assignment its generator draws alone; K = L makes every row a full
+    # permutation, and no trial makes a (0, K) array
+    cfg = SystemConfig(k_antennas=k, l_positions=l_positions, seed=5)
+    dep = make_deployment(cfg, stream_rng(cfg.seed, 0, 0))
+    trials = range(3, 40)
+    starts = random_matching(cfg, dep, stream_rngs(cfg.seed, 1, trials))
+    assert starts.shape == (len(trials), k) and starts.dtype == np.intp
+    for row, trial in zip(starts.tolist(), trials):
+        one = random_matching(cfg, dep, stream_rng(cfg.seed, 1, trial))
+        assert tuple(row) == one.assignment
+        if k == l_positions:
+            assert sorted(row) == list(range(l_positions))
+    empty = random_matching(cfg, dep, stream_rngs(cfg.seed, 1, range(0)))
+    assert empty.shape == (0, k) and empty.dtype == np.intp
 
 
 def distinct_matchings(l_positions, k_antennas):

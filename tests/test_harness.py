@@ -21,12 +21,12 @@ from pinchsim import (ConfigError, Deployment, ExperimentSpec,
                       dbm_to_watts, distance_based_activation,
                       effective_channel, make_deployment, parse_config_file,
                       power_gains, random_matching, rate_report, read_results,
-                      run_experiment, stream_rng, sum_rate)
+                      run_experiment, stream_rng, stream_rngs, sum_rate)
 from pinchsim.activation import conventional_amplitudes, conventional_positions
 from pinchsim.cli import PRESETS
 from pinchsim import activation, harness, kernels, noma
 from pinchsim.harness import SWEEP_PARAMS, apply_sweep_value, spec_to_dict
-from pinchsim.scenario import SPEED_OF_LIGHT
+from pinchsim.scenario import SPEED_OF_LIGHT, waveguide_points
 
 FAST = SystemConfig(n_users=2, k_antennas=2, l_positions=12, seed=3)
 
@@ -390,6 +390,76 @@ def test_block_terms_equal_per_trial_calls_exactly(monkeypatch):
     assert block.shape == (3, 2, len(conventional_positions(cfg)))
     for d, got in zip(drops, block):
         assert got.tolist() == conventional_amplitudes(cfg, d.users).tolist()
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Patch `module.name` to log the arguments of each call, then make it;
+    return the log."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_block_placements_come_from_one_waveguide_points_call(monkeypatch):
+    # a block whose paired users all have distinct x places every drop in one
+    # (T, S, 3) call; a drop whose users share an x adds one call of its own
+    calls = _count_calls(monkeypatch, activation, "waveguide_points")
+    cfg = SystemConfig(d1=30.0, n_users=8, k_antennas=8, l_positions=60, seed=4)
+    block_dep = make_deployment(cfg, stream_rngs(cfg.seed, 0, range(40)))
+    placements = distance_based_activation(cfg, block_dep)
+    assert len(calls) == 1
+    for i, placement in enumerate(placements):
+        dep = Deployment(users=block_dep.users[i], positions=block_dep.positions,
+                         feed=block_dep.feed)
+        assert (placement.tolist()
+                == distance_based_activation(cfg, dep).tolist())
+    calls.clear()
+    cfg = SystemConfig(n_users=2, k_antennas=2)
+    grid = make_deployment(cfg, stream_rng(1, 0, 0))
+    users = np.array([((2.0, 1.0, 0.0), (7.0, -1.0, 0.0)),
+                      ((4.0, 1.0, 0.0), (4.0, -2.0, 0.0)),
+                      ((9.0, 0.5, 0.0), (1.0, 2.0, 0.0))])
+    distance_based_activation(cfg, Deployment(
+        users=users, positions=grid.positions, feed=grid.feed))
+    assert len(calls) == 2
+    # the points of a (T, M) array of x-coordinates are each row's
+    xs = block_dep.users[:, :5, 0]
+    block = waveguide_points(xs, 3.0)
+    assert block.shape == (40, 5, 3)
+    for row, got in zip(xs, block):
+        assert got.tolist() == waveguide_points(row.tolist(), 3.0).tolist()
+
+
+def test_a_trial_scans_from_one_matching_at_every_shared_power(monkeypatch):
+    # a shared block builds each trial's start once, for all its powers
+    calls = _count_calls(monkeypatch, harness, "matching_activation")
+    run_experiment(ExperimentSpec(
+        base=FAST, schemes=("matching", "random"), trials=6,
+        sweep=SweepSpec("pt_dbm", 20.0, 30.0, 5.0)))
+    starts = [initial for _, initial in calls]
+    assert len(starts) == 3 * 6
+    for i in range(6):
+        assert starts[i] is starts[6 + i] is starts[12 + i]
+        assert starts[i] == random_matching(
+            FAST, make_deployment(FAST, stream_rng(FAST.seed, 0, i)),
+            stream_rng(FAST.seed, 1, i))
+
+
+def test_a_random_only_block_draws_its_starts_in_one_call(monkeypatch):
+    calls = _count_calls(monkeypatch, harness, "random_matching")
+    block = harness._block((FAST,), range(5, 25), ("random", "distance"))
+    assert block.initial is None
+    assert len(calls) == 1
+    active, _ = block.terms["random"]
+    for row, trial in zip(active.tolist(), block.trials):
+        one = random_matching(FAST, block.deployment,
+                              stream_rng(FAST.seed, 1, trial))
+        assert tuple(row) == one.active_positions()
 
 
 def test_at_most_one_block_of_drops_is_alive(monkeypatch):
