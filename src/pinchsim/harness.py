@@ -11,20 +11,21 @@ its random initial matching from its own random streams.  Per block: one
 call each, the searches' grid matrices, the distance placements and each
 baseline scheme's amplitude terms; the random starts as one (T, K) array,
 from one `random_matching` call; and, only when the matching scheme runs,
-one `Matching` per trial from its row of starts.  None of these depends on the transmit power, so a power sweep
-builds a block once and shares it across its values; any other sweep builds
-it afresh at each value.  A shared block also holds, per trial, one
-`SetEvaluator` per sweep value, linked as one `kernels.family`: the trial's
-matching scans at all its powers then run as one group, at its first
-value's call, and each later value's call takes its own result.  One
-per-trial loop, `_search_block`, runs the searches per (sweep value,
-trial), for the run and the convergence trace alike.  The reports run per
-(sweep value, block, scheme), one `rate_report` of the block's (T, N) gains
-each.  Each baseline scheme (random, distance, conventional) is one
-`BASELINES` entry: how it builds its block's terms and how it reports them
-at one power.  The searched schemes and distance report through one
-`_size_report` of their sets' terms, grouped by set size.  At most one block
-of drops, 512 of them, is held at a time.
+one `Matching` per trial from its row of starts.  None of these depends
+on the transmit power, so a power sweep builds a block once and shares it
+across its values; any other sweep builds it afresh at each value.  A
+shared block also holds, per trial, one `SetEvaluator` per sweep value,
+linked as one `kernels.family`: the trial's matching scans at all its
+powers then run as one group, at its first value's call, and each later
+value's call takes its own result.  One per-trial loop, `_search_block`,
+runs the searches per (sweep value, trial), for the run and the
+convergence trace alike.  The reports run per (sweep value, block,
+scheme), one `rate_report` of the block's (T, N) gains each.  Each
+baseline scheme (random, distance, conventional) is one `BASELINES`
+entry: how it builds its block's terms and how it reports them at one
+power.  The searched schemes and distance report through one
+`_size_report` of their sets' terms, grouped by set size.  At most one
+block of drops, 512 of them, is held at a time.
 """
 
 from __future__ import annotations

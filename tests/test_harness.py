@@ -414,8 +414,8 @@ def test_block_placements_come_from_one_waveguide_points_call(monkeypatch):
     placements = distance_based_activation(cfg, block_dep)
     assert len(calls) == 1
     for i, placement in enumerate(placements):
-        dep = Deployment(users=block_dep.users[i], positions=block_dep.positions,
-                         feed=block_dep.feed)
+        dep = Deployment(users=block_dep.users[i],
+                         positions=block_dep.positions, feed=block_dep.feed)
         assert (placement.tolist()
                 == distance_based_activation(cfg, dep).tolist())
     calls.clear()
