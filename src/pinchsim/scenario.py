@@ -6,8 +6,9 @@ y in [-d2/2, d2/2], z=0.  Point sets are float arrays of shape (M, 3), one
 (x, y, z) row per point; a deployment's are read-only.  A deployment holds
 one drop's (N, 3) users or a block's (T, N, 3), on one grid and feed, and is
 checked once when built.  Each trial's drop and random start come from its
-own numpy SeedSequence -> PCG64 stream, seeded for a block of trials at once
-(`stream_rngs`).
+own numpy SeedSequence -> PCG64 stream.  `stream_rngs` seeds a block of
+trials at once: numpy's SeedSequence gives the pool of the seed and stream,
+and only the trial words and the output step run in arrays.
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ class Deployment:
     (L, 3) and `feed` (3,): read-only float copies of the given coordinates,
     in meters.  A block is checked in one pass, by the same rules as each of
     its drops alone; a bad user is named as its drop alone would name it,
-    the first in trial order.  Last, each drop's squared spread must be
+    the first in trial order.  Users lie at z=0 and x in [0, d1], from the
+    feed end; without `d1`, x in [0, the grid's last x].  Given `d2`, they
+    lie at |y| <= d2/2.  Last, each drop's squared spread must be
     finite: per axis, the farthest distance from one of its users to a
     position or the feed, squared and summed over the axes.  It bounds every
     squared distance the channel takes; two users alone may lie farther
@@ -192,7 +195,7 @@ class Deployment:
         _check_grid(xs)
         if self.users[..., 2].any():
             raise ValueError("users must lie in the z=0 plane")
-        d1 = self.d1 if self.d1 is not None else xs[-1] - xs[0]
+        d1 = self.d1 if self.d1 is not None else xs[-1]
         half = math.inf if self.d2 is None else self.d2 / 2
         for axis, v, lo, hi in (("x", self.users[..., 0], 0.0, d1),
                                 ("y", self.users[..., 1], -half, half)):
@@ -288,12 +291,13 @@ _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _POOL = 4
 
 
-def _words(name: str, n) -> list[int]:
-    """`n`, a non-negative integer, as little-endian 32-bit words; 0 is
-    [0].  ValueError naming `name` for anything else."""
+def _words(name: str, n) -> tuple[int, int]:
+    """`n`, a non-negative integer, as an int, and the number of 32-bit
+    words that SeedSequence splits it into (1 for 0).  ValueError naming
+    `name` for anything else."""
     if (n := integer(name, n)) < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
-    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+    return n, max(-(-n.bit_length() // 32), 1)
 
 
 def _hash(v, hc: int, mult: int, rows: int):
@@ -306,31 +310,13 @@ def _hash(v, hc: int, mult: int, rows: int):
     return v ^ v >> _SHIFT, consts[-1]
 
 
-def _absorb(pool: np.ndarray, hc: int, word):
-    """The (rows, T) `pool` after SeedSequence's `mix` of each row with the
-    `hashmix` of `word`, and the hash constant after them.  `word` is a
-    uint64, a (1,) row of the pool, or a (T,) array of one per trial."""
+def _absorb(pool: np.ndarray, hc: int, word: np.ndarray):
+    """The (4, T) pool after SeedSequence's `mix` of each row of `pool`,
+    (4, 1) or (4, T), with the `hashmix` of `word`, a (T,) array of one
+    word per trial; and the hash constant after them."""
     v, hc = _hash(word, hc, _MULT_A, len(pool))
     r = (_MIX_L * pool - _MIX_R * v) & _M32
     return r ^ r >> _SHIFT, hc
-
-
-@lru_cache(maxsize=16, typed=True)  # typed: a bool is no seed
-def _stream_pool(seed: int, stream: int) -> tuple[np.ndarray, int]:
-    """The (4, 1) pool of SeedSequence(seed, spawn_key=(stream, trial))
-    after every entropy word but the trial's, and the hash constant that
-    the trial's words start at; the same for every trial of the stream."""
-    words = _words("seed", seed)
-    words += [0] * (_POOL - len(words))  # a spawn key pads the seed
-    pool, hc = _hash(np.array(words[:_POOL], dtype=np.uint64)[:, None],
-                     _INIT_A, _MULT_A, _POOL)
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst], hc = _absorb(pool[dst], hc, pool[src])
-    for word in words[_POOL:] + _words("stream", stream):
-        pool, hc = _absorb(pool, hc, np.uint64(word))
-    pool.flags.writeable = False
-    return pool, hc
 
 
 @lru_cache(maxsize=None)
@@ -360,16 +346,24 @@ def stream_rngs(seed: int, stream: int, trials: range
     Streams keyed only by (seed, stream, trial): the drop for a given trial is
     identical across schemes and across sweeps of non-geometry parameters.
     Each is numpy's `default_rng(SeedSequence(seed, spawn_key=(stream,
-    trial)))`, state for state, with the SeedSequence hash computed for all
-    of `trials` at once: the pool after the seed and stream words is shared,
-    and the trial words and output step run as array operations.  The
+    trial)))`, state for state.  The pool after the seed and stream words
+    is numpy's own, `SeedSequence(seed, spawn_key=(stream,)).pool`, shared
+    by every trial; only the trial words and the output step run for all of
+    `trials` at once, as array operations, and seed each trial's PCG64.  The
     generators' `seed_seq` only holds their PCG64 state words, so it is not
     a `SeedSequence` and cannot `spawn`.
     """
     if trials and not (min(trials) >= 0 and max(trials) < 1 << 64):
         raise ValueError("trial indices must lie in [0, 2**64)")
+    seed, seed_words = _words("seed", seed)
+    stream, stream_words = _words("stream", stream)
+    # Filling the pool steps the hash constant 16 times, and each entropy
+    # word past the padded seed's 4 steps it 4 times more.
+    later = max(seed_words - _POOL, 0) + stream_words
+    hc = _INIT_A * pow(_MULT_A, _POOL * (_POOL + later), 1 << 32) % (1 << 32)
+    pool = np.random.SeedSequence(seed, spawn_key=(stream,)).pool
     t = np.array(trials, dtype=np.uint64)
-    pool, hc = _absorb(*_stream_pool(seed, stream), t & _M32)
+    pool, hc = _absorb(pool.astype(np.uint64)[:, None], hc, t & _M32)
     if trials and max(trials) >> 32:  # a second trial word
         wide = t > _M32
         pool[:, wide] = _absorb(pool[:, wide], hc, t[wide] >> _32)[0]

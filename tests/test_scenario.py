@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pinchsim import (Deployment, ExperimentSpec, PowerAllocation,
@@ -110,6 +110,12 @@ def _same_stream(got, want, n_positions=20, k=4):
        start=st.one_of(st.integers(0, 200), st.integers(2**32 - 70, 2**32 + 5),
                        st.integers(2**64 - 70, 2**64 - 1)),
        length=st.integers(0, 70))
+# seeds of 5 and 7 words, whose words past the pool's 4 it absorbs one at a
+# time, over trials on both sides of 2^32
+@example(seed=2**128, stream=0, start=2**32 - 3, length=6)
+@example(seed=2**128, stream=2**40, start=2**32 - 3, length=6)
+@example(seed=2**200 + 5, stream=0, start=2**32 - 3, length=6)
+@example(seed=2**200 + 5, stream=2**40, start=2**32 - 3, length=6)
 def test_block_streams_are_numpys_seed_sequence_streams(seed, stream, start,
                                                         length):
     # a range may straddle 2^32, where a trial index takes a second word
@@ -288,6 +294,13 @@ def test_deployment_validation():
     with pytest.raises(ValueError):  # users are checked on every drop
         Deployment(users=((99.0, 0.0, 0.0),), positions=dep.positions,
                    feed=dep.feed)
+    # without d1, x is bounded by the grid's end, not by its length
+    late = waveguide_points([5.0, 10.0, 15.0], cfg.height)
+    assert Deployment(users=((14.0, 0.0, 0.0),), positions=late,
+                      feed=dep.feed).users[0, 0] == 14.0
+    with pytest.raises(ValueError,
+                       match=re.escape("x=16.0 outside [0.0, 15.0]")):
+        Deployment(users=((16.0, 0.0, 0.0),), positions=late, feed=dep.feed)
 
 
 def test_block_of_drops_equals_the_single_draws():
