@@ -31,9 +31,9 @@ def test_reference_optimum_is_the_exhaustive_search(n_users, k_antennas,
     per_size = _best_per_size(cfg, amp, alloc)
     for t in range(len(amp)):
         ev = SetEvaluator(cfg, block, alloc, amp[t])
+        drop = [(sets[t], utilities[t]) for sets, utilities in per_size]
         # the best of sizes up to k is the search's over sizes up to k
         for k in range(1, k_antennas + 1):
-            drop = [(sets[t], utilities[t]) for sets, utilities in per_size]
             assert optimum(drop[:k]) == exhaustive_search(ev, k)
         # one drop alone scores as it does in its block
         assert (optimum(_best_per_size(cfg, amp[t], alloc))
