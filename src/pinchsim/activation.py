@@ -363,12 +363,13 @@ def exhaustive_search(ev: SetEvaluator, k_antennas: int,
     utility.
 
     Ties go to the lexicographically smallest index tuple.  Refuses to start
-    when `k_antennas` is not an integer >= 1, or when the candidate count
-    exceeds the budget; raises a ValueError after the loop when the best
-    utility is not finite.
+    when `k_antennas` or `budget` is not an integer >= 1, or when the
+    candidate count exceeds the budget; raises a ValueError after the loop
+    when the best utility is not finite.
     """
-    if integer("k_antennas", k_antennas) < 1:
-        raise ValueError(f"k_antennas must be >= 1, got {k_antennas!r}")
+    for name, value in (("k_antennas", k_antennas), ("budget", budget)):
+        if integer(name, value) < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     count = candidate_count(ev.n_positions, k_antennas)
     if count > budget:
         raise BudgetExceededError(
@@ -427,15 +428,12 @@ def conventional_amplitudes(config: SystemConfig, users: np.ndarray
 
 
 def conventional_baseline(config: SystemConfig, users: np.ndarray,
-                          alloc: PowerAllocation,
-                          amp: np.ndarray | None = None) -> RateReport:
+                          alloc: PowerAllocation) -> RateReport:
     """Fixed-antenna benchmark for the (N, 3) users of one drop, or a
     (T, N, 3) block of drops: no waveguide, so no phase shift and no
     dielectric loss; each of the K antennas radiates P_t/K.  Rates go through
-    the same SIC stack as the pinching schemes.  `amp` is the users'
-    `conventional_amplitudes`, if the caller already has them.
+    the same SIC stack as the pinching schemes.
     """
-    if amp is None:
-        amp = conventional_amplitudes(config, users)
+    amp = conventional_amplitudes(config, users)
     return rate_report(power_gains(amp, dbm_to_watts(config.pt_dbm)), alloc,
                        dbm_to_watts(config.noise_dbm))

@@ -104,45 +104,17 @@ def _gains_of_terms(terms: np.ndarray) -> np.ndarray:
     return g
 
 
-def effective_channel(indices, deployment: Deployment, config: SystemConfig,
-                      amp: np.ndarray | None = None) -> np.ndarray:
+def effective_channel(indices, deployment: Deployment, config: SystemConfig
+                      ) -> np.ndarray:
     """(N,) power gains |h_n|^2 of the deployment's users for the activation
-    of the grid `indices`, or (T, N) for a (T, S) integer array of T
-    activations or for a block deployment of T drops.
+    of the grid `indices`, or (T, N) for a block deployment of T drops.
 
-    `amp`, the users' `amplitudes` at the active antennas, spares their
-    rebuild when the caller keeps them across transmit powers; it needs one
-    column per index, (N, S) or (T, N, S).  The users are read only when
-    `amp` is None, so a batch's terms may come from other drops on the
-    deployment's grid and feed.  Empty active set yields all-zero gains (the
-    caller convention for a fully deactivated system).
+    Empty active set yields all-zero gains (the caller convention for a
+    fully deactivated system).
     """
-    n_positions = len(deployment.positions)
-    if isinstance(indices, np.ndarray) and indices.ndim == 2:
-        # Each row is one activation.  Rows of ascending integers in range,
-        # which `selection` passes as they are, are checked in array
-        # operations; any other batch runs `selection` row by row, so that
-        # its first bad row raises as it would alone.
-        if indices.dtype.kind in "iu" and np.diff(
-                indices, prepend=-1, append=n_positions).min(initial=1) > 0:
-            sel = indices.astype(np.intp, copy=False)
-        else:
-            sel = np.array([selection(r, n_positions) for r in indices],
-                           dtype=np.intp).reshape(indices.shape)
-    else:
-        sel = selection(indices, n_positions)
+    sel = selection(indices, len(deployment.positions))
     if sel.size == 0:
-        shape = deployment.users.shape
-        return np.zeros((*np.broadcast_shapes(sel.shape[:-1], shape[:-2]),
-                         shape[-2]))
-    if amp is None:
-        amp = amplitudes(config, deployment.users, deployment.positions[sel],
-                         deployment.feed)
-    elif amp.shape[-1] != sel.shape[-1]:
-        raise ValueError("amp must have one column per position index: "
-                         f"got {amp.shape[-1]} for {sel.shape[-1]}")
-    elif amp.shape[:-2] != sel.shape[:-1] or amp.ndim < 2:
-        raise ValueError("amp must hold one (N, S) block per activation: "
-                         f"got shape {amp.shape} for indices of shape "
-                         f"{sel.shape}")
+        return np.zeros(deployment.users.shape[:-1])
+    amp = amplitudes(config, deployment.users, deployment.positions[sel],
+                     deployment.feed)
     return power_gains(amp, dbm_to_watts(config.pt_dbm))

@@ -22,9 +22,10 @@ runs the searches per (sweep value, trial), for the run and the
 convergence trace alike.  The reports run per (sweep value, block,
 scheme), one `rate_report` of the block's (T, N) gains each.  Each
 baseline scheme (random, distance, conventional) is one `BASELINES`
-entry: how it builds its block's terms and how it reports them at one
-power.  The searched schemes and distance report through one
-`_size_report` of their sets' terms, grouped by set size.  At most one
+entry: how it builds its block's terms, grouped by set size.  Every
+scheme reports through one `_size_report` of its terms: a searched
+scheme's found sets and distance's placements make one group per size,
+random and conventional one group of all the block's trials.  At most one
 block of drops, 512 of them, is held at a time.
 """
 
@@ -271,7 +272,7 @@ class _Block(NamedTuple):
     # Per trial, its random start as the matching scheme's `Matching`, built
     # once for every sweep point of the block from its row of starts.
     initial: list[Matching] | None
-    terms: dict[str, object]                  # per baseline scheme of the run
+    terms: dict[str, list]                    # `_by_size` terms per baseline
 
 
 def _blocks(trials: int) -> list[range]:
@@ -281,30 +282,13 @@ def _blocks(trials: int) -> list[range]:
             for first in range(0, trials, BLOCK)]
 
 
-class _Baseline(NamedTuple):
-    """A scheme that runs no search.  `terms(cfg, deployment, starts)`
-    builds a block's power-independent terms from its deployment and its
-    (T, K) array of random starts (None when no scheme draws them);
-    `report(terms, deployment, cfg, alloc)` gives the block's RateReport and
-    (T,) active counts at one power."""
-
-    terms: Callable
-    report: Callable
-
-
 def _random_terms(cfg, deployment, starts):
-    """Each trial's random matching as its (T, K) grid indices, the rows of
-    `starts` sorted ascending in one call, and the (T, N, K) amplitude terms
-    of its users at those points."""
-    active = np.sort(starts, axis=1)
-    return active, amplitudes(cfg, deployment.users,
-                              deployment.positions[active], deployment.feed)
-
-
-def _random_report(terms, deployment, cfg, alloc):
-    active, amp = terms
-    return (sum_rate(active, deployment, cfg, alloc, amp),
-            np.full(len(active), cfg.k_antennas))
+    """The (T, N, K) amplitude terms of each trial's users at its random
+    matching, the rows of `starts` sorted ascending in one call, as one
+    group of all the trials."""
+    points = deployment.positions[np.sort(starts, axis=1)]
+    return [(slice(None), amplitudes(cfg, deployment.users, points,
+                                     deployment.feed))]
 
 
 def _by_size(sets, terms: Callable) -> list:
@@ -342,20 +326,19 @@ def _distance_terms(cfg, deployment, starts):
 
 
 def _conventional_terms(cfg, deployment, starts):
-    return conventional_amplitudes(cfg, deployment.users)
+    """The (T, N, K) terms of the fixed array, as one group of all trials."""
+    return [(slice(None), conventional_amplitudes(cfg, deployment.users))]
 
 
-def _conventional_report(terms, deployment, cfg, alloc):
-    return (conventional_baseline(cfg, deployment.users, alloc, terms),
-            np.full(len(terms), cfg.k_antennas))
-
-
-# The report functions look `sum_rate` and `conventional_baseline` up on this
-# module when they run, so the traced benchmark (perfbench) wraps them here.
+# Per scheme that runs no search, `terms(cfg, deployment, starts)`: its
+# block's `_by_size` terms, from its deployment and its (T, K) random starts
+# (None when no scheme draws them).
+# `sum_rate` and `conventional_baseline` are imported only for perfbench,
+# which wraps them here; its probe rework (ROADMAP) drops both and the wraps.
 BASELINES = {
-    "random": _Baseline(_random_terms, _random_report),
-    "distance": _Baseline(_distance_terms, _size_report),
-    "conventional": _Baseline(_conventional_terms, _conventional_report),
+    "random": _random_terms,
+    "distance": _distance_terms,
+    "conventional": _conventional_terms,
 }
 
 
@@ -390,7 +373,7 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
     if "matching" in schemes:
         initial = [Matching(assignment=tuple(row)) for row in starts.tolist()]
     return _Block(trials, deployment, grid, alloc, evaluators, initial,
-                  {s: BASELINES[s].terms(cfg, deployment, starts)
+                  {s: BASELINES[s](cfg, deployment, starts)
                    for s in schemes if s in BASELINES})
 
 
@@ -439,10 +422,10 @@ def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
     value's cells, in trial order.
 
     The searches run per trial.  Each scheme's rates then come from one
-    report of the whole block: a searched scheme's from `_size_report` of
-    its found sets' terms, gathered by size from the block's grid matrices,
-    so the sum rate is the searched utility bit for bit; a baseline
-    scheme's from its `BASELINES` entry.
+    `_size_report` of the whole block's terms: a searched scheme's are its
+    found sets', gathered by size from the block's grid matrices, so the
+    sum rate is the searched utility bit for bit; a baseline scheme's are
+    those its `BASELINES` entry built.
     """
     # Per searched scheme: each trial's found set.
     found_sets = {s: [] for s in ("exhaustive", "matching")
@@ -454,12 +437,10 @@ def _score_block(block: _Block, point: int, value, cfg: SystemConfig,
             found_sets[scheme].append(positions)
         if trajectory is not None:
             cycles[i] = trajectory.cycles
-    reports = {s: _size_report(_by_size(sets, lambda idx, sel: _found_terms(
-        block.grid, idx, sel)), block.deployment, cfg, block.alloc)
-               for s, sets in found_sets.items()}
-    reports |= {s: BASELINES[s].report(terms, block.deployment, cfg,
-                                       block.alloc)
-                for s, terms in block.terms.items()}
+    terms = {s: _by_size(sets, lambda idx, sel: _found_terms(
+        block.grid, idx, sel)) for s, sets in found_sets.items()}
+    reports = {s: _size_report(t, block.deployment, cfg, block.alloc)
+               for s, t in (terms | block.terms).items()}
     optimum = (reports["exhaustive"][0].sum_rate if "exhaustive" in reports
                else None)
     for scheme in spec.schemes:

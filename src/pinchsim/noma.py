@@ -153,14 +153,11 @@ def rate_report(gains, alloc: PowerAllocation, noise_watts: float) -> RateReport
 
 
 def sum_rate(indices, deployment: Deployment, config: SystemConfig,
-             alloc: PowerAllocation, amp=None) -> RateReport:
-    """Rates for the activation of the grid `indices`, or for a (T, S) batch
-    of activations: power gains -> SIC order -> rates.
-
-    `amp` is the activation's (N, S) `channel.amplitudes` at its antenna
-    points, or the batch's (T, N, S), if the caller already has them; see
-    `effective_channel`.  An empty activation reports zero rates for
+             alloc: PowerAllocation) -> RateReport:
+    """Rates for the activation of the grid `indices`: power gains -> SIC
+    order -> rates, one row per drop of a block deployment (see
+    `effective_channel`).  An empty activation reports zero rates for
     everyone.
     """
-    gains = effective_channel(indices, deployment, config, amp)
+    gains = effective_channel(indices, deployment, config)
     return rate_report(gains, alloc, dbm_to_watts(config.noise_dbm))

@@ -843,6 +843,21 @@ def test_exhaustive_search_refuses_a_bad_k_antennas_before_scoring():
     assert best == exhaustive_search(ev, 2)[0]
 
 
+def test_exhaustive_search_refuses_a_bad_budget_before_scoring():
+    # a NaN budget once scored every set, since `count > nan` is False, and a
+    # string one raised a bare TypeError
+    cfg = SystemConfig(n_users=2, k_antennas=2, l_positions=8)
+    dep = make_deployment(cfg, stream_rng(3, 0, 0))
+    ev = SetEvaluator(cfg, dep, PowerAllocation.equal(2))
+    for budget in (float("nan"), 0, -1, True, 36.0, np.float64(36.0), "36",
+                   None):
+        with pytest.raises(ValueError, match="^budget must be "):
+            exhaustive_search(ev, 2, budget)
+    assert ev.calls == 0
+    exhaustive_search(ev, 2, np.int64(36))
+    assert ev.calls == 36
+
+
 class _Stub:
     """Utility stub with controllable values, for tie-break checks."""
 

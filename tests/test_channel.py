@@ -193,21 +193,6 @@ def test_effective_channel_matches_reference():
             assert math.isclose(g, abs(h_ref) ** 2, rel_tol=1e-12)
 
 
-def test_effective_channel_rejects_amp_of_other_indices():
-    # terms built at (1, 3) used to stand in for (5,): the sum rate of (1, 3)
-    # came back, with P_t split over amp's two columns
-    dep = make_deployment(CFG, stream_rng(2, 0, 0))
-    alloc = PowerAllocation.equal(CFG.n_users)
-    amp = amplitudes(CFG, dep.users, dep.positions[[1, 3]], dep.feed)
-    for path in (lambda: effective_channel((5,), dep, CFG, amp),
-                 lambda: sum_rate((5,), dep, CFG, alloc, amp)):
-        with pytest.raises(ValueError, match="^amp must have one column per "
-                                             "position index: got 2 for 1$"):
-            path()
-    assert (sum_rate((1, 3), dep, CFG, alloc, amp).sum_rate
-            == sum_rate((1, 3), dep, CFG, alloc).sum_rate)
-
-
 def test_gains_are_squared_magnitudes():
     cfg = SystemConfig()
     dep = make_deployment(cfg, stream_rng(5, 0, 0))
@@ -250,54 +235,3 @@ def test_batched_amplitudes_keep_the_singular_check():
     users = np.array([[[1.0, 0.0, 0.0]], [[2.0, 0.0, 3.0]]])
     with pytest.raises(ValueError, match="coincide"):
         amplitudes(CFG, users, np.array([[2.0, 0.0, 3.0]]), FEED)
-
-
-def test_batch_of_activations_is_checked_row_by_row():
-    # a (T, S) integer array is T activations: the batch paths run the same
-    # check as one activation, on every row
-    dep = make_deployment(CFG, stream_rng(2, 0, 0))
-    alloc = PowerAllocation.equal(CFG.n_users)
-    paths = (lambda rows: effective_channel(rows, dep, CFG),
-             lambda rows: sum_rate(rows, dep, CFG, alloc))
-    table = ((((0, 2), (1, 1)), "position indices must be distinct"),
-             (((0, 2), (-1, 4)), "position index out of range"),
-             (((0, CFG.l_positions),), "position index out of range"),
-             (((0.0, 2.0),), "position indices must be integers"),
-             (((True, False),), "position indices must be integers"))
-    for rows, message in table:
-        for path in paths:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                path(np.array(rows))
-    rows = np.array([(3, 1), (0, 19), (7, 6)])
-    gains = effective_channel(rows, dep, CFG)
-    assert gains.shape == (3, CFG.n_users)
-    for got, sel in zip(gains, rows.tolist()):
-        assert got.tolist() == effective_channel(sel, dep, CFG).tolist()
-    assert effective_channel(np.empty((3, 0), dtype=int), dep, CFG).tolist() \
-        == [[0.0] * CFG.n_users] * 3
-    amp = amplitudes(CFG, dep.users, dep.positions[[1, 3]], dep.feed)
-    with pytest.raises(ValueError, match="got 2 for 3"):
-        effective_channel(np.array([(1, 3, 5)]), dep, CFG, amp[None])
-    # terms for another number of activations than the batch holds
-    five = np.array([(1, 3)] * 5)
-    for terms, indices in ((amp, five), (amp[None], five),
-                           (np.stack([amp] * 5), np.array([1, 3])),
-                           (amp[0], [1, 3])):
-        with pytest.raises(ValueError, match="^amp must hold one"):
-            effective_channel(indices, dep, CFG, terms)
-        with pytest.raises(ValueError, match="^amp must hold one"):
-            sum_rate(indices, dep, CFG, alloc, terms)
-
-
-def test_a_batchs_first_bad_row_names_the_error():
-    # the array check finds that a batch is bad; which row, and how, the
-    # first bad row alone decides, whatever the later rows break
-    dep = make_deployment(CFG, stream_rng(2, 0, 0))
-    alloc = PowerAllocation.equal(CFG.n_users)
-    for rows, message in ((((0, 2), (0, 0), (-1, 2)), "distinct"),
-                          (((0, 2), (-1, 2), (0, 0)), "out of range"),
-                          (((0, 2), (3, 1), (0, 0)), "distinct")):
-        for path in (lambda r: effective_channel(r, dep, CFG),
-                     lambda r: sum_rate(r, dep, CFG, alloc)):
-            with pytest.raises(ValueError, match=f"^position ind.*{message}$"):
-                path(np.array(rows))

@@ -334,8 +334,11 @@ def test_block_terms_equal_per_trial_calls_exactly(monkeypatch):
     assert block.trials == range(64, 70)
     block_dep = block.deployment
     assert block_dep.users.shape == (6, 8, 3)
-    random_active, random_terms = block.terms["random"]
-    conventional_terms = block.terms["conventional"]
+    # random and conventional are one group each, of all the block's trials
+    (everyone, random_terms), = block.terms["random"]
+    assert everyone == slice(None)
+    (everyone, conventional_terms), = block.terms["conventional"]
+    assert everyone == slice(None)
     distance = {i: (terms, j) for idx, terms in block.terms["distance"]
                 for j, i in enumerate(idx)}
     assert sorted(distance) == list(range(6))
@@ -351,8 +354,7 @@ def test_block_terms_equal_per_trial_calls_exactly(monkeypatch):
             cfg, dep, stream_rng(cfg.seed, 1, trial))
         assert (block.grid[i].tolist()
                 == kernels.amplitude_matrix(cfg, dep).tolist())
-        assert (random_active[i].tolist()
-                == list(initial.active_positions()))
+        # random's terms are at the start's sorted active positions
         points = dep.positions[list(initial.active_positions())]
         assert (random_terms[i].tolist()
                 == amplitudes(cfg, dep.users, points, dep.feed).tolist())
@@ -379,7 +381,7 @@ def test_block_terms_equal_per_trial_calls_exactly(monkeypatch):
     assert [p.tolist() for p in placements] == [
         distance_based_activation(cfg, d).tolist() for d in drops]
     assert [len(p) for p in placements] == [2, 1, 2]
-    groups = harness.BASELINES["distance"].terms(cfg, block_dep, None)
+    groups = harness.BASELINES["distance"](cfg, block_dep, None)
     assert [idx for idx, _ in groups] == [[0, 2], [1]]
     for idx, terms in groups:
         assert terms.shape == (len(idx), 2, len(placements[idx[0]]))
@@ -455,11 +457,13 @@ def test_a_random_only_block_draws_its_starts_in_one_call(monkeypatch):
     block = harness._block((FAST,), range(5, 25), ("random", "distance"))
     assert block.initial is None
     assert len(calls) == 1
-    active, _ = block.terms["random"]
-    for row, trial in zip(active.tolist(), block.trials):
-        one = random_matching(FAST, block.deployment,
-                              stream_rng(FAST.seed, 1, trial))
-        assert tuple(row) == one.active_positions()
+    (_, terms), = block.terms["random"]
+    dep = block.deployment
+    for i, trial in enumerate(block.trials):
+        one = random_matching(FAST, dep, stream_rng(FAST.seed, 1, trial))
+        points = dep.positions[list(one.active_positions())]
+        assert (terms[i].tolist()
+                == amplitudes(FAST, dep.users[i], points, dep.feed).tolist())
 
 
 def test_at_most_one_block_of_drops_is_alive(monkeypatch):
@@ -836,28 +840,47 @@ def test_block_gains_and_reports_equal_per_trial_calls():
     block = harness._block((cfg,), range(0, 70), ALL_SCHEMES)
     alloc = PowerAllocation.equal(cfg.n_users)
     pt = dbm_to_watts(cfg.pt_dbm)
-    random_active, random_terms = block.terms["random"]
-    conventional_terms = block.terms["conventional"]
-    terms = [random_terms, conventional_terms,
-             *(t for _, t in block.terms["distance"])]
+    terms = [t for s in ("random", "conventional", "distance")
+             for _, t in block.terms[s]]
     for batch in terms:
         gains = power_gains(batch, pt)
         assert gains.shape == batch.shape[:2]
         for got, trial_terms in zip(gains, batch):
             assert got.tolist() == power_gains(trial_terms, pt).tolist()
-    conventional = conventional_baseline(cfg, block.deployment.users, alloc,
-                                         conventional_terms)
-    random = sum_rate(random_active, block.deployment, cfg, alloc,
-                      random_terms)
+    conventional, conventional_active = harness._size_report(
+        block.terms["conventional"], block.deployment, cfg, alloc)
+    random, random_active = harness._size_report(
+        block.terms["random"], block.deployment, cfg, alloc)
     assert len(block.trials) == len(random.sum_rate) == 70
+    assert len(conventional.sum_rate) == 70
+    assert (random_active.tolist() == conventional_active.tolist()
+            == [cfg.k_antennas] * 70)
     for i, trial in enumerate(block.trials):
         dep = make_deployment(cfg, stream_rng(cfg.seed, 0, trial))
         one = conventional_baseline(cfg, dep.users, alloc)
         assert conventional.sum_rate[i] == one.sum_rate
         assert conventional.fairness[i] == one.fairness
+        assert conventional.rates[i].tolist() == one.rates.tolist()
         one = sum_rate(block.initial[i].active_positions(), dep, cfg, alloc)
         assert random.sum_rate[i] == one.sum_rate
         assert random.fairness[i] == one.fairness
+        assert random.rates[i].tolist() == one.rates.tolist()
+
+
+def test_every_scheme_reports_through_one_size_report(monkeypatch):
+    # one `_size_report` per (block, sweep value, scheme), and no other
+    # report path
+    monkeypatch.setattr(harness, "BLOCK", 64)
+    reports = _count_calls(monkeypatch, harness, "_size_report")
+    others = [_count_calls(monkeypatch, harness, name)
+              for name in ("sum_rate", "conventional_baseline")]
+    run_experiment(ExperimentSpec(base=FAST, schemes=ALL_SCHEMES, trials=70,
+                                  sweep=SweepSpec("pt_dbm", 20.0, 30.0, 10.0)))
+    cells = [(len(deployment.users), cfg.pt_dbm)
+             for _, deployment, cfg, _ in reports]
+    assert sorted(cells) == sorted(
+        [(t, p) for t in (64, 6) for p in (20.0, 30.0)] * len(ALL_SCHEMES))
+    assert others == [[], []]
 
 
 @pytest.mark.parametrize("k", [6, 8])

@@ -285,19 +285,3 @@ def test_jain_rescales_rows_that_underflow_or_overflow():
     mixed = np.concatenate([ordinary, [[1e-170] * 4, [1e300] * 4]])
     assert jain_fairness(mixed)[:50].tolist() == jain_fairness(ordinary).tolist()
     assert jain_fairness(mixed)[50:].tolist() == [1.0, 1.0]
-
-
-def test_batched_sum_rate_equals_per_activation():
-    cfg = SystemConfig(n_users=3, k_antennas=2, l_positions=10)
-    dep = make_deployment(cfg, stream_rng(4, 0, 0))
-    alloc = PowerAllocation.equal(3)
-    sets = np.array([(0, 4), (7, 2), (3, 9), (5, 6)])
-    batch = sum_rate(sets, dep, cfg, alloc)
-    for i, sel in enumerate(sets.tolist()):
-        one = sum_rate(sel, dep, cfg, alloc)
-        assert batch.sum_rate[i] == one.sum_rate
-        assert batch.fairness[i] == one.fairness
-        assert batch.rates[i].tolist() == one.rates.tolist()
-    empty = sum_rate(np.empty((2, 0), dtype=int), dep, cfg, alloc)
-    assert empty.sum_rate.tolist() == [0.0, 0.0]
-    assert empty.fairness.tolist() == [1.0, 1.0]
