@@ -98,6 +98,16 @@ class Trajectory:
                 raise ValueError("utilities must be strictly increasing")
 
 
+def _proven(cls, **fields):
+    """A `cls`, `Matching` or `Trajectory`, holding `fields` as given: its
+    `__init__` and checks do not run.  Only for fields a search has already
+    proven, such as the scan's distinct grid ints and strictly rising
+    utilities; a hand-built value goes through every check."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def random_matching(config: SystemConfig, deployment: Deployment,
                     rng: np.random.Generator | Sequence[np.random.Generator]
                     ) -> Matching | np.ndarray:
@@ -139,8 +149,13 @@ class _Member:
         self.evaluations: list[int] = []    # per cycle
 
     def result(self, start: int) -> tuple[Matching, Trajectory]:
-        return Matching(assignment=tuple(self.assignment)), Trajectory(
-            utilities=(self.memo[start], *self.utilities),
+        """The member's final `Matching` and its `Trajectory`, from the set
+        `start`, the scan's starting `_mask`.  Both are built `_proven`,
+        without re-checks: the final positions are distinct grid ints, the
+        start's checked and each move's a free position or None, and each
+        accepted move strictly raised the utility."""
+        return _proven(Matching, assignment=tuple(self.assignment)), _proven(
+            Trajectory, utilities=(self.memo[start], *self.utilities),
             moves=tuple(self.moves),
             move_cycles=tuple(self.move_cycles),
             cycles=len(self.evaluations),
@@ -184,9 +199,16 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
     The batch skips the evaluator's index check: the free positions are
     `range(ev.n_positions)` less the other antennas', whose positions the
     caller has checked to be distinct grid indices.
+
+    Each accepted move is built once per walk: every member that takes it
+    shares the one `Move`.  The split check compares each member's new
+    moves with the first member's in one list compare, which shared moves
+    settle mostly by identity; the parts are gathered only when some
+    member's moves differ.
     """
     ev, memo = group[0].ev, group[0].memo
-    parts: dict[tuple[Move, ...], list[_Member]] = {}
+    made: dict[tuple[int | None, int | None], Move] = {}
+    split = False
     current = assignment[antenna]
     others = sorted(p for p in assignment if p is not None and p != current)
     base = _mask(others)
@@ -226,14 +248,22 @@ def _walk(group: list[_Member], assignment: list[int | None], antenna: int,
                     memo[base] = gains[-1]
                 gain, target = memo[base], None
             if gain > utility:
-                moves.append(Move(antenna, at, target))
+                move = made.get((at, target))
+                if move is None:
+                    move = made[at, target] = Move(antenna, at, target)
+                moves.append(move)
                 m.utilities.append(gain)
                 m.move_cycles.append(len(m.evaluations))
                 utility, at = gain, target
         m.evaluations[-1] += len(positions)
-        if len(group) > 1:
-            parts.setdefault(tuple(moves[taken:]), []).append(m)
-    if len(parts) > 1:
+        if m is group[0]:
+            lead = moves[taken:]
+        elif not split:
+            split = moves[taken:] != lead
+    if split:
+        parts: dict[tuple[Move, ...], list[_Member]] = {}
+        for m in group:
+            parts.setdefault(tuple(m.moves[taken:]), []).append(m)
         return [(part, key[-1].target if key else current)
                 for key, part in parts.items()]
     assignment[antenna] = at

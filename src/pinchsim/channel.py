@@ -15,20 +15,30 @@ from .scenario import Deployment, SystemConfig, dbm_to_watts, derived_rf
 
 
 _BOOLS = {bool, np.bool_}
+_FLAT = "position indices must be a flat sequence of integers"
 
 
 def selection(indices, n_positions: int) -> np.ndarray:
     """The sorted grid indices of one activation as an index array;
     ValueError unless they are distinct integers in [0, n_positions).
     Checked on the sorted list, which is cheaper than on an array at a few
-    indices: the exhaustive search scores one set per call."""
-    sel = sorted(indices)
+    indices: the exhaustive search scores one set per call.  What cannot be
+    sorted, hashed and compared as a flat list of numbers, such as a bare
+    int, a string or rows of indices, fails at that step with a ValueError
+    that names the position indices."""
+    try:
+        sel = sorted(indices)
+    except (TypeError, ValueError):  # a bare int; rows of an array
+        raise ValueError(_FLAT) from None
     if not sel:
         return np.empty(0, dtype=np.intp)
-    if len(set(sel)) < len(sel):
-        raise ValueError("position indices must be distinct")
-    if sel[0] < 0 or sel[-1] >= n_positions:
-        raise ValueError("position index out of range")
+    try:
+        if len(set(sel)) < len(sel):
+            raise ValueError("position indices must be distinct")
+        if sel[0] < 0 or sel[-1] >= n_positions:
+            raise ValueError("position index out of range")
+    except TypeError:  # unhashable rows; strings, which compare to no int
+        raise ValueError(_FLAT) from None
     arr = np.asarray(sel)
     # numpy turns (True, 3) into [1, 3].  A bool is 0 or 1, so among sorted,
     # distinct, non-negative indices only the first two can be one.

@@ -253,9 +253,9 @@ def _drop_hash(users: np.ndarray) -> str:
 
 
 def _log_drop(value, trial: int, users: np.ndarray) -> None:
-    """Log a trial's drop hash at DEBUG; the hash is computed only then."""
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("sweep=%s trial=%d drop=%s", value, trial, _drop_hash(users))
+    """Log a trial's drop hash at DEBUG.  Its one caller, `_search_block`,
+    calls it only when DEBUG is on, so the hash is computed only then."""
+    log.debug("sweep=%s trial=%d drop=%s", value, trial, _drop_hash(users))
 
 
 class _Block(NamedTuple):
@@ -379,18 +379,20 @@ def _block(configs: tuple[SystemConfig, ...], trials: range, schemes
 
 def _search_block(block: _Block, point: int, value, cfg: SystemConfig,
                   schemes, budget: int):
-    """Per trial of `block`, in order: log its drop, run the searches that
-    `schemes` names on its evaluator for `point`, the index of this sweep
-    value among those that share the block, and yield (trial, found,
-    optimum, trajectory).  `found` maps each searched scheme to the
-    set it found, as grid indices; `optimum` is the exhaustive sum rate and
-    `trajectory` the matching's, None where that scheme is not searched.
-    The exhaustive search runs first: a trial whose optimum is 0 stops with
-    a ValueError before its matching runs.  When `schemes` names no
-    search, the block has no grid matrices: its drops are logged and
-    nothing is yielded."""
+    """Per trial of `block`, in order: log its drop if DEBUG is on, which
+    is read once per call, run the searches that `schemes` names on its
+    evaluator for `point`, the index of this sweep value among those that
+    share the block, and yield (trial, found, optimum, trajectory).
+    `found` maps each searched scheme to the set it found, as grid indices;
+    `optimum` is the exhaustive sum rate and `trajectory` the matching's,
+    None where that scheme is not searched.  The exhaustive search runs
+    first: a trial whose optimum is 0 stops with a ValueError before its
+    matching runs.  When `schemes` names no search, the block has no grid
+    matrices: its drops are logged and nothing is yielded."""
+    debug = log.isEnabledFor(logging.DEBUG)
     for i, trial in enumerate(block.trials):
-        _log_drop(value, trial, block.deployment.users[i])
+        if debug:
+            _log_drop(value, trial, block.deployment.users[i])
         if block.grid is None:
             continue
         evaluator = block.evaluators[i][point]

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -602,6 +602,14 @@ def test_one_user_power_sweep_is_pinned(monkeypatch, tmp_path):
                        unique=True),
        inactive=st.integers(0, 3), first=st.integers(0, 5),
        seed=st.integers(0, 2 ** 32 - 1))
+# A walk of all six members in which only the last parts ways from the
+# first, and one in which the first parts ways from the five others, who
+# agree: a split check that compares fewer members than all with the first
+# misses one of them.
+@example(n=2, k=2, extra=3, powers=[-20, -10, 0, 10, 20, 30], inactive=0,
+         first=0, seed=189)
+@example(n=2, k=2, extra=3, powers=[-20, -10, 0, 10, 20, 30], inactive=0,
+         first=0, seed=0)
 def test_family_members_scan_as_they_would_alone(n, k, extra, powers,
                                                  inactive, first, seed):
     # one drop at up to six powers, low ones among them so that the group
@@ -704,6 +712,41 @@ def test_scan_memo_never_crosses_powers():
             ev = SetEvaluator(cfg, dep, alloc, amp=amp)
             assert (matching_activation(ev, init)
                     == reference_scan(cfg, dep, alloc, init))
+
+
+def test_scan_results_equal_their_checked_rebuilds(monkeypatch):
+    # the scan builds its results without the constructors' checks; each
+    # must be the value, field types included, that the public constructors
+    # build from its fields, which they accept: over the power preset's
+    # first block at seed 1, all five powers, and a drop with one user and
+    # one at K = L, each scanned at four powers as one family
+    def kept(ev, initial):
+        results.append(real(ev, initial))
+        return results[-1]
+
+    results = []
+    real = harness.matching_activation
+    monkeypatch.setattr(harness, "matching_activation", kept)
+    run_experiment(build_spec({**PRESETS["power"], "seed": "1",
+                               "schemes": "matching"}))
+    assert len(results) == 5 * int(PRESETS["power"]["trials"])
+    rng = np.random.default_rng(518)
+    for n, k, l_positions in [(1, 4, 20), (2, 8, 8)]:
+        cfg = SystemConfig(d1=10.0, n_users=n, k_antennas=k,
+                           l_positions=l_positions)
+        dep = make_deployment(cfg, rng)
+        alloc = PowerAllocation.equal(n)
+        amp = amplitude_matrix(cfg, dep)
+        init = random_matching(cfg, dep, rng)
+        for ev in family(SetEvaluator(dataclasses.replace(cfg, pt_dbm=p),
+                                      dep, alloc, amp=amp)
+                         for p in (-10.0, 10.0, 30.0, 50.0)):
+            results.append(matching_activation(ev, init))
+    for final, trajectory in results:
+        # `replace` with no changes passes each field back to the class
+        rebuilt = dataclasses.replace(final), dataclasses.replace(trajectory)
+        assert (final, trajectory) == rebuilt
+        assert repr((final, trajectory)) == repr(rebuilt)
 
 
 def test_stability_of_search_output():

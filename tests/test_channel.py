@@ -112,12 +112,20 @@ def test_active_set_validation():
              lambda indices: effective_channel(indices, dep, CFG),
              lambda indices: sum_rate(indices, dep, CFG, alloc))
     # a bool sorts and compares as 0 or 1, and numpy turns (True, 3) into
-    # [1, 3]; it is still not a position index
+    # [1, 3]; it is still not a position index.  Rows of indices, a string
+    # and a bare int cannot be sorted, hashed and compared as one flat list
+    # of numbers: they fail at that step, naming the indices too
+    flat = "position indices must be a flat sequence of integers"
     table = (((1, 1), "position indices must be distinct"),
              ((-1,), "position index out of range"),
              ((CFG.l_positions,), "position index out of range"),
              ((1.5,), "position indices must be integers"),
-             ((True, 3), "position indices must be integers"))
+             ((True, 3), "position indices must be integers"),
+             (np.array([[1, 2]]), flat),
+             (np.array([[1, 2], [3, 4]]), flat),
+             ([[1], [2]], flat),
+             ("12", flat),
+             (5, flat))
     for indices, message in table:
         for path in paths:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
